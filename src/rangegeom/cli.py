@@ -12,7 +12,8 @@ simulate        noisy measurement batches
 
 Output is JSON (sorted keys) on stdout, CSV for surface-sample.  Exit codes:
 0 success (infeasible inputs are classified, not errors), 2 usage errors,
-3 configuration errors (bad receiver file, degenerate layout, bad parameters),
+3 configuration errors (bad receiver file, degenerate layout, bad parameters,
+non-finite measurements),
 4 numerical/domain errors.
 """
 
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .config import SensorConfig, validate_config
+from .config import _RTOL, SensorConfig, validate_config
 from .kummer import (
     ARC_LABELS,
     HULL_COMPONENTS,
@@ -354,13 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize-toa", help="invert a range vector")
     p.add_argument("--config", required=True, help="JSON file with a 'receivers' array")
     p.add_argument("--toa", required=True, type=_floats, help="comma-separated ranges")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+    p.add_argument("--tol", type=float, default=_RTOL, help="relative tolerance")
     p.set_defaults(func=_cmd_localize_toa)
 
     p = sub.add_parser("localize-tdoa", help="invert a range-difference pair")
     p.add_argument("--config", required=True)
     p.add_argument("--tau", required=True, type=_floats, help="comma-separated differences")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=_RTOL)
     p.set_defaults(func=_cmd_localize_tdoa)
 
     p = sub.add_parser("classify", help="classify measurements without inverting")
@@ -368,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--toa", type=_floats)
     group.add_argument("--tdoa", type=_floats)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=_RTOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("surface-sample", help="CSV grid of ranges and curvature")

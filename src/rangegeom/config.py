@@ -14,13 +14,16 @@ is reproducible and identical for every input ordering of the same points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateReceiver
+from .errors import DimensionMismatch, DuplicateReceiver, InvalidParam
 
+# Default relative tolerance of every classification and inversion.
+_RTOL = 1e-9
 # Collinearity test: 2*area / (d21*d31) <= _COLLINEAR_RTOL  (i.e. sin of the
 # angle at receiver 1 vanishes to this relative precision).
 _COLLINEAR_RTOL = 1e-9
@@ -125,7 +128,24 @@ class SensorConfig:
         return np.linalg.norm(diff, axis=-1)
 
 
-def _canonical_collinear(points, dists):
+def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
+    """A measurement vector of k finite floats; raises on any other input."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != k:
+        raise DimensionMismatch(f"expected {k} {what}, got {v.shape[0]}")
+    if not all(map(math.isfinite, v.tolist())):  # ~10x cheaper than np.isfinite here
+        raise InvalidParam(f"{what} must be finite, got {v.tolist()}")
+    return v
+
+
+def _require_planar_triple(config: SensorConfig) -> None:
+    if config.n != 3:
+        raise DimensionMismatch("expected a three-receiver configuration")
+    if config.dimension != 2:
+        raise DimensionMismatch("expected planar receivers (use the 3D variants otherwise)")
+
+
+def _canonical_collinear(points):
     """Return (order, rho, d21) for three (near-)collinear points, else None.
 
     `order` lists original indices as (endpoint-1, endpoint-2, middle).  The
@@ -204,7 +224,7 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         else:
             area2 = float(np.linalg.norm(np.cross(v21, v31)))
         if area2 / (dists[(0, 1)] * dists[(0, 2)]) <= _COLLINEAR_RTOL:
-            canonical = _canonical_collinear(pts, dists)
+            canonical = _canonical_collinear(pts)
             assert canonical is not None  # exactly collinear points have a middle
             order, rho, d_end = canonical
             kind = CollinearTriple(rho=rho, order=order, d21=d_end)

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SensorConfig, _canonical_collinear
+from .config import (
+    _RTOL,
+    SensorConfig,
+    _canonical_collinear,
+    _measurement,
+    _require_planar_triple,
+)
 from .errors import (
     DegenerateConfig,
     DimensionMismatch,
@@ -39,8 +45,6 @@ from .errors import (
     NotOnBoundary,
     UnknownLabel,
 )
-
-_RTOL = 1e-9
 
 ARC_LABELS = (
     "r10", "r1+", "r1-",
@@ -68,15 +72,8 @@ HULL_COMPONENTS = (
 )
 
 
-def _require_triangle(config: SensorConfig) -> None:
-    if config.n != 3:
-        raise DimensionMismatch("expected a three-receiver configuration")
-    if config.dimension != 2:
-        raise DimensionMismatch("expected planar receivers")
-
-
 def _require_general(config: SensorConfig) -> None:
-    _require_triangle(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig(
             "collinear receivers: the quartic degenerates (see "
@@ -670,10 +667,8 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     receivers 1 and 2, middle is 3); T is taken in the original receiver
     order and relabeled internally.
     """
-    _require_triangle(config)
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    _require_planar_triple(config)
+    T = _measurement(T, 3)
     tol_lin = rtol * config.d_max
     tol_quad = rtol * config.d_max ** 2
 
@@ -695,14 +690,19 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
         tols = {k: (tol_quad if k.startswith("Gamma") else tol_lin) for k in residuals}
 
     residuals = {k: float(v) for k, v in residuals.items()}
-    active = tuple(k for k, v in residuals.items() if abs(v) <= tols[k])
-    if any(v < -tols[k] for k, v in residuals.items()):
-        verdict = "Outside"
-    elif active:
-        verdict = "OnFacet"
-    else:
-        verdict = "Interior"
+    active, verdict = _facet_verdict(residuals, tols)
     return Q3Report(residuals=residuals, verdict=verdict, active=active)
+
+
+def _facet_verdict(residuals: dict, tols: dict) -> tuple:
+    """(active facets, verdict) of signed facet slacks against per-facet tolerances."""
+    active, outside = [], False
+    for k, v in residuals.items():
+        if v < -tols[k]:
+            outside = True
+        elif v <= tols[k]:
+            active.append(k)
+    return tuple(active), "Outside" if outside else "OnFacet" if active else "Interior"
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +733,7 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
     from .toa3 import invert3
 
     _require_general(config)
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    T = _measurement(T, 3)
     d_max = config.d_max
     tol_lin = rtol * d_max
     tol_quad = rtol * d_max ** 2
@@ -874,24 +872,17 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
 # ---------------------------------------------------------------------------
 # collinear degeneration
 
-def _collinear_structure(config: SensorConfig) -> tuple:
-    """(order, rho, d21) via the dot test; tolerant of near-collinearity."""
-    pts = list(config.receivers)
-    dists = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dists[(i, j)] = float(np.linalg.norm(pts[j] - pts[i]))
-    res = _canonical_collinear(pts, dists)
-    if res is None:
+def _sigma_terms(config: SensorConfig) -> tuple:
+    """Stewart quadric terms in canonical labels, plus (order, rho, d21).
+
+    The dot test tolerates nearly collinear receivers, which config.kind does not.
+    """
+    canonical = _canonical_collinear(config.receivers)
+    if canonical is None:
         raise NotCollinear(
             "no middle receiver (all angles acute); configuration is far from collinear"
         )
-    return res
-
-
-def _sigma_terms(config: SensorConfig) -> tuple:
-    """Stewart quadric terms in canonical labels, plus (order, rho, d21)."""
-    order, rho, d21 = _collinear_structure(config)
+    order, rho, d21 = canonical
     terms = {
         (2, 0, 0): 1.0 - rho,
         (0, 2, 0): rho,
@@ -901,8 +892,8 @@ def _sigma_terms(config: SensorConfig) -> tuple:
     return terms, order, rho, d21
 
 
-def _sigma_squared_terms(config: SensorConfig) -> dict:
-    """d21^2 * sigma^2 as polynomial terms in the ORIGINAL receiver labels."""
+def _sigma_squared_terms(config: SensorConfig) -> tuple:
+    """d21^2 * sigma^2 as polynomial terms in the ORIGINAL receiver labels, and d21."""
     terms, order, _, d21 = _sigma_terms(config)
     sq = _poly_mul(terms, terms)
     out = {}
@@ -911,7 +902,7 @@ def _sigma_squared_terms(config: SensorConfig) -> dict:
         for pos in range(3):
             orig[order[pos]] = exp[pos]
         out[tuple(orig)] = coeff * d21 * d21
-    return out
+    return out, d21
 
 
 def collinear_degeneration_check(
@@ -924,10 +915,9 @@ def collinear_degeneration_check(
     for collinear receivers, and small of order (offset/d21)^2 for nearly
     collinear ones.  Raises NotCollinear when no middle receiver exists.
     """
-    _require_triangle(config)
+    _require_planar_triple(config)
     quartic = _quartic_terms(config)
-    sigma_sq = _sigma_squared_terms(config)
-    _, _, d_end = _collinear_structure(config)
+    sigma_sq, d_end = _sigma_squared_terms(config)
     rng = np.random.default_rng(seed)
     T = rng.uniform(0.0, box * d_end, size=(n, 3))
     gap = _poly_eval(quartic, T) - _poly_eval(sigma_sq, T)

@@ -22,11 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A point of the plane; kept as a plain array, the dataclasses below are for
-# spacetime vectors where the time slot matters.
-Vec2 = np.ndarray
-
-
 @dataclass(frozen=True)
 class SpacetimeVec3:
     """A vector of R^{2,1}: spatial part (x, y), time component t."""

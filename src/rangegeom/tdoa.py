@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SensorConfig
-from .errors import DegenerateConfig, DimensionMismatch, RangeGeomError
-from .kummer import _quartic_terms, q3_membership
-from .toa3 import SolutionSet
+from .config import _RTOL, SensorConfig, _measurement, _require_planar_triple
+from .errors import DegenerateConfig, RangeGeomError
+from .kummer import _facet_verdict, _quartic_terms, q3_membership
+from .toa3 import SolutionSet, collinear_quadric_residual
 
-_RTOL = 1e-9
 _VERIFY_RTOL = 1e-7
 
 P2_FACETS = (
@@ -46,16 +45,9 @@ P2_FACETS = (
 TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
 
 
-def _require_tdoa(config: SensorConfig) -> None:
-    if config.n != 3:
-        raise DimensionMismatch("expected a three-receiver configuration")
-    if config.dimension != 2:
-        raise DimensionMismatch("expected planar receivers")
-
-
 def tau_map(config: SensorConfig, x) -> np.ndarray:
     """Range differences (d1 - d3, d2 - d3) of source position(s) x."""
-    _require_tdoa(config)
+    _require_planar_triple(config)
     d = config.distances(x)
     return np.stack([d[..., 0] - d[..., 2], d[..., 1] - d[..., 2]], axis=-1)
 
@@ -68,9 +60,7 @@ def project_pi(T) -> np.ndarray:
 
 def pi_fiber_line(tau) -> tuple:
     """The projection fiber over tau: base point (tau1, tau2, 0), direction (1,1,1)."""
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 range differences, got {tau.shape[0]}")
+    tau = _measurement(tau, 2, "range differences")
     return np.array([tau[0], tau[1], 0.0]), np.ones(3)
 
 
@@ -92,10 +82,8 @@ class P2Report:
 
 
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
-    _require_tdoa(config)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 range differences, got {tau.shape[0]}")
+    _require_planar_triple(config)
+    tau = _measurement(tau, 2, "range differences")
     t1, t2 = float(tau[0]), float(tau[1])
     d21, d31, d32 = config.d21, config.d31, config.d32
     residuals = {
@@ -111,14 +99,7 @@ def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
             [("tau2-tau1", d21), ("tau1", d31), ("tau2", d32)], key=lambda p: p[1]
         )[0]
         residuals = {k: v for k, v in residuals.items() if not k.startswith(longest + "=")}
-    tol = rtol * config.d_max
-    active = tuple(k for k, v in residuals.items() if abs(v) <= tol)
-    if any(v < -tol for v in residuals.values()):
-        verdict = "Outside"
-    elif active:
-        verdict = "OnFacet"
-    else:
-        verdict = "Interior"
+    active, verdict = _facet_verdict(residuals, dict.fromkeys(residuals, rtol * config.d_max))
     return P2Report(residuals={k: float(v) for k, v in residuals.items()},
                     verdict=verdict, active=active)
 
@@ -145,15 +126,13 @@ class TdoaCoeffs:
 
 
 def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
-    _require_tdoa(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig(
             "collinear receivers: the difference problem degenerates; "
             "use classify_tau (lift pipeline)"
         )
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 range differences, got {tau.shape[0]}")
+    tau = _measurement(tau, 2, "range differences")
     t1, t2 = float(tau[0]), float(tau[1])
     d31v, d32v = config.vec(3, 1), config.vec(3, 2)
     d31, d32 = config.d31, config.d32
@@ -176,7 +155,7 @@ def tangency_points(config: SensorConfig) -> dict:
     T_i^+- is the limit of tau along sources receding parallel to the
     receiver pair not involving receiver i.
     """
-    _require_tdoa(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("tangency points require receivers in general position")
     d31v, d32v = config.vec(3, 1), config.vec(3, 2)
@@ -202,7 +181,7 @@ def invert_tdoa(
     authoritative: spurious mirror roots are discarded).
     """
     co = tdoa_coeffs(config, tau)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = _measurement(tau, 2, "range differences")
     d_max = config.d_max
     a, b, c = co.a, co.b, co.c
     v_norm = float(np.linalg.norm(co.v_spatial))
@@ -274,7 +253,6 @@ class TauRegion:
 
 def _classify_tau_collinear(config: SensorConfig, tau, rtol: float) -> TauRegion:
     kind = config.kind
-    tau = np.asarray(tau, dtype=float).reshape(-1)
     d_max = config.d_max
     tol_lin = rtol * d_max
     tol_quad = rtol * d_max ** 2
@@ -295,14 +273,13 @@ def _classify_tau_collinear(config: SensorConfig, tau, rtol: float) -> TauRegion
             return TauRegion(label="VertexRay", ids=(cid,), fiber=math.inf,
                              residuals=p2.residuals, coeffs=None, lift=None)
 
+    # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
+    # in t: c_lin + a_lin * t
     tau_ext = np.array([tau[0], tau[1], 0.0])
     qv = tau_ext[list(kind.order)]
-    rho, d21 = kind.rho, kind.d21
+    rho = kind.rho
     a_lin = 2.0 * ((1.0 - rho) * qv[0] + rho * qv[1] - qv[2])
-    c_lin = (
-        (1.0 - rho) * qv[0] ** 2 + rho * qv[1] ** 2 - qv[2] ** 2
-        - rho * (1.0 - rho) * d21 * d21
-    )
+    c_lin = collinear_quadric_residual(config, tau_ext)
     if abs(a_lin) <= tol_lin:
         if abs(c_lin) <= tol_quad:
             return TauRegion(label="VertexRay", ids=("R1", "R2"), fiber=math.inf,
@@ -331,10 +308,8 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     General position uses the null-cone coefficients; collinear triples use
     the lift to ranges (the returned region carries the lifted triple).
     """
-    _require_tdoa(config)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 range differences, got {tau.shape[0]}")
+    _require_planar_triple(config)
+    tau = _measurement(tau, 2, "range differences")
     if config.is_collinear:
         return _classify_tau_collinear(config, tau, rtol)
 
@@ -406,12 +381,10 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     because the surface is ruled by the projection direction (1,1,1) at
     infinity.  Roots t correspond to null-cone roots via t = -l * |v_time|.
     """
-    _require_tdoa(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("collinear receivers: the lift is linear, not quadratic")
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 range differences, got {tau.shape[0]}")
+    tau = _measurement(tau, 2, "range differences")
     t1, t2 = float(tau[0]), float(tau[1])
     coeffs = np.zeros(5)
     shifts = (np.array([t1, 1.0]), np.array([t2, 1.0]), np.array([0.0, 1.0]))

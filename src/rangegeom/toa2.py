@@ -12,14 +12,13 @@ points none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SensorConfig, TwoReceivers
+from .config import _RTOL, SensorConfig, TwoReceivers, _measurement
 from .errors import DimensionMismatch, Infeasible
-
-_Q2_RTOL = 1e-9
 
 # Facet identifiers, paired with slack expressions (slack >= 0 inside).
 Q2_FACETS = ("T1+T2=d21", "T1-T2=d21", "T2-T1=d21")
@@ -56,17 +55,16 @@ def q2_residuals(T1: float, T2: float, d21: float) -> dict:
     }
 
 
-def classify_pair(T1: float, T2: float, d21: float, rtol: float = _Q2_RTOL) -> Q2Class:
+def classify_pair(T1: float, T2: float, d21: float, rtol: float = _RTOL) -> Q2Class:
     """Classify a range pair against Q2 for baseline length d21.
 
     Shared by the planar two-receiver solver and by slice tests elsewhere
     (any two ranges plus the distance between their receivers form a Q2).
     """
     tol = rtol * d21
-    if min(T1, T2) < -tol:
-        res = q2_residuals(T1, T2, d21)
-        return Q2Class(verdict="Outside", residuals=res, active=(), fiber=0)
     res = q2_residuals(T1, T2, d21)
+    if min(T1, T2) < -tol:
+        return Q2Class(verdict="Outside", residuals=res, active=(), fiber=0)
     worst = min(res.values())
     active = tuple(k for k in Q2_FACETS if abs(res[k]) <= tol)
     if worst < -tol:
@@ -76,16 +74,40 @@ def classify_pair(T1: float, T2: float, d21: float, rtol: float = _Q2_RTOL) -> Q
     return Q2Class(verdict="Interior", residuals=res, active=active, fiber=2)
 
 
-def classify2(config: SensorConfig, T, rtol: float = _Q2_RTOL) -> Q2Class:
+def classify2(config: SensorConfig, T, rtol: float = _RTOL) -> Q2Class:
     """Classify a range pair for a two-receiver configuration."""
     _require_two(config)
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 ranges, got {T.shape[0]}")
+    T = _measurement(T, 2)
     return classify_pair(float(T[0]), float(T[1]), config.d21, rtol=rtol)
 
 
-def invert2(config: SensorConfig, T, rtol: float = _Q2_RTOL) -> tuple:
+def _two_sphere(e1, e2, T1: float, T2: float, d21: float, rtol: float):
+    """Intersection of the spheres |x - e1| = T1, |x - e2| = T2 in any dimension.
+
+    None outside Q2 (d21 = |e2 - e1|); else (base, axis, h): the centre of
+    the intersection circle on the baseline, the unit vector e1 -> e2, and
+    the radius, None on the Q2 boundary where the circle is the point base.
+    """
+    cls = classify_pair(T1, T2, d21, rtol=rtol)
+    if cls.verdict == "Outside":
+        return None
+    axis = (e2 - e1) / d21
+    a = (d21 * d21 + T1 * T1 - T2 * T2) / (2.0 * d21)
+    base = e1 + a * axis
+    if cls.verdict == "Boundary":
+        return base, axis, None
+    return base, axis, math.sqrt(max(T1 * T1 - a * a, 0.0))
+
+
+def _mirror_pair(base, axis, h) -> tuple:
+    """The planar points of a _two_sphere result: a mirror pair, or one point."""
+    if h is None:
+        return (base,)
+    n = np.array([-axis[1], axis[0]])
+    return (base + h * n, base - h * n)
+
+
+def invert2(config: SensorConfig, T, rtol: float = _RTOL) -> tuple:
     """Source positions realizing ranges (T1, T2); raises Infeasible outside Q2.
 
     Interior pairs return the mirror pair of intersection points of the two
@@ -94,24 +116,14 @@ def invert2(config: SensorConfig, T, rtol: float = _Q2_RTOL) -> tuple:
     _require_two(config)
     if config.dimension != 2:
         raise DimensionMismatch("two-receiver inversion requires planar receivers")
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 ranges, got {T.shape[0]}")
+    T = _measurement(T, 2)
     T1, T2 = float(T[0]), float(T[1])
-    cls = classify2(config, T, rtol=rtol)
-    if cls.verdict == "Outside":
-        raise Infeasible("range pair outside the feasible cone", residuals=cls.residuals)
-
-    d21 = config.d21
-    u = config.vec(2, 1) / d21  # unit vector along the baseline
-    a = (d21 * d21 + T1 * T1 - T2 * T2) / (2.0 * d21)
-    h2 = T1 * T1 - a * a
-    base = config.m(1) + a * u
-    if cls.verdict == "Boundary":
-        return (base,)
-    h = float(np.sqrt(max(h2, 0.0)))
-    n = np.array([-u[1], u[0]])
-    return (base + h * n, base - h * n)
+    fiber = _two_sphere(config.m(1), config.m(2), T1, T2, config.d21, rtol)
+    if fiber is None:
+        raise Infeasible(
+            "range pair outside the feasible cone", residuals=q2_residuals(T1, T2, config.d21)
+        )
+    return _mirror_pair(*fiber)
 
 
 def _require_two(config: SensorConfig) -> None:

@@ -18,12 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CollinearTriple, SensorConfig
+from .config import (
+    _RTOL,
+    CollinearTriple,
+    SensorConfig,
+    _measurement,
+    _require_planar_triple,
+)
 from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, NotCollinear
 from .spacetime import SpacetimeVec3, hodge_cross, lift, triple_form
-from .toa2 import classify_pair
+from .toa2 import _mirror_pair, _two_sphere
 
-_RTOL = 1e-9
 _AT_RECEIVER_RTOL = 1e-12
 
 
@@ -74,16 +79,9 @@ class FeasibilityReport:
     reason: object
 
 
-def _require_three_planar(config: SensorConfig) -> None:
-    if config.n != 3:
-        raise DimensionMismatch("expected a three-receiver configuration")
-    if config.dimension != 2:
-        raise DimensionMismatch("expected planar receivers (use the 3D variants otherwise)")
-
-
 def forward3(config: SensorConfig, x) -> np.ndarray:
     """Ranges (T1, T2, T3) from source position x."""
-    _require_three_planar(config)
+    _require_planar_triple(config)
     return config.distances(x)
 
 
@@ -94,7 +92,7 @@ def jacobian3(config: SensorConfig, x) -> JacobianReport:
     differentiable there).  The differential drops rank exactly on the
     receiver line of a collinear configuration.
     """
-    _require_three_planar(config)
+    _require_planar_triple(config)
     x = np.asarray(x, dtype=float).reshape(-1)
     d = config.distances(x)
     if np.min(d) <= _AT_RECEIVER_RTOL * config.d_max:
@@ -114,14 +112,12 @@ def exterior_point(config: SensorConfig, T, i: int = 1) -> SpacetimeVec3:
     the lifted constraint normals, with time component -T_i.  Requires
     receivers in general position.
     """
-    _require_three_planar(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("exterior point construction needs non-collinear receivers")
     if i not in (1, 2, 3):
         raise DimensionMismatch(f"receiver index must be 1, 2 or 3, got {i}")
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    T = _measurement(T, 3)
     j, k = [t for t in (1, 2, 3) if t != i]
     dj = config.vec(j, i)
     dk = config.vec(k, i)
@@ -143,14 +139,12 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
     best-conditioned reference receiver, then verifies the candidate against
     the forward map at relative tolerance rtol.
     """
-    _require_three_planar(config)
+    _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig(
             "collinear receivers: use invert3_collinear (mirror-pair fibers)"
         )
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    T = _measurement(T, 3)
 
     best = None
     for i in (1, 2, 3):
@@ -165,9 +159,14 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
     beta = float(M[1] @ M[1]) + Ti * Ti - Tk * Tk
     u = np.linalg.solve(M, 0.5 * np.array([alpha, beta]))
     x = config.m(i) + u
-    if np.max(np.abs(config.distances(x) - T)) <= rtol * config.d_max:
-        return SolutionSet(points=(x,))
-    return SolutionSet(points=())
+    return SolutionSet(points=_remapping(config, (x,), T, rtol))
+
+
+def _remapping(config: SensorConfig, points: tuple, T, rtol: float) -> tuple:
+    """The points (at least one) whose ranges match T within rtol * d_max."""
+    miss = np.abs(config.distances(np.array(points)) - T).max(axis=-1).tolist()
+    tol = rtol * config.d_max
+    return tuple(x for x, m in zip(points, miss) if m <= tol)
 
 
 def collinear_quadric_residual(config: SensorConfig, T) -> float:
@@ -180,10 +179,7 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("quadric residual is defined for collinear triples only")
     kind = config.kind
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
-    Tc = T[list(kind.order)]
+    Tc = _measurement(T, 3)[list(kind.order)]
     rho, d21 = kind.rho, kind.d21
     return float(
         (1.0 - rho) * Tc[0] ** 2
@@ -193,39 +189,35 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
     )
 
 
+def _collinear_fiber(config: SensorConfig, T: np.ndarray, rtol: float):
+    """Stewart gate, then _two_sphere on the canonical endpoints (None if off the quadric)."""
+    if abs(collinear_quadric_residual(config, T)) > rtol * config.d_max ** 2:
+        return None
+    i1, i2, _ = config.kind.order
+    e1, e2 = config.receivers[i1], config.receivers[i2]
+    return _two_sphere(e1, e2, float(T[i1]), float(T[i2]), config.kind.d21, rtol)
+
+
 def invert3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
     """Invert the range map for collinear receivers (mirror-pair fibers).
 
     Checks the Stewart quadric compatibility first, then solves the
     two-endpoint problem: interior pairs give the mirror pair across the
-    receiver line, boundary pairs the single on-line point.
+    receiver line, boundary pairs the single on-line point.  As in invert3,
+    mirror points are returned only when their ranges match T within
+    rtol * d_max.
     """
-    _require_three_planar(config)
+    _require_planar_triple(config)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3_collinear requires a collinear configuration")
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
-    kind = config.kind
-    sigma = collinear_quadric_residual(config, T)
-    if abs(sigma) > rtol * config.d_max**2:
+    T = _measurement(T, 3)
+    fiber = _collinear_fiber(config, T, rtol)
+    if fiber is None:
         return SolutionSet(points=())
-
-    Tc = np.asarray(T, dtype=float)[list(kind.order)]
-    d21 = kind.d21
-    cls = classify_pair(float(Tc[0]), float(Tc[1]), d21, rtol=rtol)
-    if cls.verdict == "Outside":
-        return SolutionSet(points=())
-    e1 = config.receivers[kind.order[0]]
-    e2 = config.receivers[kind.order[1]]
-    u = (e2 - e1) / d21
-    a = (d21 * d21 + Tc[0] ** 2 - Tc[1] ** 2) / (2.0 * d21)
-    base = e1 + a * u
-    if cls.verdict == "Boundary":
-        return SolutionSet(points=(base,))
-    h = float(np.sqrt(max(Tc[0] ** 2 - a * a, 0.0)))
-    n = np.array([-u[1], u[0]])
-    return SolutionSet(points=(base + h * n, base - h * n))
+    points = _mirror_pair(*fiber)
+    if fiber[2] is not None:  # the Q2-boundary point is snapped onto the line, so not re-mapped
+        points = _remapping(config, points, T, rtol)
+    return SolutionSet(points=points)
 
 
 def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport:
@@ -237,24 +229,21 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     square of the Stewart quadric; interior points of the (four-facet)
     polyhedron have mirror-pair fibers.
     """
-    _require_three_planar(config)
+    _require_planar_triple(config)
     from .kummer import q3_membership, quartic_residual
 
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    T = _measurement(T, 3)
     tol = rtol * config.d_max
     in_octant = bool(np.min(T) >= -tol)
     q3 = q3_membership(config, T, rtol=rtol)
 
     if config.is_collinear:
         residual = collinear_quadric_residual(config, T) / config.d_max**2
-        on_surface = abs(residual) <= rtol
         fiber_interior = 2
     else:
         residual = quartic_residual(config, T, normalized=True)
-        on_surface = abs(residual) <= rtol
         fiber_interior = 1
+    on_surface = abs(residual) <= rtol
 
     if not in_octant:
         verdict, fiber, reason = "Infeasible", 0, "not in first octant"

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CollinearTriple, SensorConfig, TwoReceivers
+from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
 from .kummer import _poly_eval, _quartic_terms
-from .toa2 import classify_pair
-from .toa3 import SolutionSet  # noqa: F401  (re-exported companion type)
-
-_RTOL = 1e-9
+from .toa2 import _two_sphere
+from .toa3 import _collinear_fiber, _remapping
 
 
 def _circle_frame(axis: np.ndarray) -> tuple:
@@ -99,6 +97,16 @@ class Feasibility3DReport:
     fiber: int
 
 
+def _circle_or_point(fiber) -> SolutionSet3D:
+    """Spatial solutions of a two-sphere intersection from _two_sphere."""
+    if fiber is None:
+        return SolutionSet3D()
+    base, axis, h = fiber
+    if h is None:
+        return SolutionSet3D(points=(base,))
+    return SolutionSet3D(circle=make_circle(base, h, axis))
+
+
 def _require_3d(config: SensorConfig, n: int) -> None:
     if config.dimension != 3:
         raise DimensionMismatch("expected receivers in 3D")
@@ -118,21 +126,10 @@ def invert3d_r2(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
     _require_3d(config, 2)
     if not isinstance(config.kind, TwoReceivers):
         raise DimensionMismatch("expected a two-receiver configuration")
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 2:
-        raise DimensionMismatch(f"expected 2 ranges, got {T.shape[0]}")
-    T1, T2 = float(T[0]), float(T[1])
-    d21 = config.d21
-    cls = classify_pair(T1, T2, d21, rtol=rtol)
-    if cls.verdict == "Outside":
-        return SolutionSet3D()
-    u = config.vec(2, 1) / d21
-    a = (d21 * d21 + T1 * T1 - T2 * T2) / (2.0 * d21)
-    base = config.m(1) + a * u
-    if cls.verdict == "Boundary":
-        return SolutionSet3D(points=(base,))
-    h = math.sqrt(max(T1 * T1 - a * a, 0.0))
-    return SolutionSet3D(circle=make_circle(base, h, u))
+    T = _measurement(T, 2)
+    return _circle_or_point(
+        _two_sphere(config.m(1), config.m(2), float(T[0]), float(T[1]), config.d21, rtol)
+    )
 
 
 def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3DReport:
@@ -142,9 +139,7 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
         raise DegenerateConfig(
             "collinear receivers: use invert3d_r3_collinear (circle fibers)"
         )
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
+    T = _measurement(T, 3)
     raw = float(_poly_eval(_quartic_terms(config), T))
     normalized = raw / config.d_max ** 6
     if float(np.min(T)) < -rtol * config.d_max:
@@ -165,15 +160,8 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
 
     Raises Infeasible when the triple is off the feasible solid.
     """
-    _require_3d(config, 3)
-    if config.is_collinear:
-        raise DegenerateConfig(
-            "collinear receivers: use invert3d_r3_collinear (circle fibers)"
-        )
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
     report = classify3d_r3(config, T, rtol=rtol)
+    T = _measurement(T, 3)
     if report.verdict == "Outside":
         raise Infeasible(
             "range triple is not realizable in space",
@@ -199,35 +187,16 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
 def invert3d_r3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
     """Three spheres with collinear centers: circles around the receiver line.
 
-    Stewart-incompatible or infeasible triples give an empty set (no errors);
-    boundary triples give the single on-line point.
+    Stewart-incompatible or infeasible triples, and circles whose ranges miss
+    T by more than rtol * d_max, give an empty set (no errors); boundary
+    triples give the single on-line point.
     """
     _require_3d(config, 3)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3d_r3_collinear requires a collinear configuration")
-    T = np.asarray(T, dtype=float).reshape(-1)
-    if T.shape[0] != 3:
-        raise DimensionMismatch(f"expected 3 ranges, got {T.shape[0]}")
-    kind = config.kind
-    Tc = T[list(kind.order)]
-    rho, d21 = kind.rho, kind.d21
-    sigma = (
-        (1.0 - rho) * Tc[0] ** 2
-        + rho * Tc[1] ** 2
-        - Tc[2] ** 2
-        - rho * (1.0 - rho) * d21 * d21
-    )
-    if abs(sigma) > rtol * config.d_max ** 2:
+    T = _measurement(T, 3)
+    sol = _circle_or_point(_collinear_fiber(config, T, rtol))
+    # every point of a circle about the receiver line has the same ranges
+    if sol.circle is not None and not _remapping(config, (sol.circle.point(0.0),), T, rtol):
         return SolutionSet3D()
-    cls = classify_pair(float(Tc[0]), float(Tc[1]), d21, rtol=rtol)
-    if cls.verdict == "Outside":
-        return SolutionSet3D()
-    e1 = config.receivers[kind.order[0]]
-    e2 = config.receivers[kind.order[1]]
-    u = (e2 - e1) / d21
-    a = (d21 * d21 + Tc[0] ** 2 - Tc[1] ** 2) / (2.0 * d21)
-    base = e1 + a * u
-    if cls.verdict == "Boundary":
-        return SolutionSet3D(points=(base,))
-    h = math.sqrt(max(Tc[0] ** 2 - a * a, 0.0))
-    return SolutionSet3D(circle=make_circle(base, h, u))
+    return sol

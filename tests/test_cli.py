@@ -209,12 +209,33 @@ def test_exit_code_config_errors(tmp_path):
     assert json.loads(out)["error"]["type"] == "DuplicateReceiver"
 
 
+@pytest.mark.parametrize("argv", [
+    ["localize-toa", "--config", RIGHT, "--toa", "nan,1,1"],
+    ["classify", "--config", PAIR, "--toa", "1,inf"],
+    ["localize-tdoa", "--config", RIGHT, "--tau=nan,0"],
+])
+def test_exit_code_non_finite_measurement(argv):
+    code, out = _run(argv)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InvalidParam"
+
+
 def test_infeasible_is_not_an_error():
     code, out = _run(CASES["localize_toa_infeasible"])
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "Infeasible"
     assert payload["solutions"] == []
+
+
+def test_localize_toa_collinear_boundary_band():
+    """Exact ranges of a source 1e-5 off the receiver line: the single on-line point."""
+    code, out = _run(["localize-toa", "--config", COLLINEAR,
+                      "--toa", "0.5000000001,0.5000000001,1e-05"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "Feasible" and payload["fiber"] == 1
+    assert payload["solutions"] == [[0.5, 0.0]]
 
 
 if __name__ == "__main__":
@@ -225,3 +246,4 @@ if __name__ == "__main__":
             raise SystemExit(f"{case_name}: exit {exit_code}")
         _golden_path(case_name).write_text(text, encoding="utf-8")
     print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+

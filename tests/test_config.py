@@ -94,3 +94,24 @@ def test_collinear_invariants(cfg):
     # middle receiver sits at the convex combination of the endpoints
     recon = (1.0 - kind.rho) * pts[i] + kind.rho * pts[j]
     assert np.max(np.abs(recon - pts[k])) <= 1e-9 * cfg.d_max
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name, fixture, good", [
+    ("classify2", "pair", [0.6, 0.7]),
+    ("invert2", "pair", [0.6, 0.7]),
+    ("classify3", "right", [0.5, 0.8, 0.7]),
+    ("classify3", "collinear_mid", [0.5, 0.8, 0.4]),
+    ("invert3", "right", [0.5, 0.8, 0.7]),
+    ("classify_tau", "right", [0.1, 0.2]),
+    ("invert_tdoa", "right", [0.1, 0.2]),
+    ("classify3d_r3", "right3d", [0.5, 0.8, 0.7]),
+    ("invert3d_r2", "pair3d", [0.6, 0.7]),
+])
+def test_non_finite_measurements_are_rejected(request, name, fixture, good, bad):
+    cfg = request.getfixturevalue(fixture)
+    for i in range(len(good)):
+        T = list(good)
+        T[i] = bad
+        with pytest.raises(rg.InvalidParam, match="must be finite"):
+            getattr(rg, name)(cfg, T)

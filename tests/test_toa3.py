@@ -181,3 +181,46 @@ def test_collinear_compatibility_pinned(collinear_mid):
     assert abs(rg.collinear_quadric_residual(collinear_mid, T)) <= 1e-12
     rep = rg.classify3(collinear_mid, T)
     assert rep.verdict == "Feasible" and rep.fiber == 2
+
+
+def test_collinear_inversion_remaps_noisy_triples(collinear_mid, collinear3d):
+    """Noisy collinear triples at the matched tolerance: mirror pairs and circles re-map to T.
+
+    The Stewart gate and the endpoint pair alone accept mirror points whose
+    middle range misses T by more than rtol * d_max (sources near the middle
+    receiver); those must be dropped.
+    """
+    rng = np.random.default_rng(0)
+    sigma, rtol = 1e-4, 1e-3  # rtol = 10 sigma / d_max, as noise_sweep.py matches it
+    pairs = 0
+    for _ in range(200):
+        x = np.array([0.5, 0.0]) + rng.uniform(-0.1, 0.1, size=2)
+        T = collinear_mid.distances(x) + rng.normal(0.0, sigma, size=3)
+        points = rg.invert3_collinear(collinear_mid, T, rtol=rtol).points
+        circle = rg.invert3d_r3_collinear(collinear3d, T, rtol=rtol).circle
+        if len(points) == 2:
+            pairs += 1
+            for p in points:
+                assert np.max(np.abs(collinear_mid.distances(p) - T)) <= rtol
+        if circle is not None:
+            assert np.max(np.abs(collinear3d.distances(circle.point(0.0)) - T)) <= rtol
+    assert pairs > 100  # the filter drops the misses, not the fibers
+
+
+@pytest.mark.parametrize("x", [(0.5, 1e-5), (0.4, 1e-5)])
+def test_collinear_boundary_band_keeps_the_line_point(collinear_mid, collinear3d, x):
+    """Exact ranges of a source within the Q2 boundary tolerance of the receiver line.
+
+    The endpoint pair is snapped onto the boundary, so the answer is the
+    single on-line point, although its middle range misses T by about the
+    source's height.
+    """
+    T = rg.forward3(collinear_mid, x)
+    rep = rg.classify3(collinear_mid, T)
+    assert rep.verdict == "Feasible" and rep.fiber == 1
+    sol = rg.invert3_collinear(collinear_mid, T)
+    assert len(sol.points) == 1
+    assert np.allclose(sol.points[0], (x[0], 0.0), atol=1e-12)
+    sol3 = rg.invert3d_r3_collinear(collinear3d, T)
+    assert sol3.circle is None and len(sol3.points) == 1
+    assert np.allclose(sol3.points[0], (x[0], 0.0, 0.0), atol=1e-12)

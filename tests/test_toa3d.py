@@ -126,3 +126,42 @@ def test_solid_inequality(x):
         assert rep.normalized < -1e-9
     elif abs(x[2]) == 0.0:
         assert abs(rep.normalized) <= 1e-9
+
+
+def _circle_at_z0(circle):
+    """The two points where a circle centred on z = 0, with a horizontal axis, meets z = 0."""
+    assert circle.center[2] == 0.0 and circle.axis[2] == 0.0
+    n = np.array([-circle.axis[1], circle.axis[0], 0.0])
+    return [circle.center + circle.radius * n, circle.center - circle.radius * n]
+
+
+@pytest.mark.parametrize("planar_pts, invert_planar, invert_spatial", [
+    ([(0.2, -0.1), (1.3, 0.4)], rg.invert2, rg.invert3d_r2),
+    ([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)], rg.invert3_collinear, rg.invert3d_r3_collinear),
+    ([(1.0, 2.0), (-0.5, -1.0), (0.1, 0.2)], rg.invert3_collinear, rg.invert3d_r3_collinear),
+])
+def test_spatial_fibers_meet_the_plane_at_planar_fibers(planar_pts, invert_planar, invert_spatial):
+    """Embedded at z = 0, a 3-D circle cuts the plane in the planar mirror pair,
+    and a boundary triple gives the same single point in both dimensions."""
+    planar = rg.validate_config(planar_pts)
+    spatial = rg.validate_config([p + (0.0,) for p in planar_pts])
+    rng = np.random.default_rng(len(planar_pts))
+    e1, e2 = (np.asarray(planar.receivers[i]) for i in (0, 1))  # endpoints in both lists
+    for s in rng.uniform(-1.0, 2.0, size=8):
+        on_line = e1 + s * (e2 - e1)
+        for x in (on_line + rng.normal(size=2), on_line):
+            T = planar.distances(x)
+            flat = invert_planar(planar, T)
+            flat = getattr(flat, "points", flat)
+            sol = invert_spatial(spatial, T)
+            if x is on_line:
+                assert sol.kind == "One"
+                lifted = sol.points
+            else:
+                assert sol.kind == "Circle"
+                lifted = _circle_at_z0(sol.circle)
+            flat = [np.append(p, 0.0) for p in flat]
+            assert len(flat) == len(lifted)
+            for ours, theirs in ((flat, lifted), (lifted, flat)):
+                for p in ours:
+                    assert min(np.abs(p - q).max() for q in theirs) <= 1e-12 * planar.d_max
