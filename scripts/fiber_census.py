@@ -4,7 +4,8 @@
 Samples a grid of difference pairs, classifies each against the exact
 region decomposition, and cross-checks the predicted fiber size by running
 the closed-form inversion.  Writes a labeled CSV plus a JSON summary, and a
-region map PNG when matplotlib is installed.
+region map PNG when matplotlib is installed.  Exits with status 1 when any
+sample's fiber size disagrees with its solution count.
 
 Example:
 
@@ -89,6 +90,7 @@ def main(argv=None) -> int:
     print(json.dumps(summary["regions"], indent=2, sort_keys=True))
     if mismatches:
         print(f"WARNING: {mismatches} samples had fiber/solution-count disagreement")
+    status = 1 if mismatches else 0
 
     try:
         import matplotlib
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
         import matplotlib.pyplot as plt
     except ImportError:
         print("matplotlib not installed; skipping census.png", file=sys.stderr)
-        return 0
+        return status
     labels = sorted({r[2] for r in rows})
     index = {lbl: i for i, lbl in enumerate(labels)}
     n = args.resolution
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
     fig.savefig(png_path, dpi=140, bbox_inches="tight")
     plt.close(fig)
     print("wrote", png_path)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

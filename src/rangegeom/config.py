@@ -112,6 +112,13 @@ class SensorConfig:
             return self.receivers
         return tuple(self.receivers[i] for i in self.kind.order)
 
+    @cached_property
+    def _receiver_stack(self) -> np.ndarray:
+        """The receivers as one read-only (n, dimension) array."""
+        stack = np.stack(self.receivers)
+        stack.setflags(write=False)
+        return stack
+
     def distances(self, x) -> np.ndarray:
         """Euclidean distances from point(s) x to every receiver.
 
@@ -123,8 +130,7 @@ class SensorConfig:
             raise DimensionMismatch(
                 f"point has dimension {x.shape[-1]}, receivers have {self.dimension}"
             )
-        stack = np.stack(self.receivers)  # (n, dim)
-        diff = x[..., None, :] - stack
+        diff = x[..., None, :] - self._receiver_stack
         return np.linalg.norm(diff, axis=-1)
 
 
@@ -200,7 +206,7 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         raise DimensionMismatch(f"receivers must be 2D or 3D, got {dim}D")
     if dimension is not None and dimension != dim:
         raise DimensionMismatch(f"declared dimension {dimension} but receivers are {dim}D")
-    if not all(np.all(np.isfinite(p)) for p in pts):
+    if not all(math.isfinite(c) for p in pts for c in p.tolist()):
         raise DimensionMismatch("receiver coordinates must be finite")
 
     n = len(pts)

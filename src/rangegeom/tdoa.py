@@ -12,7 +12,8 @@ quadratic's three coefficients (a, b, c) classify the fiber:
 
 * a < 0: one solution (central region, inside the asymptotic ellipse E);
 * a > 0, b > 0: two solutions (lens regions U_i at the corners R^i of the
-  bounding hexagon P2, where R^i is the image of receiver i);
+  bounding hexagon P2, where R^i is the image of receiver i); U_i is the
+  cone from the origin between the two tangency points that bracket R^i;
 * a > 0, b < 0: no solutions (the mirrored corners);
 * the arcs a = 0 (ellipse E) and b = 0 (cubic C) and the hexagon facets make
   up the boundary; E touches the hexagon at six tangency points T_i^+-.
@@ -32,6 +33,7 @@ import numpy as np
 from .config import _RTOL, SensorConfig, _measurement, _require_planar_triple
 from .errors import DegenerateConfig, RangeGeomError
 from .kummer import _facet_verdict, _quartic_terms, q3_membership
+from .spacetime import cross2
 from .toa3 import SolutionSet, collinear_quadric_residual
 
 _VERIFY_RTOL = 1e-7
@@ -43,6 +45,12 @@ P2_FACETS = (
 )
 
 TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
+
+# U_i is the cone from the origin between the tangency points on the two
+# facets that meet at its corner R^i.  E is centred at the origin and touches
+# the hexagon only at those points, so every a > 0, b > 0 point off the facets
+# lies strictly inside exactly one of these cones.
+_LENS_CONES = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
 
 
 def tau_map(config: SensorConfig, x) -> np.ndarray:
@@ -319,7 +327,8 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     if p2.verdict == "Outside":
         return TauRegion(label="OutsideIm", ids=(), fiber=0,
                          residuals=p2.residuals, coeffs=co, lift=None)
-    for tid, pt in tangency_points(config).items():
+    tangency = tangency_points(config)
+    for tid, pt in tangency.items():
         if np.max(np.abs(tau - pt)) <= rtol * d_max:
             return TauRegion(label="TangencyPoint", ids=(tid,), fiber=0,
                              residuals=p2.residuals, coeffs=co, lift=None)
@@ -335,7 +344,9 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
         if p2.verdict == "OnFacet":
             return TauRegion(label="BoundaryArc", ids=p2.active, fiber=1,
                              residuals=p2.residuals, coeffs=co, lift=None)
-        corner = _corner_label(config, tau, rtol)
+        depth = {i: _cone_depth(tangency[p], tangency[q], tau)
+                 for i, (p, q) in _LENS_CONES.items()}
+        corner = max(depth, key=depth.get)
         return TauRegion(label=f"U_{corner}", ids=(), fiber=2,
                          residuals=p2.residuals, coeffs=co, lift=None)
     if abs(bn) <= rtol:
@@ -345,29 +356,10 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
                      residuals=p2.residuals, coeffs=co, lift=None)
 
 
-def _corner_label(config: SensorConfig, tau: np.ndarray, rtol: float) -> int:
-    """Which lens region U_i holds tau: walk a segment to each corner R^i."""
-    d_max = config.d_max
-    corners = {i: tau_map(config, config.m(i)) for i in (1, 2, 3)}
-    tol_a = rtol * d_max ** 4
-    tol_b = rtol * d_max ** 3
-    passing = []
-    for i, corner in corners.items():
-        ok = True
-        for s in np.linspace(0.0, 1.0, 64):
-            pt = tau * (1 - s) + corner * s
-            co = tdoa_coeffs(config, pt)
-            if co.a < -tol_a or co.b < -tol_b:
-                ok = False
-                break
-            if p2_membership(config, pt, rtol=rtol).verdict == "Outside":
-                ok = False
-                break
-        if ok:
-            passing.append(i)
-    if len(passing) == 1:
-        return passing[0]
-    return min(corners, key=lambda i: float(np.linalg.norm(tau - corners[i])))
+def _cone_depth(p: np.ndarray, q: np.ndarray, tau: np.ndarray) -> float:
+    """min(s, t) for tau = s*p + t*q: positive exactly inside the cone of p and q."""
+    w = cross2(p, q)
+    return min(cross2(tau, q) / w, cross2(p, tau) / w)
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,17 @@ def test_non_finite_measurements_are_rejected(request, name, fixture, good, bad)
         T[i] = bad
         with pytest.raises(rg.InvalidParam, match="must be finite"):
             getattr(rg, name)(cfg, T)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("receivers", [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+])
+def test_non_finite_receivers_are_rejected(receivers, bad):
+    for i, point in enumerate(receivers):
+        for k in range(len(point)):
+            pts = [list(p) for p in receivers]
+            pts[i][k] = bad
+            with pytest.raises(rg.DimensionMismatch, match="must be finite"):
+                rg.validate_config(pts)

@@ -127,6 +127,35 @@ def test_classify_regions(right):
     assert rg.classify_tau(right, tau_m).label == "OutsideIm"
 
 
+@pytest.mark.parametrize("receivers", [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.0, 0.0), (1.0, 0.0), (1.5, 0.4)],
+    [(0.0, 0.0), (1.0, 0.0), (0.3, 1e-2)],
+    [(0.0, 0.0), (1.0, 0.0), (0.35, 1e-3)],
+])
+def test_lens_label_along_the_corner_facets(receivers):
+    # U_i touches the hexagon along the facet segments from R^i to the two
+    # tangency points next to it; just inside them, every lens point is U_i
+    cfg = rg.validate_config(receivers)
+    tp = rg.tangency_points(cfg)
+    bracketing = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
+    hits = 0
+    for i, tids in bracketing.items():
+        corner = rg.tau_map(cfg, cfg.m(i))
+        for tid in tids:
+            for s in np.linspace(0.05, 0.95, 19):
+                for shrink in (1e-3, 1e-6):
+                    tau = (1.0 - shrink) * (corner + s * (tp[tid] - corner))
+                    label = rg.classify_tau(cfg, tau).label
+                    if label.startswith("U_"):
+                        assert label == f"U_{i}", (tid, s, shrink)
+                        hits += 1
+    assert hits > 0
+    if receivers[2] == (0.3, 1e-2):
+        # in U_3, though about five times nearer the corner R^1 than R^3
+        assert rg.classify_tau(cfg, (-0.2, 0.68)).label == "U_3"
+
+
 def test_tangency_points(right):
     tp = rg.tangency_points(right)
     assert set(tp) == set(rg.TANGENCY_IDS)
