@@ -113,6 +113,29 @@ class SensorConfig:
         return tuple(self.receivers[i] for i in self.kind.order)
 
     @cached_property
+    def _constants(self) -> dict:
+        """The memo behind :meth:`_memo`: builder function -> value."""
+        return {}
+
+    def _memo(self, build):
+        """build(self), computed on first use and kept for this configuration.
+
+        For constants that depend only on the receivers (quartic
+        coefficients, invert3's reference system, tangency points).  Like the
+        cached properties here, the memo lives in the instance ``__dict__``,
+        so it dies with the configuration.  build must return an immutable
+        or read-only value that holds no reference to the configuration.
+        Two threads may both build a missing value; builders are pure, so
+        either result serves.
+        """
+        constants = self._constants
+        try:
+            return constants[build]
+        except KeyError:
+            value = constants[build] = build(self)
+            return value
+
+    @cached_property
     def _receiver_stack(self) -> np.ndarray:
         """The receivers as one read-only (n, dimension) array."""
         stack = np.stack(self.receivers)

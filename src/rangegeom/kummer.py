@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,11 +94,25 @@ def _abc(config: SensorConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # polynomial-in-T helpers (terms: exponent triple -> coefficient)
 
-def _poly_eval(terms: dict, T: np.ndarray) -> np.ndarray:
+def _poly_eval(terms, T: np.ndarray):
+    """Sum of coeff * T1^e1 * T2^e2 * T3^e3 over terms, at triple(s) T.
+
+    A float for one triple, an array for a batch (..., 3).  Each power is
+    one array op on the whole of T, formed once per call: numpy's power loop
+    rounds differently from libm pow (Python floats, numpy scalars) on a few
+    percent of inputs, so powers are never taken on scalars.  The products
+    and the sum then run term by term in the order of terms.
+    """
     T = np.asarray(T, dtype=float)
-    out = np.zeros(T.shape[:-1])
+    powers = {e: T ** e for e in {e for exps in terms for e in exps}}
+    if T.ndim == 1:
+        powers = {e: p.tolist() for e, p in powers.items()}
+        out = 0.0
+    else:
+        powers = {e: (p[..., 0], p[..., 1], p[..., 2]) for e, p in powers.items()}
+        out = np.zeros(T.shape[:-1])
     for (e1, e2, e3), coeff in terms.items():
-        out = out + coeff * T[..., 0] ** e1 * T[..., 1] ** e2 * T[..., 2] ** e3
+        out = out + coeff * powers[e1][0] * powers[e2][1] * powers[e3][2]
     return out
 
 
@@ -110,8 +125,11 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _quartic_terms(config: SensorConfig) -> dict:
-    """Coefficients of the defining quartic (no general-position gate)."""
+def _quartic_terms(config: SensorConfig) -> MappingProxyType:
+    """Coefficients of the defining quartic (no general-position gate).
+
+    A config-only constant: read it through config._memo(_quartic_terms).
+    """
     d21v, d31v, d32v = config.vec(2, 1), config.vec(3, 1), config.vec(3, 2)
     # squared lengths from dot products (not norm-then-square) keep the
     # coefficients exact on exactly-representable receiver coordinates
@@ -119,7 +137,7 @@ def _quartic_terms(config: SensorConfig) -> dict:
     p12 = float(d21v @ d31v)   # d21 . d31
     p13 = float(d21v @ d32v)   # d21 . d32
     p23 = float(d31v @ d32v)   # d31 . d32
-    return {
+    return MappingProxyType({
         (4, 0, 0): g32,
         (0, 4, 0): g31,
         (0, 0, 4): g21,
@@ -130,7 +148,7 @@ def _quartic_terms(config: SensorConfig) -> dict:
         (0, 2, 0): 2.0 * p13 * g31,
         (0, 0, 2): -2.0 * p23 * g21,
         (0, 0, 0): g21 * g31 * g32,
-    }
+    })
 
 
 def quartic_residual(config: SensorConfig, T, normalized: bool = False):
@@ -144,11 +162,9 @@ def quartic_residual(config: SensorConfig, T, normalized: bool = False):
     T = np.asarray(T, dtype=float)
     if T.shape[-1] != 3:
         raise DimensionMismatch("expected range triples with last axis 3")
-    val = _poly_eval(_quartic_terms(config), T)
+    val = _poly_eval(config._memo(_quartic_terms), T)
     if normalized:
         val = val / config.d_max ** 6
-    if val.ndim == 0:
-        return float(val)
     return val
 
 
@@ -916,7 +932,7 @@ def collinear_degeneration_check(
     collinear ones.  Raises NotCollinear when no middle receiver exists.
     """
     _require_planar_triple(config)
-    quartic = _quartic_terms(config)
+    quartic = config._memo(_quartic_terms)
     sigma_sq, d_end = _sigma_squared_terms(config)
     rng = np.random.default_rng(seed)
     T = rng.uniform(0.0, box * d_end, size=(n, 3))

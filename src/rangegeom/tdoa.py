@@ -166,14 +166,37 @@ def tangency_points(config: SensorConfig) -> dict:
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("tangency points require receivers in general position")
+    table = config._memo(_tangency_table)
+    return {tid: pt.copy() for tid, pt in zip(TANGENCY_IDS, table)}
+
+
+def _tangency_table(config: SensorConfig) -> np.ndarray:
+    """The tangency points as a read-only (6, 2) array, rows in TANGENCY_IDS order.
+
+    A config-only constant: read it through config._memo(_tangency_table).
+    """
     d31v, d32v = config.vec(3, 1), config.vec(3, 2)
-    out = {}
-    for i, vec in ((1, config.vec(3, 2)), (2, config.vec(3, 1)), (3, config.vec(2, 1))):
+    rows = []
+    for vec in (config.vec(3, 2), config.vec(3, 1), config.vec(2, 1)):
         u = vec / float(np.linalg.norm(vec))
         pt = np.array([float(d31v @ u), float(d32v @ u)])
-        out[f"T{i}+"] = pt
-        out[f"T{i}-"] = -pt
-    return out
+        rows += [pt, -pt]
+    table = np.stack(rows)
+    table.setflags(write=False)
+    return table
+
+
+def _vertex_images(config: SensorConfig) -> np.ndarray:
+    """tau of each receiver as a read-only (3, 2) array, a config-only constant."""
+    images = np.stack([tau_map(config, config.m(i)) for i in (1, 2, 3)])
+    images.setflags(write=False)
+    return images
+
+
+def _first_near(points: np.ndarray, tau: np.ndarray, tol: float):
+    """Index of the first row of points within tol of tau in the max norm, else None."""
+    near = (np.abs(tau - points).max(axis=1) <= tol).tolist()
+    return near.index(True) if True in near else None
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +290,16 @@ def _classify_tau_collinear(config: SensorConfig, tau, rtol: float) -> TauRegion
     p2 = p2_membership(config, tau, rtol=rtol)
 
     # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
-    images = {i: tau_map(config, config.m(i)) for i in (1, 2, 3)}
-    canonical_of = {kind.order[0] + 1: "R1", kind.order[1] + 1: "R2",
-                    kind.order[2] + 1: "R3"}
-    for i in (1, 2, 3):
-        if np.max(np.abs(tau - images[i])) <= tol_lin:
-            cid = canonical_of[i]
-            if cid == "R3":
-                t_mid = config.dist(i, 3)
-                lift = np.array([tau[0] + t_mid, tau[1] + t_mid, t_mid])
-                return TauRegion(label="BoundaryArc", ids=("R3",), fiber=1,
-                                 residuals=p2.residuals, coeffs=None, lift=lift)
-            return TauRegion(label="VertexRay", ids=(cid,), fiber=math.inf,
-                             residuals=p2.residuals, coeffs=None, lift=None)
+    row = _first_near(config._memo(_vertex_images), tau, tol_lin)
+    if row is not None:
+        cid = f"R{kind.order.index(row) + 1}"
+        if cid == "R3":
+            t_mid = config.dist(row + 1, 3)
+            lift = np.array([tau[0] + t_mid, tau[1] + t_mid, t_mid])
+            return TauRegion(label="BoundaryArc", ids=("R3",), fiber=1,
+                             residuals=p2.residuals, coeffs=None, lift=lift)
+        return TauRegion(label="VertexRay", ids=(cid,), fiber=math.inf,
+                         residuals=p2.residuals, coeffs=None, lift=None)
 
     # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
     # in t: c_lin + a_lin * t
@@ -327,11 +347,11 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     if p2.verdict == "Outside":
         return TauRegion(label="OutsideIm", ids=(), fiber=0,
                          residuals=p2.residuals, coeffs=co, lift=None)
-    tangency = tangency_points(config)
-    for tid, pt in tangency.items():
-        if np.max(np.abs(tau - pt)) <= rtol * d_max:
-            return TauRegion(label="TangencyPoint", ids=(tid,), fiber=0,
-                             residuals=p2.residuals, coeffs=co, lift=None)
+    tangency = config._memo(_tangency_table)
+    row = _first_near(tangency, tau, rtol * d_max)
+    if row is not None:
+        return TauRegion(label="TangencyPoint", ids=(TANGENCY_IDS[row],), fiber=0,
+                         residuals=p2.residuals, coeffs=co, lift=None)
     an = co.a / d_max ** 4
     bn = co.b / d_max ** 3
     if an < -rtol:
@@ -344,7 +364,8 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
         if p2.verdict == "OnFacet":
             return TauRegion(label="BoundaryArc", ids=p2.active, fiber=1,
                              residuals=p2.residuals, coeffs=co, lift=None)
-        depth = {i: _cone_depth(tangency[p], tangency[q], tau)
+        depth = {i: _cone_depth(tangency[TANGENCY_IDS.index(p)],
+                                tangency[TANGENCY_IDS.index(q)], tau)
                  for i, (p, q) in _LENS_CONES.items()}
         corner = max(depth, key=depth.get)
         return TauRegion(label=f"U_{corner}", ids=(), fiber=2,
@@ -380,7 +401,7 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     t1, t2 = float(tau[0]), float(tau[1])
     coeffs = np.zeros(5)
     shifts = (np.array([t1, 1.0]), np.array([t2, 1.0]), np.array([0.0, 1.0]))
-    for (e1, e2, e3), coeff in _quartic_terms(config).items():
+    for (e1, e2, e3), coeff in config._memo(_quartic_terms).items():
         poly = np.array([1.0])
         for shift, e in zip(shifts, (e1, e2, e3)):
             for _ in range(e):

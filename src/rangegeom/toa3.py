@@ -9,7 +9,8 @@ mirror pair across the receiver line (fiber size 2).
 
 Inversion is linear once the squared-range differences are formed; the
 reference receiver is chosen to minimize the condition number of the 2x2
-system, and every candidate is verified against the forward map.
+system, once per configuration (it depends only on the receivers), and every
+candidate is verified against the forward map.
 """
 
 from __future__ import annotations
@@ -146,6 +147,23 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
         )
     T = _measurement(T, 3)
 
+    i, j, k, M, gj, gk = config._memo(_reference_system)
+    Ts = T.tolist()
+    Ti, Tj, Tk = Ts[i - 1], Ts[j - 1], Ts[k - 1]
+    alpha = gj + Ti * Ti - Tj * Tj
+    beta = gk + Ti * Ti - Tk * Tk
+    u = np.linalg.solve(M, 0.5 * np.array([alpha, beta]))
+    x = config.m(i) + u
+    return SolutionSet(points=_remapping(config, (x,), T, rtol))
+
+
+def _reference_system(config: SensorConfig) -> tuple:
+    """invert3's best-conditioned reference receiver, a config-only constant.
+
+    (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2): reference i and the read-only
+    2x2 matrix M with rows m_j - m_i and m_k - m_i of least condition number.
+    Read it through config._memo(_reference_system).
+    """
     best = None
     for i in (1, 2, 3):
         j, k = [t for t in (1, 2, 3) if t != i]
@@ -154,12 +172,8 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
         if best is None or c < best[0]:
             best = (c, i, j, k, M)
     _, i, j, k, M = best
-    Ti, Tj, Tk = (float(T[t - 1]) for t in (i, j, k))
-    alpha = float(M[0] @ M[0]) + Ti * Ti - Tj * Tj
-    beta = float(M[1] @ M[1]) + Ti * Ti - Tk * Tk
-    u = np.linalg.solve(M, 0.5 * np.array([alpha, beta]))
-    x = config.m(i) + u
-    return SolutionSet(points=_remapping(config, (x,), T, rtol))
+    M.setflags(write=False)
+    return i, j, k, M, float(M[0] @ M[0]), float(M[1] @ M[1])
 
 
 def _remapping(config: SensorConfig, points: tuple, T, rtol: float) -> tuple:

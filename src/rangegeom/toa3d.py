@@ -140,7 +140,7 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
             "collinear receivers: use invert3d_r3_collinear (circle fibers)"
         )
     T = _measurement(T, 3)
-    raw = float(_poly_eval(_quartic_terms(config), T))
+    raw = _poly_eval(config._memo(_quartic_terms), T)
     normalized = raw / config.d_max ** 6
     if float(np.min(T)) < -rtol * config.d_max:
         verdict, fiber = "Outside", 0

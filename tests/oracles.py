@@ -89,3 +89,17 @@ def circle_pair_intersections(c1, r1, c2, r2):
     if h == 0.0:
         return (base,)
     return (base + h * nvec, base - h * nvec)
+
+
+def poly_eval_per_term(terms: dict, T) -> np.ndarray:
+    """Polynomial value at triple(s) T, every power taken afresh for every term.
+
+    The evaluation loop rangegeom used before its powers were shared across
+    terms, kept verbatim: the reference that quartic_residual must match bit
+    for bit.
+    """
+    T = np.asarray(T, dtype=float)
+    out = np.zeros(T.shape[:-1])
+    for (e1, e2, e3), coeff in terms.items():
+        out = out + coeff * T[..., 0] ** e1 * T[..., 1] ** e2 * T[..., 2] ** e3
+    return out

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 import rangegeom as rg
 
 from conftest import away_from_receivers, sources, triangles
+from oracles import poly_eval_per_term
 
 _RT = 1e-9
 
@@ -50,6 +51,58 @@ def test_quartic_even_symmetry(cfg):
     base = rg.quartic_residual(cfg, T, normalized=True)
     for signs in ((-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)):
         assert abs(rg.quartic_residual(cfg, T * signs, normalized=True) - base) <= 1e-12
+
+
+def _triangle_and_triples(height, scale, seed):
+    """A turned, shifted triangle of the given height over a unit baseline
+    (times scale), with 40 exact and 40 noisy range triples of it."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    pts = (np.array([[0.0, 0.0], [1.0, 0.0], [rng.uniform(-0.5, 1.5), height]]) @ rot.T
+           + rng.normal(size=2)) * scale
+    cfg = rg.validate_config(pts)
+    xs = pts.mean(axis=0) + rng.normal(size=(80, 2)) * 2.0 * scale
+    T = rg.forward3(cfg, xs)
+    T[40:] += rng.normal(size=(40, 3)) * scale * 10.0 ** rng.uniform(-9.0, -1.0, size=(40, 1))
+    return cfg, pts, T
+
+
+@pytest.mark.parametrize("height", [1.0, 1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_quartic_residual_bit_exact_against_per_term_loop(height, scale):
+    cfg, _, T = _triangle_and_triples(height, scale, seed=int(-math.log10(height)) * 7 + 3)
+    assert not cfg.is_collinear
+    terms = dict(rg.kummer._quartic_terms(cfg))
+    norm = cfg.d_max ** 6
+    for t in T:
+        ref = poly_eval_per_term(terms, t)
+        assert rg.quartic_residual(cfg, t) == float(ref)
+        assert rg.quartic_residual(cfg, t, normalized=True) == float(ref / norm)
+    ref = poly_eval_per_term(terms, T)
+    assert np.array_equal(rg.quartic_residual(cfg, T), ref)
+    assert np.array_equal(rg.quartic_residual(cfg, T, normalized=True), ref / norm)
+    assert np.array_equal(rg.quartic_residual(cfg, T.reshape(8, 10, 3)), ref.reshape(8, 10))
+
+
+@pytest.mark.parametrize("height", [1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_classify3d_quartic_bit_exact_against_per_term_loop(height, scale):
+    _, pts, _ = _triangle_and_triples(height, scale, seed=11)
+    cfg = rg.validate_config(np.c_[pts, np.array([0.0, 0.1, 0.25]) * scale])
+    terms = dict(rg.kummer._quartic_terms(cfg))
+    rng = np.random.default_rng(5)
+    xs = np.append(pts.mean(axis=0), 0.0) + rng.normal(size=(60, 3)) * scale
+    T = rg.forward3d(cfg, xs)
+    T[30:] += rng.normal(size=(30, 3)) * 1e-4 * scale
+    for t in T:
+        assert rg.classify3d_r3(cfg, t).quartic == float(poly_eval_per_term(terms, t))
+
+
+def test_quartic_terms_are_read_only(scalene):
+    terms = rg.kummer._quartic_terms(scalene)
+    with pytest.raises(TypeError):
+        terms[(0, 0, 0)] = 0.0
 
 
 # ---------------------------------------------------------------------------

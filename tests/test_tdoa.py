@@ -168,6 +168,19 @@ def test_tangency_points(right):
         assert rg.classify_tau(right, pt).label == "TangencyPoint"
 
 
+def test_tangency_points_mutation_leaves_later_calls_intact(scalene):
+    first = rg.tangency_points(scalene)
+    expected = {tid: pt.copy() for tid, pt in first.items()}
+    for pt in first.values():
+        pt[:] = 0.0
+    first.clear()
+    again = rg.tangency_points(scalene)
+    assert again.keys() == expected.keys()
+    for tid, pt in again.items():
+        assert pt.tobytes() == expected[tid].tobytes()
+        assert rg.classify_tau(scalene, pt).ids == (tid,)
+
+
 @given(triangles())
 def test_tangency_points_property(cfg):
     for pt in rg.tangency_points(cfg).values():

@@ -1,4 +1,7 @@
 """Three-receiver planar range model: forward, Jacobian, inversion, feasibility."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -38,6 +41,53 @@ def test_invert_receiver_image(right):
 def test_invert_infeasible_empty(right):
     assert rg.invert3(right, (1.0, 1.0, 1.0)).kind == "Empty"
     assert rg.invert3(right, (9.0, 9.0, 9.0)).kind == "Empty"
+
+
+_MEMO_SHAPES = (
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(-3.0, 2.0), (5.0, 2.5), (1.0, 2.5 + 1e-4)],
+    [(1e3, -2e3), (4e3, 1e3), (-5e2, 3e3)],
+)
+
+
+def _memo_queries(receivers, seed):
+    """12 range triples of one shape, every second one noisy."""
+    pts = np.array(receivers)
+    rng = np.random.default_rng(seed)
+    xs = pts.mean(axis=0) + rng.normal(size=(12, 2)) * np.ptp(pts)
+    return [rng.normal(size=3) * 1e-3 * np.ptp(pts) * (n % 2) + T
+            for n, T in enumerate(rg.forward3(rg.validate_config(pts), xs))]
+
+
+def test_invert3_memo_interleaved_configs_match_fresh_configs():
+    queries = [_memo_queries(r, seed) for seed, r in enumerate(_MEMO_SHAPES)]
+    fresh = [[[p.tobytes() for p in rg.invert3(rg.validate_config(r), T, rtol=1e-3).points]
+              for T in Ts] for r, Ts in zip(_MEMO_SHAPES, queries)]
+    assert all(any(points) for points in fresh)
+    configs = [rg.validate_config(r) for r in _MEMO_SHAPES]
+    for _ in range(2):
+        for n in range(len(queries[0])):
+            for cfg, Ts, expected in zip(configs, queries, fresh):
+                got = [p.tobytes() for p in rg.invert3(cfg, Ts[n], rtol=1e-3).points]
+                assert got == expected[n]
+
+
+@pytest.mark.parametrize("receivers", [_MEMO_SHAPES[1], [(0.0, 0.0), (1.0, 0.0), (0.3, 0.0)]])
+def test_config_constants_die_with_their_configuration(receivers):
+    cfg = rg.validate_config(receivers)
+    x = (0.4, 0.7)
+    T = rg.forward3(cfg, x)
+    rg.classify3(cfg, T)
+    if cfg.is_collinear:
+        rg.invert3_collinear(cfg, T)
+    else:
+        rg.invert3(cfg, T)
+    rg.classify_tau(cfg, rg.tau_map(cfg, x))
+    assert len(cfg._constants) >= 1
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None
 
 
 def test_invert_collinear_raises(collinear_mid):
