@@ -81,7 +81,8 @@ class SensorConfig:
         return self.m(j) - self.m(i)
 
     def dist(self, j: int, i: int) -> float:
-        return float(np.linalg.norm(self.vec(j, i)))
+        v = self.vec(j, i)
+        return math.sqrt(float(v @ v))  # np.linalg.norm(v), without its argument handling
 
     @cached_property
     def d21(self) -> float:
@@ -154,7 +155,8 @@ class SensorConfig:
                 f"point has dimension {x.shape[-1]}, receivers have {self.dimension}"
             )
         diff = x[..., None, :] - self._receiver_stack
-        return np.linalg.norm(diff, axis=-1)
+        # np.linalg.norm(diff, axis=-1) without its argument handling
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
@@ -164,6 +166,17 @@ def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
         raise DimensionMismatch(f"expected {k} {what}, got {v.shape[0]}")
     if not all(map(math.isfinite, v.tolist())):  # ~10x cheaper than np.isfinite here
         raise InvalidParam(f"{what} must be finite, got {v.tolist()}")
+    return v
+
+
+def _measurement_rows(v, k: int, what: str = "ranges") -> np.ndarray:
+    """An (N, k) array of finite floats, one measurement per row; raises on any other input."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != k:
+        raise DimensionMismatch(f"expected an (N, {k}) array of {what}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+        raise InvalidParam(f"{what} must be finite, got {v[bad].tolist()} in row {bad}")
     return v
 
 

@@ -675,6 +675,20 @@ def _q3_residuals_general(config: SensorConfig, T1, T2, T3) -> dict:
     }
 
 
+def _q3_residuals_collinear(kind, Tc) -> dict:
+    """The four facet slacks of a collinear triple at canonical triple(s) Tc, shape (..., 3)."""
+    T1, T2, T3 = Tc[..., 0], Tc[..., 1], Tc[..., 2]
+    d21 = kind.d21
+    d31 = kind.rho * d21          # endpoint-1 to middle
+    d32 = (1.0 - kind.rho) * d21  # endpoint-2 to middle
+    return {
+        "r30": T1 + T2 - d21,
+        "r2-": d31 - (T1 - T3),
+        "r1-": d32 - (T2 - T3),
+        "Gamma3": d32 * T1 + d31 * T2 - d21 * T3,
+    }
+
+
 def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     """Classify a range triple against the feasible polyhedron.
 
@@ -689,17 +703,7 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     tol_quad = rtol * config.d_max ** 2
 
     if config.is_collinear:
-        kind = config.kind
-        Tc = T[list(kind.order)]
-        d21 = kind.d21
-        d31 = kind.rho * d21          # endpoint-1 to middle
-        d32 = (1.0 - kind.rho) * d21  # endpoint-2 to middle
-        residuals = {
-            "r30": Tc[0] + Tc[1] - d21,
-            "r2-": d31 - (Tc[0] - Tc[2]),
-            "r1-": d32 - (Tc[1] - Tc[2]),
-            "Gamma3": d32 * Tc[0] + d31 * Tc[1] - d21 * Tc[2],
-        }
+        residuals = _q3_residuals_collinear(config.kind, T[list(config.kind.order)])
         tols = {"r30": tol_lin, "r2-": tol_lin, "r1-": tol_lin, "Gamma3": tol_quad}
     else:
         residuals = _q3_residuals_general(config, float(T[0]), float(T[1]), float(T[2]))

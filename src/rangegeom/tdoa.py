@@ -21,6 +21,14 @@ quadratic's three coefficients (a, b, c) classify the fiber:
 Collinear receivers are handled by the lift itself: the quartic relation
 degenerates to a linear equation in t, with ray fibers of infinite size at
 the endpoint images.
+
+For fixed receivers every quantity above is elementwise in tau, so the work
+runs in row kernels over an (N, 2) array of tau (``_classify_rows``,
+``_invert_rows``, ``_coeff_rows``), with the config-only constants built once
+per configuration (``SensorConfig._memo``).  ``classify_tau``,
+``invert_tdoa``, ``tdoa_coeffs`` and ``p2_membership`` are row 0 of a
+one-row call to them; ``classify_invert_tau`` classifies and inverts a whole
+array in one pass.
 """
 
 from __future__ import annotations
@@ -30,11 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, SensorConfig, _measurement, _require_planar_triple
-from .errors import DegenerateConfig, RangeGeomError
-from .kummer import _facet_verdict, _quartic_terms, q3_membership
-from .spacetime import cross2
-from .toa3 import SolutionSet, collinear_quadric_residual
+from .config import (
+    _RTOL,
+    SensorConfig,
+    _measurement,
+    _measurement_rows,
+    _require_planar_triple,
+)
+from .errors import DegenerateConfig, InvalidParam, RangeGeomError
+from .kummer import _facet_verdict, _q3_residuals_collinear, _quartic_terms
+from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
+from .toa3 import SolutionSet, _stewart
 
 _VERIFY_RTOL = 1e-7
 
@@ -51,13 +65,17 @@ TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
 # the hexagon only at those points, so every a > 0, b > 0 point off the facets
 # lies strictly inside exactly one of these cones.
 _LENS_CONES = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
+# the same cones as rows of the tangency table
+_LENS_ROWS = np.array([[TANGENCY_IDS.index(p), TANGENCY_IDS.index(q)]
+                       for p, q in _LENS_CONES.values()])
+_LENS_ROWS.setflags(write=False)
 
 
 def tau_map(config: SensorConfig, x) -> np.ndarray:
     """Range differences (d1 - d3, d2 - d3) of source position(s) x."""
     _require_planar_triple(config)
     d = config.distances(x)
-    return np.stack([d[..., 0] - d[..., 2], d[..., 1] - d[..., 2]], axis=-1)
+    return d[..., :2] - d[..., 2:]
 
 
 def project_pi(T) -> np.ndarray:
@@ -70,6 +88,33 @@ def pi_fiber_line(tau) -> tuple:
     """The projection fiber over tau: base point (tau1, tau2, 0), direction (1,1,1)."""
     tau = _measurement(tau, 2, "range differences")
     return np.array([tau[0], tau[1], 0.0]), np.ones(3)
+
+
+# ---------------------------------------------------------------------------
+# row helpers
+
+def _rowdots(*pairs) -> np.ndarray:
+    """Dot products of matching rows of (N, k) array pairs, as an (N, len(pairs)) array.
+
+    Each (1, k) @ (k, 1) product of the stack goes to the BLAS ddot that a
+    1-D ``x @ y`` and ``np.linalg.norm`` call, so every entry equals the
+    scalar product bit for bit; ``einsum`` and ``(x * y).sum(1)`` round
+    differently.
+    """
+    n, k = pairs[0][0].shape
+    x = np.concatenate([x for x, _ in pairs], axis=1).reshape(n, len(pairs), 1, k)
+    y = np.concatenate([y for _, y in pairs], axis=1).reshape(n, len(pairs), k, 1)
+    return (x @ y).reshape(n, len(pairs))
+
+
+def _near_rows(points: np.ndarray, taus: np.ndarray, tol: float) -> list:
+    """Per row of taus, one flag per row of points: within tol in the max norm."""
+    return (np.abs(taus[:, None, :] - points).max(axis=2) <= tol).tolist()
+
+
+def _first(flags: list):
+    """Index of the first True flag, else None."""
+    return flags.index(True) if True in flags else None
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +134,38 @@ class P2Report:
     active: tuple
 
 
+# P2's facet normals, one column per facet in P2_FACETS order: the slacks of
+# tau are tau @ _P2_NORMALS + (d31, d31, d32, d32, d21, d21).  Every product
+# is exact (entries 0 and +-1), so each slack is the one rounding of its
+# two-term sum, as in t1 + d31 or d21 - (t2 - t1).
+_P2_NORMALS = np.array([[1.0, -1.0, 0.0, 0.0, -1.0, 1.0],
+                        [0.0, 0.0, 1.0, -1.0, 1.0, -1.0]])
+_P2_NORMALS.setflags(write=False)
+
+
+def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
+    """Facet names and the (N, k) facet slacks of an (N, 2) array of tau.
+
+    Collinear receivers drop the facet pair of the longest pairwise distance.
+    """
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    slack = taus @ _P2_NORMALS + np.array([d31, d31, d32, d32, d21, d21])
+    if not config.is_collinear:
+        return P2_FACETS, slack
+    longest = max(
+        [("tau2-tau1", d21), ("tau1", d31), ("tau2", d32)], key=lambda p: p[1]
+    )[0]
+    keep = [k for k, name in enumerate(P2_FACETS) if not name.startswith(longest + "=")]
+    return tuple(P2_FACETS[k] for k in keep), slack[:, keep]
+
+
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
-    t1, t2 = float(tau[0]), float(tau[1])
-    d21, d31, d32 = config.d21, config.d31, config.d32
-    residuals = {
-        "tau1=-d31": t1 + d31,
-        "tau1=d31": d31 - t1,
-        "tau2=-d32": t2 + d32,
-        "tau2=d32": d32 - t2,
-        "tau2-tau1=-d21": (t2 - t1) + d21,
-        "tau2-tau1=d21": d21 - (t2 - t1),
-    }
-    if config.is_collinear:
-        longest = max(
-            [("tau2-tau1", d21), ("tau1", d31), ("tau2", d32)], key=lambda p: p[1]
-        )[0]
-        residuals = {k: v for k, v in residuals.items() if not k.startswith(longest + "=")}
+    names, slack = _p2_slacks(config, tau[None])
+    residuals = dict(zip(names, slack[0].tolist()))
     active, verdict = _facet_verdict(residuals, dict.fromkeys(residuals, rtol * config.d_max))
-    return P2Report(residuals={k: float(v) for k, v in residuals.items()},
-                    verdict=verdict, active=active)
+    return P2Report(residuals=residuals, verdict=verdict, active=active)
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +189,62 @@ class TdoaCoeffs:
     v_time: float
 
 
-def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
+def _require_general(config: SensorConfig) -> None:
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig(
             "collinear receivers: the difference problem degenerates; "
             "use classify_tau (lift pipeline)"
         )
+
+
+def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
+    _require_general(config)
     tau = _measurement(tau, 2, "range differences")
-    t1, t2 = float(tau[0]), float(tau[1])
-    d31v, d32v = config.vec(3, 1), config.vec(3, 2)
-    d31, d32 = config.d31, config.d32
-    M = np.stack([d31v, d32v])
-    u0 = np.linalg.solve(M, 0.5 * np.array([t1 * t1 - d31 * d31, t2 * t2 - d32 * d32]))
-    q = t1 * d32v - t2 * d31v
-    w12 = float(d31v[0] * d32v[1] - d31v[1] * d32v[0])
+    return _coeff_objects(config, _coeff_rows(config, tau[None]))[0]
+
+
+def _line_constants(config: SensorConfig) -> tuple:
+    """The null-cone line's config-only constants, read-only.
+
+    (d31v, d32v, M, shift, w12, flip): d31v = m3 - m1 and d32v = m3 - m2 are
+    the rows of M, the 2x2 system for the base point u0; shift =
+    (d31^2, d32^2); w12 = cross2(d31v, d32v) is twice the signed area; flip =
+    (s, -s) with s = -sign(w12) orients v_spatial.  Read it through
+    config._memo(_line_constants).
+    """
+    m1, m2, m3 = config.receivers
+    M = m3 - np.array([m1, m2])
+    M.setflags(write=False)
+    d31v, d32v = M
+    (x31, y31), (x32, y32) = M.tolist()
+    w12 = x31 * y32 - y31 * x32
     s = -math.copysign(1.0, w12)
-    v_spatial = s * np.array([q[1], -q[0]])
-    v_time = abs(w12)
-    a = float(q @ q) - w12 * w12
-    b = float(u0 @ v_spatial)
-    c = float(u0 @ u0)
-    return TdoaCoeffs(a=a, b=b, c=c, u0=u0, v_spatial=v_spatial, v_time=v_time)
+    shift = np.array([config.d31 * config.d31, config.d32 * config.d32])
+    flip = np.array([s, -s])
+    shift.setflags(write=False)
+    flip.setflags(write=False)
+    return d31v, d32v, M, shift, w12, flip
+
+
+def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
+    """Arrays a, b, c, u0, v_spatial and |v_spatial| of every row of an (N, 2) array of tau."""
+    d31v, d32v, M, shift, w12, flip = config._memo(_line_constants)
+    # a stack of one-column systems: each row is the LAPACK solve of the
+    # scalar call; one multi-column solve(M, rhs.T) rounds differently
+    u0 = np.linalg.solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]
+    q = taus[:, :1] * d32v - taus[:, 1:] * d31v
+    v = q[:, ::-1] * flip
+    dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))
+    return dots[:, 0] - w12 * w12, dots[:, 1], dots[:, 2], u0, v, np.sqrt(dots[:, 3])
+
+
+def _coeff_objects(config: SensorConfig, co: tuple) -> list:
+    """One TdoaCoeffs per row of the arrays of _coeff_rows."""
+    a, b, c, u0, v, _ = co
+    v_time = abs(config._memo(_line_constants)[4])
+    return [TdoaCoeffs(a=ai, b=bi, c=ci, u0=ui, v_spatial=vi, v_time=v_time)
+            for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]
 
 
 def tangency_points(config: SensorConfig) -> dict:
@@ -175,15 +265,29 @@ def _tangency_table(config: SensorConfig) -> np.ndarray:
 
     A config-only constant: read it through config._memo(_tangency_table).
     """
-    d31v, d32v = config.vec(3, 1), config.vec(3, 2)
+    d31v, d32v = config._memo(_line_constants)[:2]
     rows = []
-    for vec in (config.vec(3, 2), config.vec(3, 1), config.vec(2, 1)):
-        u = vec / float(np.linalg.norm(vec))
+    for vec, norm in ((d32v, config.d32), (d31v, config.d31), (config.vec(2, 1), config.d21)):
+        u = vec / norm
         pt = np.array([float(d31v @ u), float(d32v @ u)])
         rows += [pt, -pt]
-    table = np.stack(rows)
+    table = np.array(rows)
     table.setflags(write=False)
     return table
+
+
+def _lens_table(config: SensorConfig) -> tuple:
+    """The lens cones as read-only arrays (p, q, w), a config-only constant.
+
+    Row i - 1 is the cone of U_i, spanned by its two tangency points p and q
+    of _LENS_CONES, with w = cross2(p, q).
+    """
+    tangency = config._memo(_tangency_table)
+    p, q = tangency[_LENS_ROWS[:, 0]], tangency[_LENS_ROWS[:, 1]]
+    w = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    for arr in (p, q, w):
+        arr.setflags(write=False)
+    return p, q, w
 
 
 def _vertex_images(config: SensorConfig) -> np.ndarray:
@@ -191,12 +295,6 @@ def _vertex_images(config: SensorConfig) -> np.ndarray:
     images = np.stack([tau_map(config, config.m(i)) for i in (1, 2, 3)])
     images.setflags(write=False)
     return images
-
-
-def _first_near(points: np.ndarray, tau: np.ndarray, tol: float):
-    """Index of the first row of points within tol of tau in the max norm, else None."""
-    near = (np.abs(tau - points).max(axis=1) <= tol).tolist()
-    return near.index(True) if True in near else None
 
 
 # ---------------------------------------------------------------------------
@@ -211,49 +309,64 @@ def invert_tdoa(
     verifies every candidate against the forward map (the verification is
     authoritative: spurious mirror roots are discarded).
     """
-    co = tdoa_coeffs(config, tau)
+    _require_general(config)
     tau = _measurement(tau, 2, "range differences")
-    d_max = config.d_max
-    a, b, c = co.a, co.b, co.c
-    v_norm = float(np.linalg.norm(co.v_spatial))
+    return _invert_rows(config, tau[None], rtol, verify_rtol)[0]
 
-    scale_a = d_max ** 4
-    scale_b = d_max ** 3
-    lambdas = []
+
+def _null_cone_roots(a: float, b: float, c: float, rtol: float, scale_a: float,
+                     scale_b: float) -> list:
+    """Roots l of a*l^2 + 2b*l + c, by the stable formula, with the gates of invert_tdoa."""
     if abs(a) <= rtol * scale_a:
-        if abs(b) > rtol * scale_b:
-            lambdas.append(-c / (2.0 * b))
-    else:
-        disc = b * b - a * c
-        if abs(disc) <= rtol * (b * b + abs(a * c)):
-            # tangency within tolerance: one double root
-            lambdas.append(-b / a)
-        elif disc > 0.0:
-            root = math.sqrt(disc)
-            if b >= 0.0:
-                qq = -(b + root)
-            else:
-                qq = -(b - root)
-            if qq != 0.0:
-                lambdas.extend([qq / a, c / qq])
-            else:  # b = disc = 0: double root at zero
-                lambdas.append(0.0)
+        return [-c / (2.0 * b)] if abs(b) > rtol * scale_b else []
+    disc = b * b - a * c
+    if abs(disc) <= rtol * (b * b + abs(a * c)):
+        # tangency within tolerance: one double root
+        return [-b / a]
+    if disc > 0.0:
+        root = math.sqrt(disc)
+        if b >= 0.0:
+            qq = -(b + root)
+        else:
+            qq = -(b - root)
+        if qq != 0.0:
+            return [qq / a, c / qq]
+        return [0.0]  # b = disc = 0: double root at zero
+    return []
 
-    points = []
-    for lam in lambdas:
-        if abs(lam) * v_norm <= 1e-12 * d_max:
-            lam = 0.0
-        if lam > 0.0:
-            continue
-        x = config.m(3) + co.u0 + lam * co.v_spatial
-        if np.max(np.abs(tau_map(config, x) - tau)) <= verify_rtol * d_max:
-            points.append(x)
-    # merge numerically identical roots
-    unique = []
-    for p in points:
-        if not any(np.linalg.norm(p - u) <= 1e-9 * d_max for u in unique):
-            unique.append(p)
-    return SolutionSet(points=tuple(unique))
+
+def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, verify_rtol: float,
+                 co: tuple = None) -> tuple:
+    """invert_tdoa for every row of an (N, 2) array of validated tau (general position).
+
+    The roots are chosen per row; the candidate points and their forward-map
+    check run once over all rows.  co: the arrays of _coeff_rows when the
+    caller has them.
+    """
+    a, b, c, u0, v, v_norm = co if co is not None else _coeff_rows(config, taus)
+    d_max = config.d_max
+    scale_a, scale_b, snap = d_max ** 4, d_max ** 3, 1e-12 * d_max
+    rows, lams = [], []
+    for i, (ai, bi, ci, vn) in enumerate(zip(a.tolist(), b.tolist(), c.tolist(),
+                                             v_norm.tolist())):
+        for lam in _null_cone_roots(ai, bi, ci, rtol, scale_a, scale_b):
+            if abs(lam) * vn <= snap:
+                lam = 0.0
+            if not lam > 0.0:  # past-cone roots only
+                rows.append(i)
+                lams.append(lam)
+    points = [[] for _ in range(len(taus))]
+    if rows:
+        x = (config.receivers[2] + u0.take(rows, axis=0)
+             + np.array(lams)[:, None] * v.take(rows, axis=0))
+        miss = np.abs(tau_map(config, x) - taus.take(rows, axis=0)).max(axis=1).tolist()
+        for k, m in enumerate(miss):
+            found = points[rows[k]]
+            # merge numerically identical roots
+            if m <= verify_rtol * d_max and not any(
+                    np.linalg.norm(x[k] - u) <= 1e-9 * d_max for u in found):
+                found.append(x[k])
+    return tuple(SolutionSet(points=tuple(p)) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -282,54 +395,6 @@ class TauRegion:
     lift: object
 
 
-def _classify_tau_collinear(config: SensorConfig, tau, rtol: float) -> TauRegion:
-    kind = config.kind
-    d_max = config.d_max
-    tol_lin = rtol * d_max
-    tol_quad = rtol * d_max ** 2
-    p2 = p2_membership(config, tau, rtol=rtol)
-
-    # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
-    row = _first_near(config._memo(_vertex_images), tau, tol_lin)
-    if row is not None:
-        cid = f"R{kind.order.index(row) + 1}"
-        if cid == "R3":
-            t_mid = config.dist(row + 1, 3)
-            lift = np.array([tau[0] + t_mid, tau[1] + t_mid, t_mid])
-            return TauRegion(label="BoundaryArc", ids=("R3",), fiber=1,
-                             residuals=p2.residuals, coeffs=None, lift=lift)
-        return TauRegion(label="VertexRay", ids=(cid,), fiber=math.inf,
-                         residuals=p2.residuals, coeffs=None, lift=None)
-
-    # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
-    # in t: c_lin + a_lin * t
-    tau_ext = np.array([tau[0], tau[1], 0.0])
-    qv = tau_ext[list(kind.order)]
-    rho = kind.rho
-    a_lin = 2.0 * ((1.0 - rho) * qv[0] + rho * qv[1] - qv[2])
-    c_lin = collinear_quadric_residual(config, tau_ext)
-    if abs(a_lin) <= tol_lin:
-        if abs(c_lin) <= tol_quad:
-            return TauRegion(label="VertexRay", ids=("R1", "R2"), fiber=math.inf,
-                             residuals=p2.residuals, coeffs=None, lift=None)
-        return TauRegion(label="OutsideIm", ids=(), fiber=0,
-                         residuals=p2.residuals, coeffs=None, lift=None)
-    t_star = -c_lin / a_lin
-    lift = np.array([tau[0] + t_star, tau[1] + t_star, t_star])
-    if float(np.min(lift)) < -tol_lin:
-        return TauRegion(label="OutsideIm", ids=(), fiber=0,
-                         residuals=p2.residuals, coeffs=None, lift=lift)
-    q3 = q3_membership(config, lift, rtol=rtol)
-    if q3.verdict == "Outside":
-        return TauRegion(label="OutsideIm", ids=(), fiber=0,
-                         residuals=p2.residuals, coeffs=None, lift=lift)
-    if q3.verdict == "OnFacet":
-        return TauRegion(label="BoundaryArc", ids=q3.active, fiber=1,
-                         residuals=p2.residuals, coeffs=None, lift=lift)
-    return TauRegion(label="CollinearInterior", ids=(), fiber=2,
-                     residuals=p2.residuals, coeffs=None, lift=lift)
-
-
 def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     """Classify a range-difference pair: region label and generic fiber size.
 
@@ -338,49 +403,144 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     """
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
+    return _classify_rows(config, tau[None], rtol)[0]
+
+
+def classify_invert_tau(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
+    """Classify and invert every row of an (N, 2) array of range differences.
+
+    Returns (regions, solutions): regions[i] equals classify_tau(config,
+    taus[i], rtol) and solutions[i] equals invert_tdoa(config, taus[i],
+    rtol).  solutions is None for collinear receivers, where invert_tdoa
+    raises.  The null-cone coefficients are built once for both.
+    """
+    _require_planar_triple(config)
+    taus = _measurement_rows(taus, 2, "range differences")
     if config.is_collinear:
-        return _classify_tau_collinear(config, tau, rtol)
+        return _classify_rows(config, taus, rtol), None
+    co = _coeff_rows(config, taus)
+    return (_classify_rows(config, taus, rtol, co),
+            _invert_rows(config, taus, rtol, _VERIFY_RTOL, co))
 
+
+def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float,
+                   co: tuple = None) -> tuple:
+    """classify_tau for every row of an (N, 2) array of validated tau.
+
+    The slacks, coefficients, tangency nearness and lens cone depths each run
+    once over all rows, the last two only when some row needs them; the label
+    ladder runs per row.  co: the arrays of _coeff_rows when the caller has
+    them.
+    """
+    if config.is_collinear:
+        return _classify_collinear_rows(config, taus, rtol)
     d_max = config.d_max
-    p2 = p2_membership(config, tau, rtol=rtol)
-    co = tdoa_coeffs(config, tau)
-    if p2.verdict == "Outside":
-        return TauRegion(label="OutsideIm", ids=(), fiber=0,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    tangency = config._memo(_tangency_table)
-    row = _first_near(tangency, tau, rtol * d_max)
-    if row is not None:
-        return TauRegion(label="TangencyPoint", ids=(TANGENCY_IDS[row],), fiber=0,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    an = co.a / d_max ** 4
-    bn = co.b / d_max ** 3
-    if an < -rtol:
-        return TauRegion(label="EMinus", ids=(), fiber=1,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    if abs(an) <= rtol:
-        return TauRegion(label="BoundaryArc", ids=("E",), fiber=1,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    if bn > rtol:
-        if p2.verdict == "OnFacet":
-            return TauRegion(label="BoundaryArc", ids=p2.active, fiber=1,
-                             residuals=p2.residuals, coeffs=co, lift=None)
-        depth = {i: _cone_depth(tangency[TANGENCY_IDS.index(p)],
-                                tangency[TANGENCY_IDS.index(q)], tau)
-                 for i, (p, q) in _LENS_CONES.items()}
-        corner = max(depth, key=depth.get)
-        return TauRegion(label=f"U_{corner}", ids=(), fiber=2,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    if abs(bn) <= rtol:
-        return TauRegion(label="BoundaryArc", ids=("C",), fiber=1,
-                         residuals=p2.residuals, coeffs=co, lift=None)
-    return TauRegion(label="OutsideIm", ids=(), fiber=0,
-                     residuals=p2.residuals, coeffs=co, lift=None)
+    tol = rtol * d_max
+    names, slack = _p2_slacks(config, taus)
+    slack = slack.tolist()
+    outside = [min(row) < -tol for row in slack]
+    co = co if co is not None else _coeff_rows(config, taus)
+    tangent = None if all(outside) else _near_rows(config._memo(_tangency_table), taus, tol)
+    corner = None
+    an = (co[0] / d_max ** 4).tolist()
+    bn = (co[1] / d_max ** 3).tolist()
+    regions = []
+    for i, (coeffs, residuals) in enumerate(zip(_coeff_objects(config, co), slack)):
+        ids, fiber = (), 1
+        if outside[i]:
+            label, fiber = "OutsideIm", 0
+        elif (tid := _first(tangent[i])) is not None:
+            label, ids, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
+        elif an[i] < -rtol:
+            label = "EMinus"
+        elif abs(an[i]) <= rtol:
+            label, ids = "BoundaryArc", ("E",)
+        elif bn[i] > rtol:
+            active = tuple(n for n, v in zip(names, residuals) if v <= tol)
+            if active:
+                label, ids = "BoundaryArc", active
+            else:
+                corner = corner or _lens_corners(config, taus)
+                label, fiber = f"U_{corner[i]}", 2
+        elif abs(bn[i]) <= rtol:
+            label, ids = "BoundaryArc", ("C",)
+        else:
+            label, fiber = "OutsideIm", 0
+        regions.append(TauRegion(label=label, ids=ids, fiber=fiber,
+                                 residuals=dict(zip(names, residuals)), coeffs=coeffs,
+                                 lift=None))
+    return tuple(regions)
 
 
-def _cone_depth(p: np.ndarray, q: np.ndarray, tau: np.ndarray) -> float:
-    """min(s, t) for tau = s*p + t*q: positive exactly inside the cone of p and q."""
-    w = cross2(p, q)
-    return min(cross2(tau, q) / w, cross2(p, tau) / w)
+def _lens_corners(config: SensorConfig, taus: np.ndarray) -> list:
+    """Per row of taus, the corner i whose lens cone holds tau most deeply.
+
+    The depth in the cone of p and q is min(s, t) for tau = s*p + t*q,
+    positive exactly inside it.
+    """
+    p, q, w = config._memo(_lens_table)
+    depth = np.minimum((taus[:, :1] * q[:, 1] - taus[:, 1:] * q[:, 0]) / w,
+                       (p[:, 0] * taus[:, 1:] - p[:, 1] * taus[:, :1]) / w)
+    return (depth.argmax(axis=1) + 1).tolist()
+
+
+def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float) -> tuple:
+    """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic."""
+    kind = config.kind
+    d_max = config.d_max
+    tol_lin = rtol * d_max
+    tol_quad = rtol * d_max ** 2
+    names, slack = _p2_slacks(config, taus)
+    vertex = _near_rows(config._memo(_vertex_images), taus, tol_lin)
+
+    # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
+    # in t: c_lin + a_lin * t (canonical labels)
+    order = list(kind.order)
+    qv = np.concatenate((taus, np.zeros((len(taus), 1))), axis=1)[:, order]
+    rho = kind.rho
+    a_lin = 2.0 * ((1.0 - rho) * qv[:, 0] + rho * qv[:, 1] - qv[:, 2])
+    c_lin = np.array([_stewart(kind, *row) for row in qv.tolist()], dtype=float)
+    flat = np.abs(a_lin) <= tol_lin
+    t_star = -c_lin / np.where(flat, 1.0, a_lin)
+    lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
+    q3 = _q3_residuals_collinear(kind, lift[:, order])
+    q3_names, q3 = tuple(q3), np.stack(list(q3.values()), axis=1)
+    q3_tols = (tol_lin, tol_lin, tol_lin, tol_quad)
+
+    regions = []
+    for i, ((t1, t2), residuals, near, is_flat, c, low, ts, slack3) in enumerate(zip(
+            taus.tolist(), slack.tolist(), vertex, flat.tolist(), c_lin.tolist(),
+            lift.min(axis=1).tolist(), t_star.tolist(), q3.tolist())):
+        ids, fiber, lift_i = (), 0, None
+        if (row := _first(near)) is not None:
+            # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
+            cid = f"R{kind.order.index(row) + 1}"
+            if cid == "R3":
+                t_mid = config.dist(row + 1, 3)
+                lift_i = np.array([t1 + t_mid, t2 + t_mid, t_mid])
+                label, ids, fiber = "BoundaryArc", ("R3",), 1
+            else:
+                label, ids, fiber = "VertexRay", (cid,), math.inf
+        elif is_flat:
+            if abs(c) <= tol_quad:
+                label, ids, fiber = "VertexRay", ("R1", "R2"), math.inf
+            else:
+                label = "OutsideIm"
+        else:
+            lift_i = lift[i]
+            if low < -tol_lin:
+                label = "OutsideIm"
+            elif not math.isfinite(ts):
+                raise InvalidParam(f"ranges must be finite, got {lift_i.tolist()}")
+            elif any(v < -t for v, t in zip(slack3, q3_tols)):
+                label = "OutsideIm"
+            else:
+                ids = tuple(n for n, v, t in zip(q3_names, slack3, q3_tols) if v <= t)
+                label, fiber = ("BoundaryArc", 1) if ids else ("CollinearInterior", 2)
+        regions.append(TauRegion(label=label, ids=ids, fiber=fiber,
+                                 residuals=dict(zip(names, residuals)), coeffs=None,
+                                 lift=lift_i))
+    return tuple(regions)
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,18 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("quadric residual is defined for collinear triples only")
     kind = config.kind
-    Tc = _measurement(T, 3)[list(kind.order)]
+    return _stewart(kind, *_measurement(T, 3)[list(kind.order)].tolist())
+
+
+def _stewart(kind: CollinearTriple, T1: float, T2: float, T3: float) -> float:
+    """The Stewart quadric at one canonical triple of Python floats.
+
+    The squares go through the C library's pow, as ``float ** 2`` computes
+    them; NumPy's array square (x * x) differs from it in the last bit on
+    about one value in 1300, so batch callers evaluate this per row.
+    """
     rho, d21 = kind.rho, kind.d21
-    return float(
-        (1.0 - rho) * Tc[0] ** 2
-        + rho * Tc[1] ** 2
-        - Tc[2] ** 2
-        - rho * (1.0 - rho) * d21 * d21
-    )
+    return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
 
 
 def _collinear_fiber(config: SensorConfig, T: np.ndarray, rtol: float):

@@ -4,7 +4,12 @@ These are deliberately written against the raw geometry (circle
 intersections, finite differences, dense parameter sweeps) rather than
 against the library's own algebra, so that agreement is evidence.
 """
+import math
+from collections import Counter
+
 import numpy as np
+
+import rangegeom as rg
 
 
 def _sweep_count(anchor, other, checker, tau_anchor, tau_checker, s) -> int:
@@ -103,3 +108,54 @@ def poly_eval_per_term(terms: dict, T) -> np.ndarray:
     for (e1, e2, e3), coeff in terms.items():
         out = out + coeff * T[..., 0] ** e1 * T[..., 1] ** e2 * T[..., 2] ** e3
     return out
+
+
+def tdoa_coeffs_per_call(config, tau) -> tuple:
+    """(a, b, c, u0, v_spatial, v_time) of the null-cone quadratic, one tau at a time.
+
+    The scalar formula rangegeom used before its coefficients were built in
+    row kernels, kept verbatim (1-D dot products, a one-column solve): the
+    reference that every row of tdoa._coeff_rows must match bit for bit.
+    """
+    t1, t2 = float(tau[0]), float(tau[1])
+    d31v, d32v = config.vec(3, 1), config.vec(3, 2)
+    d31, d32 = config.d31, config.d32
+    M = np.stack([d31v, d32v])
+    u0 = np.linalg.solve(M, 0.5 * np.array([t1 * t1 - d31 * d31, t2 * t2 - d32 * d32]))
+    q = t1 * d32v - t2 * d31v
+    w12 = float(d31v[0] * d32v[1] - d31v[1] * d32v[0])
+    s = -math.copysign(1.0, w12)
+    v_spatial = s * np.array([q[1], -q[0]])
+    v_time = abs(w12)
+    a = float(q @ q) - w12 * w12
+    b = float(u0 @ v_spatial)
+    c = float(u0 @ u0)
+    return a, b, c, u0, v_spatial, v_time
+
+
+def census_per_point(config, extent: float, resolution: int):
+    """scripts/fiber_census.py's census as it was before it ran in blocks, kept verbatim.
+
+    One classify_tau and at most one invert_tdoa call per grid point: the
+    reference for the batched census's rows, counts and mismatches.
+    """
+    lim = extent * config.d_max
+    axis = np.linspace(-lim, lim, resolution)
+    rows = []
+    counts = Counter()
+    mismatches = 0
+    for t1 in axis:
+        for t2 in axis:
+            region = rg.classify_tau(config, (t1, t2))
+            counts[region.label] += 1
+            solutions = ""
+            if not config.is_collinear and region.fiber in (1, 2):
+                sol = rg.invert_tdoa(config, (t1, t2))
+                if len(sol.points) != region.fiber:
+                    mismatches += 1
+                solutions = ";".join(
+                    "%.17g:%.17g" % (p[0], p[1]) for p in sol.points
+                )
+            fiber = "inf" if region.fiber == math.inf else str(region.fiber)
+            rows.append((t1, t2, region.label, fiber, solutions))
+    return rows, counts, mismatches

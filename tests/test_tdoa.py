@@ -1,14 +1,17 @@
 """Range-difference model: projection, feasible regions, fibers, inversion."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
 import rangegeom as rg
+from rangegeom import tdoa
 
 from conftest import away_from_receivers, collinear_triples, sources, triangles
-from oracles import brute_fiber
+from oracles import brute_fiber, tdoa_coeffs_per_call
 
 
 def test_tau_map_pinned(right):
@@ -283,3 +286,150 @@ def test_tau_region_errors(right, pair):
         rg.tau_map(pair, (0.3, 0.4))
     with pytest.raises(rg.DimensionMismatch):
         rg.invert_tdoa(right, (0.1, 0.2, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# the row kernels: classify_invert_tau against the scalar calls
+
+def _bits(value):
+    """A comparable form of a result field: floats by hex, arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return ("dict", [(k, _bits(v)) for k, v in value.items()])
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, [_bits(v) for v in value])
+    return (type(value).__name__, value)
+
+
+def _region_bits(region):
+    co = region.coeffs
+    coeffs = None if co is None else _bits((co.a, co.b, co.c, co.u0, co.v_spatial, co.v_time))
+    return (region.label, region.ids, _bits(region.fiber), _bits(region.residuals),
+            _bits(region.lift), coeffs)
+
+
+def _bisect_b(cfg, lo, hi):
+    """A tau between lo and hi where the coefficient b changes sign."""
+    sign_lo = rg.tdoa_coeffs(cfg, lo).b > 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (rg.tdoa_coeffs(cfg, mid).b > 0.0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _probe_taus(cfg, seed: int) -> np.ndarray:
+    """Seeded tau rows on and around every boundary of the difference plane."""
+    rng = np.random.default_rng(seed)
+    dm = cfg.d_max
+    d21, d31, d32 = cfg.d21, cfg.d31, cfg.d32
+    images = rg.tau_map(cfg, np.array(cfg.receivers))
+    s = rng.uniform(-1.0, 1.0, size=8)
+    facets = [np.stack([np.full(8, sign * d31), s * d32], axis=1) for sign in (-1, 1)]
+    facets += [np.stack([s * d31, np.full(8, sign * d32)], axis=1) for sign in (-1, 1)]
+    facets += [np.stack([s * d21, s * d21 + sign * d21], axis=1) for sign in (-1, 1)]
+    lens = rg.tau_map(cfg, np.array(cfg.receivers) + rng.normal(size=(3, 2)) * 0.02 * dm)
+    parts = [images, images * (1.0 - 1e-12), *facets, lens, -lens,
+             rng.uniform(-1.3, 1.3, size=(40, 2)) * dm,
+             rg.tau_map(cfg, rng.normal(size=(40, 2)) * dm + images.mean(axis=0)),
+             np.array([[2.0, 0.0], [0.9, -0.8], [-3.0, 5.0]]) * dm]
+    if not cfg.is_collinear:
+        tangency = np.array(list(rg.tangency_points(cfg).values()))
+        parts += [tangency, tangency * (1.0 + 1e-10), tangency * (1.0 - 1e-7)]
+        # a = 0 on the ellipse E: |t1 d32v - t2 d31v| = |w12|
+        d31v, d32v = cfg.vec(3, 1), cfg.vec(3, 2)
+        w12 = abs(rg.cross2(d31v, d32v))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=8)
+        on_e = np.linalg.solve(np.stack([d32v, -d31v], axis=1),
+                               w12 * np.stack([np.cos(theta), np.sin(theta)]))
+        parts.append(on_e.T)
+        # b = 0 on the cubic C, between probes of opposite sign
+        probes = rng.uniform(-1.0, 1.0, size=(24, 2)) * dm
+        signs = [rg.tdoa_coeffs(cfg, t).b > 0.0 for t in probes]
+        parts.append(np.array([_bisect_b(cfg, probes[k], probes[k + 1])
+                               for k in range(23) if signs[k] != signs[k + 1]]).reshape(-1, 2))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("receivers", [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)],
+    [(0.0, 0.0), (1.0, 0.0), (1.5, 0.4)],
+    [(0.0, 0.0), (1.0, 0.0), (0.35, 1e-3)],
+    [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)],
+    [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)],
+])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_classify_invert_tau_rows_are_the_scalar_calls(receivers, rtol):
+    cfg = rg.validate_config(receivers)
+    taus = _probe_taus(cfg, seed=len(receivers[2]) + int(1e3 * receivers[2][0]))
+    regions, solutions = rg.classify_invert_tau(cfg, taus, rtol)
+    assert len(regions) == len(taus)
+    for tau, region in zip(taus, regions):
+        assert _region_bits(region) == _region_bits(rg.classify_tau(cfg, tau, rtol))
+    labels = {region.label for region in regions}
+    if cfg.is_collinear:
+        assert solutions is None
+        assert {"VertexRay", "CollinearInterior", "OutsideIm"} <= labels
+        return
+    want = {"TangencyPoint", "BoundaryArc", "OutsideIm"}
+    if receivers[2][1] > 0.1:  # thin triangles have narrow lenses and no EMinus at all
+        want |= {"EMinus", "U_1", "U_2", "U_3"}
+    assert want <= labels
+    assert len(solutions) == len(taus)
+    for tau, region, sol in zip(taus, regions, solutions):
+        assert _bits(sol.points) == _bits(rg.invert_tdoa(cfg, tau, rtol).points)
+        # and the coefficients are those of the scalar formula
+        co = region.coeffs
+        assert _bits((co.a, co.b, co.c, co.u0, co.v_spatial, co.v_time)) == _bits(
+            tdoa_coeffs_per_call(cfg, tau))
+
+
+def test_classify_invert_tau_empty_and_single_row(scalene, collinear_mid):
+    assert rg.classify_invert_tau(scalene, np.empty((0, 2))) == ((), ())
+    assert rg.classify_invert_tau(collinear_mid, np.empty((0, 2))) == ((), None)
+    tau = rg.tau_map(scalene, (0.3, 0.4))
+    (region,), (sol,) = rg.classify_invert_tau(scalene, [tau.tolist()])
+    assert _region_bits(region) == _region_bits(rg.classify_tau(scalene, tau))
+    assert _bits(sol.points) == _bits(rg.invert_tdoa(scalene, tau).points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, bad):
+    for cfg in (scalene, collinear_mid):
+        with pytest.raises(rg.InvalidParam):
+            rg.classify_tau(cfg, (bad, 0.1))
+        with pytest.raises(rg.InvalidParam):
+            rg.classify_invert_tau(cfg, [[0.1, 0.2], [bad, 0.1]])
+
+
+def test_classify_invert_tau_rejects_other_shapes(scalene, pair):
+    for taus in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2))):
+        with pytest.raises(rg.DimensionMismatch):
+            rg.classify_invert_tau(scalene, taus)
+    with pytest.raises(rg.DimensionMismatch):
+        rg.classify_invert_tau(pair, [[0.1, 0.2]])
+
+
+def test_line_constants_are_read_only_and_die_with_their_configuration():
+    cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
+    lens_tau = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
+    regions, _ = rg.classify_invert_tau(cfg, [rg.tau_map(cfg, (0.3, 0.4)), lens_tau])
+    assert regions[1].label == "U_1"
+    d31v, d32v, M, shift, w12, flip = cfg._constants[tdoa._line_constants]
+    assert d31v.tobytes() == cfg.vec(3, 1).tobytes() and M.tobytes() == np.stack(
+        [cfg.vec(3, 1), cfg.vec(3, 2)]).tobytes()
+    assert w12 == rg.cross2(d31v, d32v) and flip.tolist() == [-1.0, 1.0]
+    arrays = [d31v, d32v, M, shift, flip, *cfg._constants[tdoa._lens_table]]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    ref = weakref.ref(cfg)
+    del cfg, regions, arrays, d31v, d32v, M, shift, flip
+    gc.collect()
+    assert ref() is None
