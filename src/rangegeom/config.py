@@ -127,14 +127,12 @@ class SensorConfig:
         so it dies with the configuration.  build must return an immutable
         or read-only value that holds no reference to the configuration.
         Two threads may both build a missing value; builders are pure, so
-        either result serves.
+        either result serves.  Builders never return None.
         """
-        constants = self._constants
-        try:
-            return constants[build]
-        except KeyError:
-            value = constants[build] = build(self)
-            return value
+        value = self._constants.get(build)
+        if value is None:
+            value = self._constants[build] = build(self)
+        return value
 
     @cached_property
     def _receiver_stack(self) -> np.ndarray:

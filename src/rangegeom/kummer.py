@@ -16,6 +16,9 @@ with extra symmetry).  This module exposes the surface algebraically:
 * tangent_cone - the quadric cone of the surface at any node;
 * gaussian_curvature - curvature of the image surface at a source position;
 * q3_membership - the feasible polyhedron (facets = the 12 labeled tropes);
+  its planes are one table per configuration (_facet_rows), rows (c0..c3)
+  with slack c0 + c1 T1 + c2 T2 + c3 T3 >= 0 on the feasible side, also the
+  conic arcs' planes; the six ray rows project to the TDOA hexagon P2;
 * hull_boundary_classify - the boundary decomposition of the convex hull of
   the image: four positively curved surface regions plus flat fills across
   the bounded arcs and strips along the unbounded ones;
@@ -46,6 +49,7 @@ from .errors import (
     NotOnBoundary,
     UnknownLabel,
 )
+from .spacetime import _cross2
 
 ARC_LABELS = (
     "r10", "r1+", "r1-",
@@ -84,7 +88,7 @@ def _require_general(config: SensorConfig) -> None:
 
 def _abc(config: SensorConfig) -> tuple:
     """Cosine parameters of the triangle: a = cos(angle at m3),
-    b = -cos(angle at m2), c = cos(angle at m1)."""
+    b = -cos(angle at m2), c = cos(angle at m1); a config-only constant (config._memo)."""
     a = float(config.vec(3, 1) @ config.vec(3, 2)) / (config.d31 * config.d32)
     b = float(config.vec(2, 1) @ config.vec(3, 2)) / (config.d21 * config.d32)
     c = float(config.vec(2, 1) @ config.vec(3, 1)) / (config.d21 * config.d31)
@@ -247,7 +251,7 @@ def homogeneous_form(config: SensorConfig) -> HomogeneousForm:
     d21, d31, d32 = config.d21, config.d31, config.d32
     scales = (math.sqrt(d21 * d31), math.sqrt(d21 * d32), math.sqrt(d31 * d32))
     kappa = (d21 * d31 * d32) ** 2
-    return HomogeneousForm(abc=_abc(config), scales=scales, kappa=kappa)
+    return HomogeneousForm(abc=config._memo(_abc), scales=scales, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +389,67 @@ def nodes_and_tropes(config: SensorConfig) -> NodesAndTropes:
 
 
 # ---------------------------------------------------------------------------
+# the trope table: facet planes and receiver-image nodes
+
+def _facet_rows(d21: float, d31: float, d32: float) -> tuple:
+    """The 12 trope planes (c0, c1, c2, c3) in Q3_FACETS order, slack >= 0 on the feasible side.
+
+    The ray rows have c1 + c2 + c3 = 0 (they contain (1, 1, 1)).  The Gamma
+    rows take c0 = -0.0, not 0.0: x + (-0.0) is x for every x, whereas
+    x + 0.0 turns a -0.0 slack into +0.0.
+    """
+    return (
+        (-d21, 1.0, 1.0, 0.0), (d21, -1.0, 1.0, 0.0), (d21, 1.0, -1.0, 0.0),  # r30 r3- r3+
+        (-d31, 1.0, 0.0, 1.0), (d31, -1.0, 0.0, 1.0), (d31, 1.0, 0.0, -1.0),  # r20 r2- r2+
+        (-d32, 0.0, 1.0, 1.0), (d32, 0.0, -1.0, 1.0), (d32, 0.0, 1.0, -1.0),  # r10 r1- r1+
+        (-0.0, d32, d31, -d21), (-0.0, d32, -d31, d21), (-0.0, -d32, d31, d21),  # Gamma3..1
+    )
+
+
+def _slacks(rows, T1, T2, T3) -> list:
+    """Slack ((c1 T1 + c2 T2) + c3 T3) + c0 of each facet row at T, elementwise.
+
+    Float rows at a float triple give floats; one row of (k,) column arrays
+    at (N, 1) columns gives (N, k).  A matrix product rounds Gamma differently.
+    """
+    return [((c1 * T1 + c2 * T2) + c3 * T3) + c0 for c0, c1, c2, c3 in rows]
+
+
+def _facet_table(config: SensorConfig) -> tuple:
+    """_facet_rows of the configuration; a config-only constant (config._memo)."""
+    return _facet_rows(config.d21, config.d31, config.d32)
+
+
+def _collinear_facet_table(config: SensorConfig) -> tuple:
+    """The Q3_FACETS_COLLINEAR rows of _facet_rows on the canonical distances,
+    as four read-only (4,) column arrays; a config-only constant (config._memo)."""
+    d21, rho = config.kind.d21, config.kind.rho
+    table = dict(zip(Q3_FACETS, _facet_rows(d21, rho * d21, (1.0 - rho) * d21)))
+    columns = tuple(np.array(col) for col in zip(*(table[f] for f in Q3_FACETS_COLLINEAR)))
+    for col in columns:
+        col.setflags(write=False)
+    return columns
+
+
+def _node_images(config: SensorConfig) -> np.ndarray:
+    """The receiver images (0, d21, d31), (d21, 0, d32), (d31, d32, 0) as the
+    rows of a read-only (3, 3) array; a config-only constant (config._memo)."""
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    nodes = np.array([[0.0, d21, d31], [d21, 0.0, d32], [d31, d32, 0.0]])
+    nodes.setflags(write=False)
+    return nodes
+
+
+# ---------------------------------------------------------------------------
 # conic arcs
 
 @dataclass(frozen=True, eq=False)
 class ConicArc:
     """One of the 12 conics where a trope touches the quartic.
 
-    plane     : (c0, c1, c2, c3) with c0 + c1 T1 + c2 T2 + c3 T3 = 0
-    quadratic : polynomial terms cutting the conic inside the plane
+    plane     : (c0, c1, c2, c3) with c0 + c1 T1 + c2 T2 + c3 T3 = 0, the
+                facet row of the trope (>= 0 on the feasible side)
+    quadratic : polynomial terms cutting the conic inside the plane (read-only)
     bounded   : segment/circumcircle arcs are bounded, ray arcs are not
     endpoints : receiver-image endpoints (two if bounded, one if not)
     direction : ideal direction (1,1,1) for unbounded arcs, else None
@@ -402,7 +459,7 @@ class ConicArc:
 
     label: str
     plane: np.ndarray
-    quadratic: dict
+    quadratic: MappingProxyType
     bounded: bool
     endpoints: tuple
     direction: object
@@ -415,7 +472,7 @@ class ConicArc:
         if lbl.startswith("Gamma"):
             i = int(lbl[-1])
             j, k = [t for t in (1, 2, 3) if t != i]
-            o, R = _circumcircle(cfg)
+            o, R = cfg._memo(_circumcircle)
             ang = [math.atan2(*(cfg.m(t) - o)[::-1]) for t in (1, 2, 3)]
             th_j, th_k, th_i = ang[j - 1], ang[k - 1], ang[i - 1]
             # sweep from m_j to m_k counterclockwise, unless that passes m_i
@@ -444,94 +501,61 @@ class ConicArc:
 
 
 def _circumcircle(config: SensorConfig) -> tuple:
-    """Circumcenter and circumradius of the receiver triangle."""
+    """Circumcenter (read-only) and circumradius; a config-only constant (config._memo)."""
     m1, m2, m3 = config.receivers
     A = 2.0 * np.stack([m2 - m1, m3 - m1])
     rhs = np.array([float(m2 @ m2 - m1 @ m1), float(m3 @ m3 - m1 @ m1)])
     o = np.linalg.solve(A, rhs)
+    o.setflags(write=False)
     return o, float(np.linalg.norm(m1 - o))
 
 
-def _arc_table(config: SensorConfig) -> dict:
-    """Planes and quadratics of the 12 conic arcs."""
-    a, b, c = _abc(config)
+def _arc_table(config: SensorConfig) -> MappingProxyType:
+    """Label -> read-only fields of the 12 conic arcs, all but the configuration:
+    planes from the facet table, endpoints from _node_images; a config-only constant."""
+    a, b, c = config._memo(_abc)
     d21, d31, d32 = config.d21, config.d31, config.d32
-    N1 = np.array([0.0, d21, d31])
-    N2 = np.array([d21, 0.0, d32])
-    N3 = np.array([d31, d32, 0.0])
+    N1, N2, N3 = config._memo(_node_images)
+    planes = dict(zip(Q3_FACETS, config._memo(_facet_table)))
     one = np.ones(3)
+    one.setflags(write=False)
+    X2, Y2, Z2, ONE = (2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, 0)
+    X, Y, Z, XY = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)
 
-    def arc(label, plane, quad, bounded, endpoints):
-        return dict(label=label, plane=np.array(plane, dtype=float), quadratic=quad,
-                    bounded=bounded, endpoints=endpoints,
-                    direction=None if bounded else one)
+    def arc(label, quad, endpoints):
+        plane = np.array(planes[label])
+        plane.setflags(write=False)
+        bounded = len(endpoints) == 2
+        return label, MappingProxyType(dict(
+            label=label, plane=plane, quadratic=MappingProxyType(quad), bounded=bounded,
+            endpoints=endpoints, direction=None if bounded else one))
 
-    return {
+    return MappingProxyType(dict((
         # bounded arcs over the receiver segments
-        "r30": arc("r30", (-d21, 1, 1, 0),
-                   {(2, 0, 0): 1.0, (0, 0, 2): -1.0, (1, 0, 0): -2 * c * d31,
-                    (0, 0, 0): d31 * d31},
-                   True, (N1, N2)),
-        "r20": arc("r20", (-d31, 1, 0, 1),
-                   {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (1, 0, 0): -2 * c * d21,
-                    (0, 0, 0): d21 * d21},
-                   True, (N1, N3)),
-        "r10": arc("r10", (-d32, 0, 1, 1),
-                   {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 1, 0): -2 * b * d21,
-                    (0, 0, 0): -d21 * d21},
-                   True, (N2, N3)),
+        arc("r30", {X2: 1.0, Z2: -1.0, X: -2 * c * d31, ONE: d31 * d31}, (N1, N2)),
+        arc("r20", {X2: 1.0, Y2: -1.0, X: -2 * c * d21, ONE: d21 * d21}, (N1, N3)),
+        arc("r10", {X2: 1.0, Y2: -1.0, Y: -2 * b * d21, ONE: -d21 * d21}, (N2, N3)),
         # unbounded arcs over the outward rays
-        "r3-": arc("r3-", (-d21, 1, -1, 0),
-                   {(0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 1, 0): -2 * b * d32,
-                    (0, 0, 0): d32 * d32},
-                   False, (N2,)),
-        "r3+": arc("r3+", (-d21, -1, 1, 0),
-                   {(0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 1, 0): 2 * b * d32,
-                    (0, 0, 0): d32 * d32},
-                   False, (N1,)),
-        "r2-": arc("r2-", (-d31, 1, 0, -1),
-                   {(0, 2, 0): -1.0, (0, 0, 2): 1.0, (0, 0, 1): 2 * a * d32,
-                    (0, 0, 0): d32 * d32},
-                   False, (N3,)),
-        "r2+": arc("r2+", (-d31, -1, 0, 1),
-                   {(0, 2, 0): -1.0, (0, 0, 2): 1.0, (0, 0, 1): -2 * a * d32,
-                    (0, 0, 0): d32 * d32},
-                   False, (N1,)),
-        "r1-": arc("r1-", (-d32, 0, 1, -1),
-                   {(2, 0, 0): -1.0, (0, 0, 2): 1.0, (0, 0, 1): 2 * a * d31,
-                    (0, 0, 0): d31 * d31},
-                   False, (N3,)),
-        "r1+": arc("r1+", (-d32, 0, -1, 1),
-                   {(2, 0, 0): -1.0, (0, 0, 2): 1.0, (0, 0, 1): -2 * a * d31,
-                    (0, 0, 0): d31 * d31},
-                   False, (N2,)),
+        arc("r3-", {Y2: 1.0, Z2: -1.0, Y: -2 * b * d32, ONE: d32 * d32}, (N2,)),
+        arc("r3+", {Y2: 1.0, Z2: -1.0, Y: 2 * b * d32, ONE: d32 * d32}, (N1,)),
+        arc("r2-", {Y2: -1.0, Z2: 1.0, Z: 2 * a * d32, ONE: d32 * d32}, (N3,)),
+        arc("r2+", {Y2: -1.0, Z2: 1.0, Z: -2 * a * d32, ONE: d32 * d32}, (N1,)),
+        arc("r1-", {X2: -1.0, Z2: 1.0, Z: 2 * a * d31, ONE: d31 * d31}, (N3,)),
+        arc("r1+", {X2: -1.0, Z2: 1.0, Z: -2 * a * d31, ONE: d31 * d31}, (N2,)),
         # circumcircle arcs
-        "Gamma3": arc("Gamma3", (0, d32, d31, -d21),
-                      {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (1, 1, 0): 2 * a,
-                       (0, 0, 0): -d21 * d21},
-                      True, (N1, N2)),
-        "Gamma2": arc("Gamma2", (0, d32, -d31, d21),
-                      {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (1, 1, 0): -2 * a,
-                       (0, 0, 0): -d21 * d21},
-                      True, (N1, N3)),
-        "Gamma1": arc("Gamma1", (0, -d32, d31, d21),
-                      {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (1, 1, 0): -2 * a,
-                       (0, 0, 0): -d21 * d21},
-                      True, (N2, N3)),
-    }
+        arc("Gamma3", {X2: 1.0, Y2: 1.0, XY: 2 * a, ONE: -d21 * d21}, (N1, N2)),
+        arc("Gamma2", {X2: 1.0, Y2: 1.0, XY: -2 * a, ONE: -d21 * d21}, (N1, N3)),
+        arc("Gamma1", {X2: 1.0, Y2: 1.0, XY: -2 * a, ONE: -d21 * d21}, (N2, N3)),
+    )))
 
 
 def conic_arc(config: SensorConfig, label: str) -> ConicArc:
     """The labeled conic arc (see ARC_LABELS for the 12 valid labels)."""
     _require_general(config)
-    table = _arc_table(config)
+    table = config._memo(_arc_table)
     if label not in table:
         raise UnknownLabel(f"unknown arc label {label!r}; valid: {ARC_LABELS}")
-    data = table[label]
-    for pt in data["endpoints"]:
-        pt.setflags(write=False)
-    data["plane"].setflags(write=False)
-    return ConicArc(_config=config, **data)
+    return ConicArc(_config=config, **table[label])
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +645,7 @@ def gaussian_curvature(config: SensorConfig, x):
     d2 = x - config.m(2)
     d3 = x - config.m(3)
 
-    def cr(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    h1, h2, h3 = cr(d2, d3), cr(d3, d1), cr(d1, d2)
+    h1, h2, h3 = _cross2(d2, d3), _cross2(d3, d1), _cross2(d1, d2)
     q1 = np.sum(d1 * d1, axis=-1)
     q2 = np.sum(d2 * d2, axis=-1)
     q3 = np.sum(d3 * d3, axis=-1)
@@ -658,35 +679,8 @@ class Q3Report:
 
 
 def _q3_residuals_general(config: SensorConfig, T1, T2, T3) -> dict:
-    d21, d31, d32 = config.d21, config.d31, config.d32
-    return {
-        "r30": T1 + T2 - d21,
-        "r3-": d21 - (T1 - T2),
-        "r3+": d21 - (T2 - T1),
-        "r20": T1 + T3 - d31,
-        "r2-": d31 - (T1 - T3),
-        "r2+": d31 - (T3 - T1),
-        "r10": T2 + T3 - d32,
-        "r1-": d32 - (T2 - T3),
-        "r1+": d32 - (T3 - T2),
-        "Gamma3": d32 * T1 + d31 * T2 - d21 * T3,
-        "Gamma2": d32 * T1 - d31 * T2 + d21 * T3,
-        "Gamma1": -d32 * T1 + d31 * T2 + d21 * T3,
-    }
-
-
-def _q3_residuals_collinear(kind, Tc) -> dict:
-    """The four facet slacks of a collinear triple at canonical triple(s) Tc, shape (..., 3)."""
-    T1, T2, T3 = Tc[..., 0], Tc[..., 1], Tc[..., 2]
-    d21 = kind.d21
-    d31 = kind.rho * d21          # endpoint-1 to middle
-    d32 = (1.0 - kind.rho) * d21  # endpoint-2 to middle
-    return {
-        "r30": T1 + T2 - d21,
-        "r2-": d31 - (T1 - T3),
-        "r1-": d32 - (T2 - T3),
-        "Gamma3": d32 * T1 + d31 * T2 - d21 * T3,
-    }
+    """Facet id -> slack of the 12 general-position facets at one triple of floats."""
+    return dict(zip(Q3_FACETS, _slacks(config._memo(_facet_table), T1, T2, T3)))
 
 
 def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
@@ -698,29 +692,30 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     order and relabeled internally.
     """
     _require_planar_triple(config)
-    T = _measurement(T, 3)
-    tol_lin = rtol * config.d_max
-    tol_quad = rtol * config.d_max ** 2
-
+    T = _measurement(T, 3).tolist()
     if config.is_collinear:
-        residuals = _q3_residuals_collinear(config.kind, T[list(config.kind.order)])
-        tols = {"r30": tol_lin, "r2-": tol_lin, "r1-": tol_lin, "Gamma3": tol_quad}
+        Tc = [T[k] for k in config.kind.order]
+        slacks = _slacks([config._memo(_collinear_facet_table)], *Tc)[0]
+        residuals = dict(zip(Q3_FACETS_COLLINEAR, slacks.tolist()))
     else:
-        residuals = _q3_residuals_general(config, float(T[0]), float(T[1]), float(T[2]))
-        tols = {k: (tol_quad if k.startswith("Gamma") else tol_lin) for k in residuals}
-
-    residuals = {k: float(v) for k, v in residuals.items()}
-    active, verdict = _facet_verdict(residuals, tols)
+        residuals = _q3_residuals_general(config, *T)
+    active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return Q3Report(residuals=residuals, verdict=verdict, active=active)
 
 
-def _facet_verdict(residuals: dict, tols: dict) -> tuple:
-    """(active facets, verdict) of signed facet slacks against per-facet tolerances."""
+_QUADRATIC_FACETS = frozenset(("Gamma1", "Gamma2", "Gamma3"))  # slacks of length^2
+
+
+def _facet_verdict(slacks, rtol: float, d_max: float) -> tuple:
+    """(active facets, verdict) of (facet, signed slack) pairs; each tolerance is
+    rtol * d_max, or rtol * d_max^2 on the _QUADRATIC_FACETS."""
+    tol_lin, tol_quad = rtol * d_max, rtol * d_max ** 2
     active, outside = [], False
-    for k, v in residuals.items():
-        if v < -tols[k]:
+    for k, v in slacks:
+        tol = tol_quad if k in _QUADRATIC_FACETS else tol_lin
+        if v < -tol:
             outside = True
-        elif v <= tols[k]:
+        elif v <= tol:
             active.append(k)
     return tuple(active), "Outside" if outside else "OnFacet" if active else "Interior"
 
@@ -757,14 +752,12 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
     d_max = config.d_max
     tol_lin = rtol * d_max
     tol_quad = rtol * d_max ** 2
-    a, b, c = _abc(config)
+    a, b, c = config._memo(_abc)
     d21, d31, d32 = config.d21, config.d31, config.d32
-    N = {1: np.array([0.0, d21, d31]), 2: np.array([d21, 0.0, d32]),
-         3: np.array([d31, d32, 0.0])}
 
     # 1) ideal edges from the receiver-image nodes along (1,1,1)
-    for i in (1, 2, 3):
-        diff = T - N[i]
+    for i, node in enumerate(config._memo(_node_images), start=1):
+        diff = T - node
         t = float(np.mean(diff))
         if np.max(np.abs(diff - t)) <= tol_lin and t >= -tol_lin:
             return HullComponent(
@@ -782,19 +775,13 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
         if sols.points:
             x = sols.points[0]
             m1, m2, m3 = config.receivers
-            sgn = math.copysign(
-                1.0, float((m2 - m1)[0] * (m3 - m1)[1] - (m2 - m1)[1] * (m3 - m1)[0])
-            )
-
-            def cr(u, v):
-                return float(u[0] * v[1] - u[1] * v[0])
-
+            sgn = math.copysign(1.0, float(_cross2(m2 - m1, m3 - m1)))
             d1, d2, d3 = x - m1, x - m2, x - m3
-            h = np.array([cr(d2, d3), cr(d3, d1), cr(d1, d2)]) * sgn
+            h = np.array([float(_cross2(d2, d3)), float(_cross2(d3, d1)),
+                          float(_cross2(d1, d2))]) * sgn
             circ = float((d1 @ d1) * h[0] + (d2 @ d2) * h[1] + (d3 @ d3) * h[2])
-            h_tol = rtol * d_max ** 2
             circ_tol = rtol * d_max ** 4
-            neg = [i for i in range(3) if h[i] < -h_tol]
+            neg = [i for i in range(3) if h[i] < -tol_quad]
             details = {"source": x, "h": h, "circumcircle": circ}
             if not neg and circ >= -circ_tol:
                 return HullComponent(name="V0", in_hull=True, details=details)
@@ -813,16 +800,14 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
     T1, T2, T3 = float(T[0]), float(T[1]), float(T[2])
 
     def inside_F(name):
+        quad = _poly_eval(config._memo(_arc_table)[name]["quadratic"], T)
         if name == "Gamma3":
-            quad = T1 * T1 + T2 * T2 + 2 * a * T1 * T2 - d21 * d21
             chord = T1 + T2 - d21
             chord_tol = tol_lin
         elif name == "Gamma2":
-            quad = T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21
             chord = (d21 - d32) * T1 + d31 * T2 - d21 * d31
             chord_tol = tol_quad
         else:  # Gamma1
-            quad = T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21
             chord = d32 * T1 - (d31 - d21) * T2 - d21 * d32
             chord_tol = tol_quad
         return (

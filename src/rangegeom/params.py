@@ -60,7 +60,7 @@ def abc_from_config(config: SensorConfig) -> tuple:
     """
     if config.n != 3:
         raise DimensionMismatch("expected a three-receiver configuration")
-    return _abc(config)
+    return config._memo(_abc)
 
 
 def config_from_param(p: ParamPoint) -> SensorConfig:

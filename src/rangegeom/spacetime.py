@@ -71,11 +71,14 @@ def lift(spatial, t: float = 0.0) -> np.ndarray:
     return np.append(spatial, t)
 
 
+def _cross2(u, v):
+    """cross2 without the float conversion, also on matching (..., 2) arrays of vectors."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
 def cross2(u, v) -> float:
     """Scalar cross product (2D Hodge of the wedge) of two planar vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(u[0] * v[1] - u[1] * v[0])
+    return float(_cross2(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
 
 
 def minkowski_inner(u, v) -> float:

@@ -46,8 +46,10 @@ from .config import (
     _require_planar_triple,
 )
 from .errors import DegenerateConfig, InvalidParam, RangeGeomError
-from .kummer import _facet_verdict, _q3_residuals_collinear, _quartic_terms
+from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_table,
+                     _facet_verdict, _node_images, _quartic_terms, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
+from .spacetime import _cross2
 from .toa3 import SolutionSet, _stewart
 
 _VERIFY_RTOL = 1e-7
@@ -134,13 +136,19 @@ class P2Report:
     active: tuple
 
 
-# P2's facet normals, one column per facet in P2_FACETS order: the slacks of
-# tau are tau @ _P2_NORMALS + (d31, d31, d32, d32, d21, d21).  Every product
-# is exact (entries 0 and +-1), so each slack is the one rounding of its
-# two-term sum, as in t1 + d31 or d21 - (t2 - t1).
-_P2_NORMALS = np.array([[1.0, -1.0, 0.0, 0.0, -1.0, 1.0],
-                        [0.0, 0.0, 1.0, -1.0, 1.0, -1.0]])
-_P2_NORMALS.setflags(write=False)
+def _p2_table(config: SensorConfig) -> tuple:
+    """P2's read-only facet normals (2, 6) and offsets (6,); a config-only constant.
+
+    Column k is (c1, c2) and c0 of the ray trope projecting to facet k of
+    P2_FACETS: on the lift (tau1 + t, tau2 + t, t), t drops out as c1 + c2 + c3
+    = 0.  The normals are 0 or +-1, so each slack is one rounding, as in t1 + d31.
+    """
+    table = dict(zip(Q3_FACETS, config._memo(_facet_table)))
+    rows = np.array([table[f] for f in ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+")])
+    normals, offsets = rows[:, 1:3].T.copy(), rows[:, 0].copy()
+    normals.setflags(write=False)
+    offsets.setflags(write=False)
+    return normals, offsets
 
 
 def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
@@ -149,7 +157,8 @@ def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
     Collinear receivers drop the facet pair of the longest pairwise distance.
     """
     d21, d31, d32 = config.d21, config.d31, config.d32
-    slack = taus @ _P2_NORMALS + np.array([d31, d31, d32, d32, d21, d21])
+    normals, offsets = config._memo(_p2_table)
+    slack = taus @ normals + offsets
     if not config.is_collinear:
         return P2_FACETS, slack
     longest = max(
@@ -164,7 +173,7 @@ def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     tau = _measurement(tau, 2, "range differences")
     names, slack = _p2_slacks(config, tau[None])
     residuals = dict(zip(names, slack[0].tolist()))
-    active, verdict = _facet_verdict(residuals, dict.fromkeys(residuals, rtol * config.d_max))
+    active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return P2Report(residuals=residuals, verdict=verdict, active=active)
 
 
@@ -284,15 +293,16 @@ def _lens_table(config: SensorConfig) -> tuple:
     """
     tangency = config._memo(_tangency_table)
     p, q = tangency[_LENS_ROWS[:, 0]], tangency[_LENS_ROWS[:, 1]]
-    w = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    w = _cross2(p, q)
     for arr in (p, q, w):
         arr.setflags(write=False)
     return p, q, w
 
 
 def _vertex_images(config: SensorConfig) -> np.ndarray:
-    """tau of each receiver as a read-only (3, 2) array, a config-only constant."""
-    images = np.stack([tau_map(config, config.m(i)) for i in (1, 2, 3)])
+    """tau of each receiver, the projection of its image node, as a read-only (3, 2) array."""
+    nodes = config._memo(_node_images)
+    images = nodes[:, :2] - nodes[:, 2:]
     images.setflags(write=False)
     return images
 
@@ -479,8 +489,8 @@ def _lens_corners(config: SensorConfig, taus: np.ndarray) -> list:
     positive exactly inside it.
     """
     p, q, w = config._memo(_lens_table)
-    depth = np.minimum((taus[:, :1] * q[:, 1] - taus[:, 1:] * q[:, 0]) / w,
-                       (p[:, 0] * taus[:, 1:] - p[:, 1] * taus[:, :1]) / w)
+    taus = taus[:, None]
+    depth = np.minimum(_cross2(taus, q) / w, _cross2(p, taus) / w)
     return (depth.argmax(axis=1) + 1).tolist()
 
 
@@ -503,9 +513,7 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
     flat = np.abs(a_lin) <= tol_lin
     t_star = -c_lin / np.where(flat, 1.0, a_lin)
     lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
-    q3 = _q3_residuals_collinear(kind, lift[:, order])
-    q3_names, q3 = tuple(q3), np.stack(list(q3.values()), axis=1)
-    q3_tols = (tol_lin, tol_lin, tol_lin, tol_quad)
+    q3 = _slacks([config._memo(_collinear_facet_table)], *lift[:, order].T[:, :, None])[0]
 
     regions = []
     for i, ((t1, t2), residuals, near, is_flat, c, low, ts, slack3) in enumerate(zip(
@@ -532,11 +540,14 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
                 label = "OutsideIm"
             elif not math.isfinite(ts):
                 raise InvalidParam(f"ranges must be finite, got {lift_i.tolist()}")
-            elif any(v < -t for v, t in zip(slack3, q3_tols)):
-                label = "OutsideIm"
             else:
-                ids = tuple(n for n, v, t in zip(q3_names, slack3, q3_tols) if v <= t)
-                label, fiber = ("BoundaryArc", 1) if ids else ("CollinearInterior", 2)
+                active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d_max)
+                if verdict == "Outside":
+                    label = "OutsideIm"
+                elif active:
+                    label, ids, fiber = "BoundaryArc", active, 1
+                else:
+                    label, fiber = "CollinearInterior", 2
         regions.append(TauRegion(label=label, ids=ids, fiber=fiber,
                                  residuals=dict(zip(names, residuals)), coeffs=None,
                                  lift=lift_i))

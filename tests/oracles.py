@@ -159,3 +159,63 @@ def census_per_point(config, extent: float, resolution: int):
             fiber = "inf" if region.fiber == math.inf else str(region.fiber)
             rows.append((t1, t2, region.label, fiber, solutions))
     return rows, counts, mismatches
+
+
+def q3_residuals_general(config, T1, T2, T3) -> dict:
+    """The 12 facet slacks as rangegeom wrote them before its trope table, kept verbatim."""
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    return {
+        "r30": T1 + T2 - d21,
+        "r3-": d21 - (T1 - T2),
+        "r3+": d21 - (T2 - T1),
+        "r20": T1 + T3 - d31,
+        "r2-": d31 - (T1 - T3),
+        "r2+": d31 - (T3 - T1),
+        "r10": T2 + T3 - d32,
+        "r1-": d32 - (T2 - T3),
+        "r1+": d32 - (T3 - T2),
+        "Gamma3": d32 * T1 + d31 * T2 - d21 * T3,
+        "Gamma2": d32 * T1 - d31 * T2 + d21 * T3,
+        "Gamma1": -d32 * T1 + d31 * T2 + d21 * T3,
+    }
+
+
+def q3_residuals_collinear(kind, Tc) -> dict:
+    """The four facet slacks of a collinear triple at canonical triple(s) Tc, shape (..., 3).
+
+    Kept verbatim from before the trope table.
+    """
+    T1, T2, T3 = Tc[..., 0], Tc[..., 1], Tc[..., 2]
+    d21 = kind.d21
+    d31 = kind.rho * d21          # endpoint-1 to middle
+    d32 = (1.0 - kind.rho) * d21  # endpoint-2 to middle
+    return {
+        "r30": T1 + T2 - d21,
+        "r2-": d31 - (T1 - T3),
+        "r1-": d32 - (T2 - T3),
+        "Gamma3": d32 * T1 + d31 * T2 - d21 * T3,
+    }
+
+
+_P2_NORMALS = np.array([[1.0, -1.0, 0.0, 0.0, -1.0, 1.0],
+                        [0.0, 0.0, 1.0, -1.0, 1.0, -1.0]])
+
+
+def p2_slacks(config, taus):
+    """The (N, 6) hexagon slacks of an (N, 2) array of tau, before the trope table, verbatim.
+
+    (The collinear drop of the longest pair is left to the caller.)
+    """
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    return taus @ _P2_NORMALS + np.array([d31, d31, d32, d32, d21, d21])
+
+
+def gamma_quadratics(config, T1, T2) -> dict:
+    """hull_boundary_classify's circumcircle-fill quadratics as written out before, verbatim."""
+    a = rg.abc_from_config(config)[0]
+    d21 = config.d21
+    return {
+        "Gamma3": T1 * T1 + T2 * T2 + 2 * a * T1 * T2 - d21 * d21,
+        "Gamma2": T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21,
+        "Gamma1": T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21,
+    }

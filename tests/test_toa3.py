@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 
 import rangegeom as rg
+from rangegeom import kummer
 
 from conftest import away_from_receivers, collinear_triples, sources, triangles
 from oracles import numeric_jacobian
@@ -83,7 +84,25 @@ def test_config_constants_die_with_their_configuration(receivers):
     else:
         rg.invert3(cfg, T)
     rg.classify_tau(cfg, rg.tau_map(cfg, x))
-    assert len(cfg._constants) >= 1
+    rg.abc_from_config(cfg)
+    built = {kummer._abc, kummer._node_images}
+    if cfg.is_collinear:
+        rg.classify_tau(cfg, rg.tau_map(cfg, cfg.m(1)))
+        built |= {kummer._collinear_facet_table}
+    else:
+        rg.homogeneous_form(cfg)
+        for label in rg.ARC_LABELS:
+            rg.conic_arc(cfg, label).sample_sources(n=3)
+        node = cfg._memo(kummer._node_images)[0]
+        rg.hull_boundary_classify(cfg, node + 0.5 * cfg.d_max)  # an ideal edge
+        rg.hull_boundary_classify(cfg, rg.conic_arc(cfg, "Gamma3").sample(n=3)[1])
+        built |= {kummer._facet_table, kummer._arc_table, kummer._circumcircle}
+    assert built <= set(cfg._constants)
+    with pytest.raises(ValueError):
+        cfg._memo(kummer._node_images)[...] = 0.0
+    if not cfg.is_collinear:
+        with pytest.raises(ValueError):
+            cfg._memo(kummer._circumcircle)[0][...] = 0.0
     ref = weakref.ref(cfg)
     del cfg
     gc.collect()
