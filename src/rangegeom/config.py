@@ -81,8 +81,7 @@ class SensorConfig:
         return self.m(j) - self.m(i)
 
     def dist(self, j: int, i: int) -> float:
-        v = self.vec(j, i)
-        return math.sqrt(float(v @ v))  # np.linalg.norm(v), without its argument handling
+        return _norm(self.vec(j, i))
 
     @cached_property
     def d21(self) -> float:
@@ -157,6 +156,11 @@ class SensorConfig:
         return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D float vector: np.linalg.norm(v), without its argument handling."""
+    return math.sqrt(float(v @ v))
+
+
 def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
     """A measurement vector of k finite floats; raises on any other input."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -202,9 +206,9 @@ def _canonical_collinear(points):
     if middle is None:
         return None
     ends = [t for t in range(3) if t != middle]
-    d_end = float(np.linalg.norm(points[ends[1]] - points[ends[0]]))
-    d0 = float(np.linalg.norm(points[middle] - points[ends[0]]))
-    d1 = float(np.linalg.norm(points[middle] - points[ends[1]]))
+    d_end = _norm(points[ends[1]] - points[ends[0]])
+    d0 = _norm(points[middle] - points[ends[0]])
+    d1 = _norm(points[middle] - points[ends[1]])
     if d0 < d1:
         e1, e2 = ends
         rho = d0 / d_end
@@ -248,7 +252,7 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
     d_max = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            dists[(i, j)] = float(np.linalg.norm(pts[j] - pts[i]))
+            dists[(i, j)] = _norm(pts[j] - pts[i])
             d_max = max(d_max, dists[(i, j)])
     for (i, j), d in dists.items():
         if d <= _DUPLICATE_RTOL * d_max:
@@ -262,7 +266,7 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         if dim == 2:
             area2 = abs(float(v21[0] * v31[1] - v21[1] * v31[0]))
         else:
-            area2 = float(np.linalg.norm(np.cross(v21, v31)))
+            area2 = _norm(np.cross(v21, v31))
         if area2 / (dists[(0, 1)] * dists[(0, 2)]) <= _COLLINEAR_RTOL:
             canonical = _canonical_collinear(pts)
             assert canonical is not None  # exactly collinear points have a middle

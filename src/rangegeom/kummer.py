@@ -102,17 +102,22 @@ def _poly_eval(terms, T: np.ndarray):
     """Sum of coeff * T1^e1 * T2^e2 * T3^e3 over terms, at triple(s) T.
 
     A float for one triple, an array for a batch (..., 3).  Each power is
-    one array op on the whole of T, formed once per call: numpy's power loop
-    rounds differently from libm pow (Python floats, numpy scalars) on a few
-    percent of inputs, so powers are never taken on scalars.  The products
-    and the sum then run term by term in the order of terms.
+    formed once per call.  A power above 2 is one array op on the whole of T:
+    numpy's power loop rounds differently from libm pow (Python floats, numpy
+    scalars) on a few percent of inputs, so those are never taken on
+    scalars.  Powers 0, 1 and 2 are exact or one rounding (numpy's T ** 2 is
+    T * T), so one triple takes them on floats.  The products and the sum
+    then run term by term in the order of terms.
     """
     T = np.asarray(T, dtype=float)
-    powers = {e: T ** e for e in {e for exps in terms for e in exps}}
+    exponents = set().union(*terms)
     if T.ndim == 1:
-        powers = {e: p.tolist() for e, p in powers.items()}
+        t = T.tolist()
+        powers = {e: (T ** e).tolist() for e in exponents if e > 2}
+        powers.update({0: (1.0, 1.0, 1.0), 1: t, 2: [v * v for v in t]})
         out = 0.0
     else:
+        powers = {e: T ** e for e in exponents}
         powers = {e: (p[..., 0], p[..., 1], p[..., 2]) for e, p in powers.items()}
         out = np.zeros(T.shape[:-1])
     for (e1, e2, e3), coeff in terms.items():
@@ -329,9 +334,16 @@ def nodes_and_tropes(config: SensorConfig) -> NodesAndTropes:
     The all-plus affine nodes are the receiver images (0,d21,d31),
     (d21,0,d32), (d31,d32,0).  Each trope plane has the coordinates of its
     node (the configuration is self-dual); the 12 tropes supporting the
-    feasible polyhedron carry the matching conic-arc label.
+    feasible polyhedron carry the matching conic-arc label.  Built once per
+    configuration.
     """
     _require_general(config)
+    return config._memo(_nodes_and_tropes)
+
+
+def _nodes_and_tropes(config: SensorConfig) -> NodesAndTropes:
+    """nodes_and_tropes' value: read-only arrays in frozen records, a
+    config-only constant (config._memo)."""
     form = homogeneous_form(config)
     s1, s2, s3 = form.scales
     r21, r31, r32 = math.sqrt(config.d21), math.sqrt(config.d31), math.sqrt(config.d32)
@@ -695,8 +707,8 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     T = _measurement(T, 3).tolist()
     if config.is_collinear:
         Tc = [T[k] for k in config.kind.order]
-        slacks = _slacks([config._memo(_collinear_facet_table)], *Tc)[0]
-        residuals = dict(zip(Q3_FACETS_COLLINEAR, slacks.tolist()))
+        rows = zip(*(col.tolist() for col in config._memo(_collinear_facet_table)))
+        residuals = dict(zip(Q3_FACETS_COLLINEAR, _slacks(rows, *Tc)))
     else:
         residuals = _q3_residuals_general(config, *T)
     active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)

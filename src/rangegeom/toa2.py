@@ -85,15 +85,18 @@ def _two_sphere(e1, e2, T1: float, T2: float, d21: float, rtol: float):
     """Intersection of the spheres |x - e1| = T1, |x - e2| = T2 in any dimension.
 
     None outside Q2 (d21 = |e2 - e1|); else (base, axis, h): the centre of
-    the intersection circle on the baseline, the unit vector e1 -> e2, and
-    the radius, None on the Q2 boundary where the circle is the point base.
+    the intersection circle on the baseline, the unit vector e1 -> e2 (both
+    as lists of floats, each coordinate rounded as the array expressions
+    e1 + a * axis and (e2 - e1) / d21 round it), and the radius, None on the
+    Q2 boundary where the circle is the point base.
     """
     cls = classify_pair(T1, T2, d21, rtol=rtol)
     if cls.verdict == "Outside":
         return None
-    axis = (e2 - e1) / d21
+    e1, e2 = e1.tolist(), e2.tolist()
+    axis = [(q - p) / d21 for p, q in zip(e1, e2)]
     a = (d21 * d21 + T1 * T1 - T2 * T2) / (2.0 * d21)
-    base = e1 + a * axis
+    base = [p + a * u for p, u in zip(e1, axis)]
     if cls.verdict == "Boundary":
         return base, axis, None
     return base, axis, math.sqrt(max(T1 * T1 - a * a, 0.0))
@@ -102,9 +105,9 @@ def _two_sphere(e1, e2, T1: float, T2: float, d21: float, rtol: float):
 def _mirror_pair(base, axis, h) -> tuple:
     """The planar points of a _two_sphere result: a mirror pair, or one point."""
     if h is None:
-        return (base,)
-    n = np.array([-axis[1], axis[0]])
-    return (base + h * n, base - h * n)
+        return (np.array(base),)
+    (b0, b1), n0, n1 = base, h * -axis[1], h * axis[0]
+    return (np.array([b0 + n0, b1 + n1]), np.array([b0 - n0, b1 - n1]))
 
 
 def invert2(config: SensorConfig, T, rtol: float = _RTOL) -> tuple:

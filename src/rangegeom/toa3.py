@@ -11,10 +11,19 @@ Inversion is linear once the squared-range differences are formed; the
 reference receiver is chosen to minimize the condition number of the 2x2
 system, once per configuration (it depends only on the receivers), and every
 candidate is verified against the forward map.
+
+One measurement is parsed once and worked on as Python floats, which give the
+same bits as NumPy's elementwise ops on the same operands in the same order.
+NumPy stays where it sets bits that floats cannot reproduce: the fourth
+powers of the quartic (kummer._poly_eval: NumPy's power loop for T ** e,
+e > 2, rounds differently from libm pow) and invert3's 2x2 solve (LAPACK's
+LU, matched by a closed form only with fused multiply-adds, which Python
+floats lack).  Points are returned as NumPy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +154,13 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
         raise DegenerateConfig(
             "collinear receivers: use invert3_collinear (mirror-pair fibers)"
         )
-    T = _measurement(T, 3)
+    T = _measurement(T, 3).tolist()
 
     i, j, k, M, gj, gk = config._memo(_reference_system)
-    Ts = T.tolist()
-    Ti, Tj, Tk = Ts[i - 1], Ts[j - 1], Ts[k - 1]
+    Ti, Tj, Tk = T[i - 1], T[j - 1], T[k - 1]
     alpha = gj + Ti * Ti - Tj * Tj
     beta = gk + Ti * Ti - Tk * Tk
-    u = np.linalg.solve(M, 0.5 * np.array([alpha, beta]))
+    u = np.linalg.solve(M, np.array([0.5 * alpha, 0.5 * beta]))
     x = config.m(i) + u
     return SolutionSet(points=_remapping(config, (x,), T, rtol))
 
@@ -176,11 +184,28 @@ def _reference_system(config: SensorConfig) -> tuple:
     return i, j, k, M, float(M[0] @ M[0]), float(M[1] @ M[1])
 
 
-def _remapping(config: SensorConfig, points: tuple, T, rtol: float) -> tuple:
-    """The points (at least one) whose ranges match T within rtol * d_max."""
-    miss = np.abs(config.distances(np.array(points)) - T).max(axis=-1).tolist()
+def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tuple:
+    """The points (at least one) whose ranges match the floats T within rtol * d_max.
+
+    Each range is the square root of the squared coordinate differences summed
+    left to right: config.distances bit for bit, as numpy sums fewer than
+    eight terms in order.
+    """
     tol = rtol * config.d_max
-    return tuple(x for x, m in zip(points, miss) if m <= tol)
+    receivers = config._receiver_stack.tolist()
+    keep = []
+    for x in points:
+        xs = x.tolist()
+        for m, t in zip(receivers, T):
+            s = 0.0
+            for a, b in zip(xs, m):
+                d = a - b
+                s += d * d
+            if not abs(math.sqrt(s) - t) <= tol:  # a NaN range misses too
+                break
+        else:
+            keep.append(x)
+    return tuple(keep)
 
 
 def collinear_quadric_residual(config: SensorConfig, T) -> float:
@@ -192,8 +217,7 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
     """
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("quadric residual is defined for collinear triples only")
-    kind = config.kind
-    return _stewart(kind, *_measurement(T, 3)[list(kind.order)].tolist())
+    return _canonical_stewart(config.kind, _measurement(T, 3).tolist())
 
 
 def _stewart(kind: CollinearTriple, T1: float, T2: float, T3: float) -> float:
@@ -207,13 +231,19 @@ def _stewart(kind: CollinearTriple, T1: float, T2: float, T3: float) -> float:
     return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
 
 
-def _collinear_fiber(config: SensorConfig, T: np.ndarray, rtol: float):
+def _canonical_stewart(kind: CollinearTriple, T: list) -> float:
+    """_stewart at the floats T, given in the original receiver order."""
+    return _stewart(kind, *(T[k] for k in kind.order))
+
+
+def _collinear_fiber(config: SensorConfig, T: list, rtol: float):
     """Stewart gate, then _two_sphere on the canonical endpoints (None if off the quadric)."""
-    if abs(collinear_quadric_residual(config, T)) > rtol * config.d_max ** 2:
+    kind = config.kind
+    if abs(_canonical_stewart(kind, T)) > rtol * config.d_max ** 2:
         return None
-    i1, i2, _ = config.kind.order
+    i1, i2, _ = kind.order
     e1, e2 = config.receivers[i1], config.receivers[i2]
-    return _two_sphere(e1, e2, float(T[i1]), float(T[i2]), config.kind.d21, rtol)
+    return _two_sphere(e1, e2, T[i1], T[i2], kind.d21, rtol)
 
 
 def invert3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
@@ -228,7 +258,7 @@ def invert3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionS
     _require_planar_triple(config)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3_collinear requires a collinear configuration")
-    T = _measurement(T, 3)
+    T = _measurement(T, 3).tolist()
     fiber = _collinear_fiber(config, T, rtol)
     if fiber is None:
         return SolutionSet(points=())
@@ -251,12 +281,12 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     from .kummer import q3_membership, quartic_residual
 
     T = _measurement(T, 3)
-    tol = rtol * config.d_max
-    in_octant = bool(np.min(T) >= -tol)
+    Ts = T.tolist()
+    in_octant = min(Ts) >= -rtol * config.d_max
     q3 = q3_membership(config, T, rtol=rtol)
 
     if config.is_collinear:
-        residual = collinear_quadric_residual(config, T) / config.d_max**2
+        residual = _canonical_stewart(config.kind, Ts) / config.d_max**2
         fiber_interior = 2
     else:
         residual = quartic_residual(config, T, normalized=True)

@@ -103,7 +103,7 @@ def _circle_or_point(fiber) -> SolutionSet3D:
         return SolutionSet3D()
     base, axis, h = fiber
     if h is None:
-        return SolutionSet3D(points=(base,))
+        return SolutionSet3D(points=(np.array(base),))
     return SolutionSet3D(circle=make_circle(base, h, axis))
 
 
@@ -142,7 +142,7 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
     T = _measurement(T, 3)
     raw = _poly_eval(config._memo(_quartic_terms), T)
     normalized = raw / config.d_max ** 6
-    if float(np.min(T)) < -rtol * config.d_max:
+    if min(T.tolist()) < -rtol * config.d_max:
         verdict, fiber = "Outside", 0
     elif abs(normalized) <= rtol:
         verdict, fiber = "OnSurface", 1
@@ -194,7 +194,7 @@ def invert3d_r3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> Solut
     _require_3d(config, 3)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3d_r3_collinear requires a collinear configuration")
-    T = _measurement(T, 3)
+    T = _measurement(T, 3).tolist()
     sol = _circle_or_point(_collinear_fiber(config, T, rtol))
     # every point of a circle about the receiver line has the same ranges
     if sol.circle is not None and not _remapping(config, (sol.circle.point(0.0),), T, rtol):

@@ -219,3 +219,54 @@ def gamma_quadratics(config, T1, T2) -> dict:
         "Gamma2": T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21,
         "Gamma1": T1 * T1 + T2 * T2 - 2 * a * T1 * T2 - d21 * d21,
     }
+
+
+def remapping_by_distances(config, points, T, rtol: float) -> tuple:
+    """The TOA inversions' remapping test as it was written on config.distances, kept verbatim.
+
+    The reference that toa3._remapping, which works on Python floats, must
+    match point for point.
+    """
+    miss = np.abs(config.distances(np.array(points)) - T).max(axis=-1).tolist()
+    tol = rtol * config.d_max
+    return tuple(x for x, m in zip(points, miss) if m <= tol)
+
+
+def poly_eval_array_powers(terms, T):
+    """kummer._poly_eval as it was before one triple took powers 0..2 on floats, kept verbatim.
+
+    Every power is one array op on the whole of T: the reference that the
+    float path must match bit for bit.
+    """
+    T = np.asarray(T, dtype=float)
+    powers = {e: T ** e for e in {e for exps in terms for e in exps}}
+    if T.ndim == 1:
+        powers = {e: p.tolist() for e, p in powers.items()}
+        out = 0.0
+    else:
+        powers = {e: (p[..., 0], p[..., 1], p[..., 2]) for e, p in powers.items()}
+        out = np.zeros(T.shape[:-1])
+    for (e1, e2, e3), coeff in terms.items():
+        out = out + coeff * powers[e1][0] * powers[e2][1] * powers[e3][2]
+    return out
+
+
+def two_sphere_arrays(e1, e2, T1: float, T2: float, d21: float, rtol: float):
+    """toa2._two_sphere as it was on arrays, kept verbatim: (base, axis, h) or None."""
+    cls = rg.classify_pair(T1, T2, d21, rtol=rtol)
+    if cls.verdict == "Outside":
+        return None
+    axis = (e2 - e1) / d21
+    a = (d21 * d21 + T1 * T1 - T2 * T2) / (2.0 * d21)
+    base = e1 + a * axis
+    if cls.verdict == "Boundary":
+        return base, axis, None
+    return base, axis, math.sqrt(max(T1 * T1 - a * a, 0.0))
+
+
+def mirror_pair_arrays(base, axis, h) -> tuple:
+    """toa2._mirror_pair as it was on arrays, kept verbatim."""
+    if h is None:
+        return (base,)
+    n = np.array([-axis[1], axis[0]])
+    return (base + h * n, base - h * n)

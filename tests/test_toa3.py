@@ -89,7 +89,14 @@ def test_config_constants_die_with_their_configuration(receivers):
     if cfg.is_collinear:
         rg.classify_tau(cfg, rg.tau_map(cfg, cfg.m(1)))
         built |= {kummer._collinear_facet_table}
+        with pytest.raises(rg.DegenerateConfig):
+            rg.nodes_and_tropes(cfg)
+        assert kummer._nodes_and_tropes not in cfg._constants
     else:
+        nat = rg.nodes_and_tropes(cfg)
+        assert rg.nodes_and_tropes(cfg) is nat
+        assert rg.tangent_cone(cfg, "f2++").node is nat.node("f2++")
+        built |= {kummer._nodes_and_tropes}
         rg.homogeneous_form(cfg)
         for label in rg.ARC_LABELS:
             rg.conic_arc(cfg, label).sample_sources(n=3)
@@ -103,6 +110,12 @@ def test_config_constants_die_with_their_configuration(receivers):
     if not cfg.is_collinear:
         with pytest.raises(ValueError):
             cfg._memo(kummer._circumcircle)[0][...] = 0.0
+        for node in nat.nodes:
+            with pytest.raises(ValueError):
+                node.homogeneous[...] = 0.0
+        for trope in nat.tropes:
+            with pytest.raises(ValueError):
+                trope.affine[...] = 0.0
     ref = weakref.ref(cfg)
     del cfg
     gc.collect()
