@@ -25,10 +25,15 @@ the endpoint images.
 For fixed receivers every quantity above is elementwise in tau, so the work
 runs in row kernels over an (N, 2) array of tau (``_classify_rows``,
 ``_invert_rows``, ``_coeff_rows``), with the config-only constants built once
-per configuration (``SensorConfig._memo``).  ``classify_tau``,
+per configuration (``SensorConfig._memo``).  The kernels return plain per-row
+decisions, not objects: labels, ids, fibers and lifts, and the accepted
+points of each row.  ``tau_fibers``, the batch entry, hands the labels,
+fibers and points on as plain tuples.  The result objects (``TauRegion``,
+``TdoaCoeffs``, ``SolutionSet``) are made only for the public calls, by
+``_regions``, ``_coeff_objects`` and ``_solution_sets``.  ``classify_tau``,
 ``invert_tdoa``, ``tdoa_coeffs`` and ``p2_membership`` are row 0 of a
-one-row call to them; ``classify_invert_tau`` classifies and inverts a whole
-array in one pass.
+one-row call to the kernels; ``classify_invert_tau`` classifies and inverts
+a whole array in one pass and builds every row's objects.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ def _rowdots(*pairs) -> np.ndarray:
 
 def _near_rows(points: np.ndarray, taus: np.ndarray, tol: float) -> list:
     """Per row of taus, one flag per row of points: within tol in the max norm."""
-    return (np.abs(taus[:, None, :] - points).max(axis=2) <= tol).tolist()
+    d = np.abs(taus[:, None, :] - points)
+    return (np.maximum(d[..., 0], d[..., 1]) <= tol).tolist()
 
 
 def _first(flags: list):
@@ -137,42 +143,44 @@ class P2Report:
 
 
 def _p2_table(config: SensorConfig) -> tuple:
-    """P2's read-only facet normals (2, 6) and offsets (6,); a config-only constant.
+    """P2's facet names, read-only normals (2, k) and offsets (k,); a config-only constant.
 
-    Column k is (c1, c2) and c0 of the ray trope projecting to facet k of
-    P2_FACETS: on the lift (tau1 + t, tau2 + t, t), t drops out as c1 + c2 + c3
+    Column k is (c1, c2) and c0 of the ray trope projecting to facet names[k]
+    of P2_FACETS: on the lift (tau1 + t, tau2 + t, t), t drops out as c1 + c2 + c3
     = 0.  The normals are 0 or +-1, so each slack is one rounding, as in t1 + d31.
+    Collinear receivers drop the facet pair of the longest pairwise distance.
     """
     table = dict(zip(Q3_FACETS, config._memo(_facet_table)))
-    rows = np.array([table[f] for f in ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+")])
+    names = P2_FACETS
+    if config.is_collinear:
+        longest = max([("tau2-tau1", config.d21), ("tau1", config.d31), ("tau2", config.d32)],
+                      key=lambda p: p[1])[0]
+        names = tuple(name for name in P2_FACETS if not name.startswith(longest + "="))
+    rays = dict(zip(P2_FACETS, ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+")))
+    rows = np.array([table[rays[name]] for name in names])
     normals, offsets = rows[:, 1:3].T.copy(), rows[:, 0].copy()
     normals.setflags(write=False)
     offsets.setflags(write=False)
-    return normals, offsets
+    return names, normals, offsets
 
 
 def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Facet names and the (N, k) facet slacks of an (N, 2) array of tau.
+    """Facet names and the (N, k) facet slacks of an (N, 2) array of tau."""
+    names, normals, offsets = config._memo(_p2_table)
+    return names, taus @ normals + offsets
 
-    Collinear receivers drop the facet pair of the longest pairwise distance.
-    """
-    d21, d31, d32 = config.d21, config.d31, config.d32
-    normals, offsets = config._memo(_p2_table)
-    slack = taus @ normals + offsets
-    if not config.is_collinear:
-        return P2_FACETS, slack
-    longest = max(
-        [("tau2-tau1", d21), ("tau1", d31), ("tau2", d32)], key=lambda p: p[1]
-    )[0]
-    keep = [k for k, name in enumerate(P2_FACETS) if not name.startswith(longest + "=")]
-    return tuple(P2_FACETS[k] for k in keep), slack[:, keep]
+
+def _p2_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
+    """_p2_slacks with the slacks as one list of floats per row."""
+    names, slack = _p2_slacks(config, taus)
+    return names, slack.tolist()
 
 
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
-    names, slack = _p2_slacks(config, tau[None])
-    residuals = dict(zip(names, slack[0].tolist()))
+    names, rows = _p2_rows(config, tau[None])
+    residuals = dict(zip(names, rows[0]))
     active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return P2Report(residuals=residuals, verdict=verdict, active=active)
 
@@ -237,7 +245,7 @@ def _line_constants(config: SensorConfig) -> tuple:
 
 
 def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Arrays a, b, c, u0, v_spatial and |v_spatial| of every row of an (N, 2) array of tau."""
+    """Arrays a, b, c, u0, v_spatial and |v_spatial|^2 of every row of an (N, 2) array of tau."""
     d31v, d32v, M, shift, w12, flip = config._memo(_line_constants)
     # a stack of one-column systems: each row is the LAPACK solve of the
     # scalar call; one multi-column solve(M, rhs.T) rounds differently
@@ -245,15 +253,7 @@ def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
     q = taus[:, :1] * d32v - taus[:, 1:] * d31v
     v = q[:, ::-1] * flip
     dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))
-    return dots[:, 0] - w12 * w12, dots[:, 1], dots[:, 2], u0, v, np.sqrt(dots[:, 3])
-
-
-def _coeff_objects(config: SensorConfig, co: tuple) -> list:
-    """One TdoaCoeffs per row of the arrays of _coeff_rows."""
-    a, b, c, u0, v, _ = co
-    v_time = abs(config._memo(_line_constants)[4])
-    return [TdoaCoeffs(a=ai, b=bi, c=ci, u0=ui, v_spatial=vi, v_time=v_time)
-            for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]
+    return dots[:, 0] - w12 * w12, dots[:, 1], dots[:, 2], u0, v, dots[:, 3]
 
 
 def tangency_points(config: SensorConfig) -> dict:
@@ -286,17 +286,17 @@ def _tangency_table(config: SensorConfig) -> np.ndarray:
 
 
 def _lens_table(config: SensorConfig) -> tuple:
-    """The lens cones as read-only arrays (p, q, w), a config-only constant.
+    """The lens cones as read-only arrays (px, py, qx, qy, w), a config-only constant.
 
-    Row i - 1 is the cone of U_i, spanned by its two tangency points p and q
-    of _LENS_CONES, with w = cross2(p, q).
+    Entry i - 1 is the cone of U_i, spanned by its two tangency points
+    p = (px, py) and q = (qx, qy) of _LENS_CONES, with w = cross2(p, q).
     """
     tangency = config._memo(_tangency_table)
     p, q = tangency[_LENS_ROWS[:, 0]], tangency[_LENS_ROWS[:, 1]]
     w = _cross2(p, q)
     for arr in (p, q, w):
         arr.setflags(write=False)
-    return p, q, w
+    return p[:, 0], p[:, 1], q[:, 0], q[:, 1], w
 
 
 def _vertex_images(config: SensorConfig) -> np.ndarray:
@@ -321,7 +321,7 @@ def invert_tdoa(
     """
     _require_general(config)
     tau = _measurement(tau, 2, "range differences")
-    return _invert_rows(config, tau[None], rtol, verify_rtol)[0]
+    return _solution_sets(*_invert_rows(config, tau[None], rtol, verify_rtol))[0]
 
 
 def _null_cone_roots(a: float, b: float, c: float, rtol: float, scale_a: float,
@@ -349,34 +349,38 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, verify_rto
                  co: tuple = None) -> tuple:
     """invert_tdoa for every row of an (N, 2) array of validated tau (general position).
 
+    Returns (x, kept): the candidate points as the rows of an (K, 2) array,
+    and per row of taus the list of the indices in x of its accepted points.
     The roots are chosen per row; the candidate points and their forward-map
     check run once over all rows.  co: the arrays of _coeff_rows when the
     caller has them.
     """
-    a, b, c, u0, v, v_norm = co if co is not None else _coeff_rows(config, taus)
+    a, b, c, u0, v, vv = co if co is not None else _coeff_rows(config, taus)
     d_max = config.d_max
     scale_a, scale_b, snap = d_max ** 4, d_max ** 3, 1e-12 * d_max
     rows, lams = [], []
     for i, (ai, bi, ci, vn) in enumerate(zip(a.tolist(), b.tolist(), c.tolist(),
-                                             v_norm.tolist())):
+                                             np.sqrt(vv).tolist())):
         for lam in _null_cone_roots(ai, bi, ci, rtol, scale_a, scale_b):
             if abs(lam) * vn <= snap:
                 lam = 0.0
             if not lam > 0.0:  # past-cone roots only
                 rows.append(i)
                 lams.append(lam)
-    points = [[] for _ in range(len(taus))]
-    if rows:
-        x = (config.receivers[2] + u0.take(rows, axis=0)
-             + np.array(lams)[:, None] * v.take(rows, axis=0))
-        miss = np.abs(tau_map(config, x) - taus.take(rows, axis=0)).max(axis=1).tolist()
-        for k, m in enumerate(miss):
-            found = points[rows[k]]
-            # merge numerically identical roots
-            if m <= verify_rtol * d_max and not any(
-                    np.linalg.norm(x[k] - u) <= 1e-9 * d_max for u in found):
-                found.append(x[k])
-    return tuple(SolutionSet(points=tuple(p)) for p in points)
+    kept = [[] for _ in range(len(taus))]
+    if not rows:
+        return np.empty((0, 2)), kept
+    x = (config.receivers[2] + u0.take(rows, axis=0)
+         + np.array(lams)[:, None] * v.take(rows, axis=0))
+    miss = np.abs(tau_map(config, x) - taus.take(rows, axis=0))
+    miss = np.maximum(miss[:, 0], miss[:, 1]).tolist()
+    for k, (i, m) in enumerate(zip(rows, miss)):
+        found = kept[i]
+        # merge numerically identical roots
+        if m <= verify_rtol * d_max and not any(
+                np.linalg.norm(x[k] - x[j]) <= 1e-9 * d_max for j in found):
+            found.append(k)
+    return x, kept
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,7 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     """
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
-    return _classify_rows(config, tau[None], rtol)[0]
+    return _regions(config, tau[None], rtol)[0]
 
 
 def classify_invert_tau(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
@@ -427,59 +431,78 @@ def classify_invert_tau(config: SensorConfig, taus, rtol: float = _RTOL) -> tupl
     _require_planar_triple(config)
     taus = _measurement_rows(taus, 2, "range differences")
     if config.is_collinear:
-        return _classify_rows(config, taus, rtol), None
+        return _regions(config, taus, rtol), None
     co = _coeff_rows(config, taus)
-    return (_classify_rows(config, taus, rtol, co),
-            _invert_rows(config, taus, rtol, _VERIFY_RTOL, co))
+    return (_regions(config, taus, rtol, co),
+            _solution_sets(*_invert_rows(config, taus, rtol, _VERIFY_RTOL, co)))
 
 
-def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float,
-                   co: tuple = None) -> tuple:
-    """classify_tau for every row of an (N, 2) array of validated tau.
+def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
+    """Region labels, fiber sizes and source points of every row of an (N, 2) array of tau.
 
-    The slacks, coefficients, tangency nearness and lens cone depths each run
-    once over all rows, the last two only when some row needs them; the label
-    ladder runs per row.  co: the arrays of _coeff_rows when the caller has
-    them.
+    Returns (labels, fibers, points), plain tuples with one entry per row:
+    labels[i] and fibers[i] are the label and fiber of classify_tau(config,
+    taus[i], rtol), and points[i] holds the points of invert_tdoa(config,
+    taus[i], rtol) as (x, y) pairs of floats, bit for bit.  points is None
+    for collinear receivers, where invert_tdoa raises.  No result object is
+    built.
     """
+    _require_planar_triple(config)
+    taus = _measurement_rows(taus, 2, "range differences")
     if config.is_collinear:
-        return _classify_collinear_rows(config, taus, rtol)
+        labels, _, fibers, _ = _classify_collinear_rows(config, taus, rtol)
+        return tuple(labels), tuple(fibers), None
+    co = _coeff_rows(config, taus)
+    labels, _, fibers, _ = _classify_rows(config, taus, rtol, co, _p2_rows(config, taus))
+    x, kept = _invert_rows(config, taus, rtol, _VERIFY_RTOL, co)
+    xs = list(map(tuple, x.tolist()))
+    return tuple(labels), tuple(fibers), tuple([tuple([xs[k] for k in found]) for found in kept])
+
+
+def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple,
+                   p2: tuple) -> tuple:
+    """The decisions of classify_tau for every row of an (N, 2) array of validated tau.
+
+    General position only; co and p2: the output of _coeff_rows and _p2_rows.
+    Returns (labels, ids, fibers, lifts), lists with one entry per row; the
+    lifts are all None here.  The tangency nearness and lens cone depths each
+    run once over all rows, only when some row needs them; the label ladder
+    runs per row.
+    """
     d_max = config.d_max
     tol = rtol * d_max
-    names, slack = _p2_slacks(config, taus)
-    slack = slack.tolist()
+    names, slack = p2
     outside = [min(row) < -tol for row in slack]
-    co = co if co is not None else _coeff_rows(config, taus)
     tangent = None if all(outside) else _near_rows(config._memo(_tangency_table), taus, tol)
     corner = None
     an = (co[0] / d_max ** 4).tolist()
     bn = (co[1] / d_max ** 3).tolist()
-    regions = []
-    for i, (coeffs, residuals) in enumerate(zip(_coeff_objects(config, co), slack)):
-        ids, fiber = (), 1
+    labels, ids, fibers = [], [], []
+    for i, residuals in enumerate(slack):
+        ids_i, fiber = (), 1
         if outside[i]:
             label, fiber = "OutsideIm", 0
         elif (tid := _first(tangent[i])) is not None:
-            label, ids, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
+            label, ids_i, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
         elif an[i] < -rtol:
             label = "EMinus"
         elif abs(an[i]) <= rtol:
-            label, ids = "BoundaryArc", ("E",)
+            label, ids_i = "BoundaryArc", ("E",)
         elif bn[i] > rtol:
             active = tuple(n for n, v in zip(names, residuals) if v <= tol)
             if active:
-                label, ids = "BoundaryArc", active
+                label, ids_i = "BoundaryArc", active
             else:
                 corner = corner or _lens_corners(config, taus)
                 label, fiber = f"U_{corner[i]}", 2
         elif abs(bn[i]) <= rtol:
-            label, ids = "BoundaryArc", ("C",)
+            label, ids_i = "BoundaryArc", ("C",)
         else:
             label, fiber = "OutsideIm", 0
-        regions.append(TauRegion(label=label, ids=ids, fiber=fiber,
-                                 residuals=dict(zip(names, residuals)), coeffs=coeffs,
-                                 lift=None))
-    return tuple(regions)
+        labels.append(label)
+        ids.append(ids_i)
+        fibers.append(fiber)
+    return labels, ids, fibers, [None] * len(labels)
 
 
 def _lens_corners(config: SensorConfig, taus: np.ndarray) -> list:
@@ -488,19 +511,23 @@ def _lens_corners(config: SensorConfig, taus: np.ndarray) -> list:
     The depth in the cone of p and q is min(s, t) for tau = s*p + t*q,
     positive exactly inside it.
     """
-    p, q, w = config._memo(_lens_table)
-    taus = taus[:, None]
-    depth = np.minimum(_cross2(taus, q) / w, _cross2(p, taus) / w)
+    px, py, qx, qy, w = config._memo(_lens_table)
+    t1, t2 = taus[:, :1], taus[:, 1:]
+    # cross2(tau, q) / w and cross2(p, tau) / w, on the columns
+    depth = np.minimum((t1 * qy - t2 * qx) / w, (px * t2 - py * t1) / w)
     return (depth.argmax(axis=1) + 1).tolist()
 
 
 def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float) -> tuple:
-    """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic."""
+    """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic.
+
+    Each lift is None or the lifted triple (tau1 + t, tau2 + t, t) as a list
+    of floats.
+    """
     kind = config.kind
     d_max = config.d_max
     tol_lin = rtol * d_max
     tol_quad = rtol * d_max ** 2
-    names, slack = _p2_slacks(config, taus)
     vertex = _near_rows(config._memo(_vertex_images), taus, tol_lin)
 
     # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
@@ -515,43 +542,76 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
     lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
     q3 = _slacks([config._memo(_collinear_facet_table)], *lift[:, order].T[:, :, None])[0]
 
-    regions = []
-    for i, ((t1, t2), residuals, near, is_flat, c, low, ts, slack3) in enumerate(zip(
-            taus.tolist(), slack.tolist(), vertex, flat.tolist(), c_lin.tolist(),
-            lift.min(axis=1).tolist(), t_star.tolist(), q3.tolist())):
-        ids, fiber, lift_i = (), 0, None
+    labels, ids, fibers, lifts = [], [], [], []
+    for (t1, t2), near, is_flat, c, low, ts, lift_i, slack3 in zip(
+            taus.tolist(), vertex, flat.tolist(), c_lin.tolist(), lift.min(axis=1).tolist(),
+            t_star.tolist(), lift.tolist(), q3.tolist()):
+        ids_i, fiber = (), 0
         if (row := _first(near)) is not None:
             # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
             cid = f"R{kind.order.index(row) + 1}"
             if cid == "R3":
                 t_mid = config.dist(row + 1, 3)
-                lift_i = np.array([t1 + t_mid, t2 + t_mid, t_mid])
-                label, ids, fiber = "BoundaryArc", ("R3",), 1
+                lift_i = [t1 + t_mid, t2 + t_mid, t_mid]
+                label, ids_i, fiber = "BoundaryArc", ("R3",), 1
             else:
-                label, ids, fiber = "VertexRay", (cid,), math.inf
+                label, ids_i, fiber, lift_i = "VertexRay", (cid,), math.inf, None
         elif is_flat:
+            lift_i = None
             if abs(c) <= tol_quad:
-                label, ids, fiber = "VertexRay", ("R1", "R2"), math.inf
+                label, ids_i, fiber = "VertexRay", ("R1", "R2"), math.inf
             else:
                 label = "OutsideIm"
+        elif low < -tol_lin:
+            label = "OutsideIm"
+        elif not math.isfinite(ts):
+            raise InvalidParam(f"ranges must be finite, got {lift_i}")
         else:
-            lift_i = lift[i]
-            if low < -tol_lin:
+            active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d_max)
+            if verdict == "Outside":
                 label = "OutsideIm"
-            elif not math.isfinite(ts):
-                raise InvalidParam(f"ranges must be finite, got {lift_i.tolist()}")
+            elif active:
+                label, ids_i, fiber = "BoundaryArc", active, 1
             else:
-                active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d_max)
-                if verdict == "Outside":
-                    label = "OutsideIm"
-                elif active:
-                    label, ids, fiber = "BoundaryArc", active, 1
-                else:
-                    label, fiber = "CollinearInterior", 2
-        regions.append(TauRegion(label=label, ids=ids, fiber=fiber,
-                                 residuals=dict(zip(names, residuals)), coeffs=None,
-                                 lift=lift_i))
-    return tuple(regions)
+                label, fiber = "CollinearInterior", 2
+        labels.append(label)
+        ids.append(ids_i)
+        fibers.append(fiber)
+        lifts.append(lift_i)
+    return labels, ids, fibers, lifts
+
+
+# ---------------------------------------------------------------------------
+# result objects, for the public calls only
+
+def _coeff_objects(config: SensorConfig, co: tuple) -> list:
+    """One TdoaCoeffs per row of the arrays of _coeff_rows."""
+    a, b, c, u0, v, _ = co
+    v_time = abs(config._memo(_line_constants)[4])
+    return [TdoaCoeffs(a=ai, b=bi, c=ci, u0=ui, v_spatial=vi, v_time=v_time)
+            for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]
+
+
+def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = None) -> tuple:
+    """One TauRegion per row of an (N, 2) array of validated tau, from the kernels' decisions.
+
+    co: the arrays of _coeff_rows when the caller has them.
+    """
+    p2 = _p2_rows(config, taus)
+    if config.is_collinear:
+        decisions, coeffs = _classify_collinear_rows(config, taus, rtol), (None,) * len(taus)
+    else:
+        co = co if co is not None else _coeff_rows(config, taus)
+        decisions, coeffs = _classify_rows(config, taus, rtol, co, p2), _coeff_objects(config, co)
+    names = p2[0]
+    return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, slack)),
+                            coeffs=c, lift=None if lift is None else np.array(lift))
+                  for label, ids, fiber, lift, slack, c in zip(*decisions, p2[1], coeffs)])
+
+
+def _solution_sets(x: np.ndarray, kept: list) -> tuple:
+    """One SolutionSet per row of the output (x, kept) of _invert_rows."""
+    return tuple([SolutionSet(points=tuple([x[k] for k in found])) for found in kept])
 
 
 # ---------------------------------------------------------------------------

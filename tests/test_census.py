@@ -32,6 +32,10 @@ def _csv(rows):
     [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-5)],
     [(0.0, 0.0), (1.0, 0.0), (0.3, 0.0)],
     [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)],  # canonical order differs from the input order
+    [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)],  # clockwise: w12 < 0, so the flip orientation runs
+    # thin: the batch census must equal the per-point one, whatever both get wrong
+    [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-6)],
+    [(250.0, -75.0), (1250.0, -75.0), (550.0, -75.0)],  # collinear, scaled by 1e3 and shifted
 ])
 def test_batched_census_matches_the_per_point_census(fiber_census, receivers):
     config = rg.validate_config(receivers)

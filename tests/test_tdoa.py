@@ -356,18 +356,25 @@ def _probe_taus(cfg, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("receivers", [
+_ROW_RECEIVERS = [
     [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
     [(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)],
     [(0.0, 0.0), (1.0, 0.0), (1.5, 0.4)],
     [(0.0, 0.0), (1.0, 0.0), (0.35, 1e-3)],
     [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)],
     [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)],
-])
+]
+
+
+def _probe_seed(receivers) -> int:
+    return len(receivers[2]) + int(1e3 * receivers[2][0])
+
+
+@pytest.mark.parametrize("receivers", _ROW_RECEIVERS)
 @pytest.mark.parametrize("rtol", [1e-9, 1e-6])
 def test_classify_invert_tau_rows_are_the_scalar_calls(receivers, rtol):
     cfg = rg.validate_config(receivers)
-    taus = _probe_taus(cfg, seed=len(receivers[2]) + int(1e3 * receivers[2][0]))
+    taus = _probe_taus(cfg, seed=_probe_seed(receivers))
     regions, solutions = rg.classify_invert_tau(cfg, taus, rtol)
     assert len(regions) == len(taus)
     for tau, region in zip(taus, regions):
@@ -393,6 +400,8 @@ def test_classify_invert_tau_rows_are_the_scalar_calls(receivers, rtol):
 def test_classify_invert_tau_empty_and_single_row(scalene, collinear_mid):
     assert rg.classify_invert_tau(scalene, np.empty((0, 2))) == ((), ())
     assert rg.classify_invert_tau(collinear_mid, np.empty((0, 2))) == ((), None)
+    assert rg.tau_fibers(scalene, np.empty((0, 2))) == ((), (), ())
+    assert rg.tau_fibers(collinear_mid, np.empty((0, 2))) == ((), (), None)
     tau = rg.tau_map(scalene, (0.3, 0.4))
     (region,), (sol,) = rg.classify_invert_tau(scalene, [tau.tolist()])
     assert _region_bits(region) == _region_bits(rg.classify_tau(scalene, tau))
@@ -404,16 +413,40 @@ def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, ba
     for cfg in (scalene, collinear_mid):
         with pytest.raises(rg.InvalidParam):
             rg.classify_tau(cfg, (bad, 0.1))
-        with pytest.raises(rg.InvalidParam):
-            rg.classify_invert_tau(cfg, [[0.1, 0.2], [bad, 0.1]])
+        for batch in (rg.classify_invert_tau, rg.tau_fibers):
+            with pytest.raises(rg.InvalidParam):
+                batch(cfg, [[0.1, 0.2], [bad, 0.1]])
 
 
-def test_classify_invert_tau_rejects_other_shapes(scalene, pair):
-    for taus in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2))):
-        with pytest.raises(rg.DimensionMismatch):
-            rg.classify_invert_tau(scalene, taus)
-    with pytest.raises(rg.DimensionMismatch):
-        rg.classify_invert_tau(pair, [[0.1, 0.2]])
+def test_classify_invert_tau_rejects_other_shapes(scalene, pair, right3d):
+    for batch in (rg.classify_invert_tau, rg.tau_fibers):
+        for taus in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2))):
+            with pytest.raises(rg.DimensionMismatch):
+                batch(scalene, taus)
+        for cfg in (pair, right3d):
+            with pytest.raises(rg.DimensionMismatch):
+                batch(cfg, [[0.1, 0.2]])
+
+
+@pytest.mark.parametrize("receivers", _ROW_RECEIVERS)
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(receivers, rtol):
+    cfg = rg.validate_config(receivers)
+    taus = _probe_taus(cfg, seed=_probe_seed(receivers))
+    labels, fibers, points = rg.tau_fibers(cfg, taus, rtol)
+    regions, solutions = rg.classify_invert_tau(cfg, taus, rtol)
+    assert type(labels) is tuple and type(fibers) is tuple
+    assert labels == tuple(region.label for region in regions)
+    assert [_bits(f) for f in fibers] == [_bits(region.fiber) for region in regions]
+    if cfg.is_collinear:
+        assert points is None and solutions is None
+        return
+    assert type(points) is tuple and len(points) == len(taus)
+    for found, sol in zip(points, solutions):
+        assert type(found) is tuple and len(found) == len(sol.points)
+        for pair, point in zip(found, sol.points):
+            assert type(pair) is tuple and all(type(v) is float for v in pair)
+            assert [v.hex() for v in pair] == [float(v).hex() for v in point]
 
 
 def test_line_constants_are_read_only_and_die_with_their_configuration():
