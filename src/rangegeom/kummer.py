@@ -12,7 +12,8 @@ with extra symmetry).  This module exposes the surface algebraically:
   rescaled coordinates;
 * conic_arc - the 12 labeled conics along which the tropes touch the surface;
   their preimages are the receiver lines (segments and outward rays) and the
-  circumcircle, i.e. exactly the zero-curvature locus of the image;
+  circumcircle, i.e. exactly the zero-curvature locus of the image; each
+  arc's quadratic is <= 0 on the side of its conic that the hull fills;
 * tangent_cone - the quadric cone of the surface at any node;
 * gaussian_curvature - curvature of the image surface at a source position;
 * q3_membership - the feasible polyhedron (facets = the 12 labeled tropes);
@@ -21,7 +22,9 @@ with extra symmetry).  This module exposes the surface algebraically:
   conic arcs' planes; the six ray rows project to the TDOA hexagon P2;
 * hull_boundary_classify - the boundary decomposition of the convex hull of
   the image: four positively curved surface regions plus flat fills across
-  the bounded arcs and strips along the unbounded ones;
+  the bounded arcs and strips along the unbounded ones; a fill is the part
+  of its trope plane inside Q3 where the arc quadratic is <= 0, because
+  every straight side of a fill lies on another trope;
 * collinear_degeneration_check - as the receivers become collinear the
   quartic degenerates into d21^2 times the square of the Stewart quadric.
 """
@@ -125,15 +128,6 @@ def _poly_eval(terms, T: np.ndarray):
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for ep, cp in p.items():
-        for eq, cq in q.items():
-            key = (ep[0] + eq[0], ep[1] + eq[1], ep[2] + eq[2])
-            out[key] = out.get(key, 0.0) + cp * cq
-    return out
-
-
 def _quartic_terms(config: SensorConfig) -> MappingProxyType:
     """Coefficients of the defining quartic (no general-position gate).
 
@@ -191,8 +185,10 @@ class HomogeneousForm:
         F(t) = sum t_i^4 - 2a (t1^2 t2^2 + t0^2 t3^2)
                           + 2b (t1^2 t3^2 + t0^2 t2^2)
                           - 2c (t2^2 t3^2 + t0^2 t1^2)
+             = sum t_i^4 + 1/2 sum_ij K_ij t_i^2 t_j^2
 
-    and the affine quartic equals kappa * F with kappa = d21^2 d31^2 d32^2.
+    with K the coupling matrix of (a, b, c) (_coupling), and the affine
+    quartic equals kappa * F with kappa = d21^2 d31^2 d32^2.
     """
 
     abc: tuple
@@ -209,45 +205,29 @@ class HomogeneousForm:
         )
 
     def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        a, b, c = self.abc
-        sq = t * t
-        quads = (
-            sq[..., 1] * sq[..., 2] + sq[..., 0] * sq[..., 3],
-            sq[..., 1] * sq[..., 3] + sq[..., 0] * sq[..., 2],
-            sq[..., 2] * sq[..., 3] + sq[..., 0] * sq[..., 1],
-        )
-        val = np.sum(sq * sq, axis=-1) - 2 * a * quads[0] + 2 * b * quads[1] - 2 * c * quads[2]
+        sq = np.square(np.asarray(t, dtype=float))
+        val = np.sum(sq * sq + 0.5 * sq * (sq @ _coupling(*self.abc)), axis=-1)
         if val.ndim == 0:
             return float(val)
         return val
 
     def gradient(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        a, b, c = self.abc
-        t0, t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-        g0 = 4 * t0 ** 3 - 4 * a * t0 * t3 ** 2 + 4 * b * t0 * t2 ** 2 - 4 * c * t0 * t1 ** 2
-        g1 = 4 * t1 ** 3 - 4 * a * t1 * t2 ** 2 + 4 * b * t1 * t3 ** 2 - 4 * c * t0 ** 2 * t1
-        g2 = 4 * t2 ** 3 - 4 * a * t1 ** 2 * t2 + 4 * b * t0 ** 2 * t2 - 4 * c * t2 * t3 ** 2
-        g3 = 4 * t3 ** 3 - 4 * a * t0 ** 2 * t3 + 4 * b * t1 ** 2 * t3 - 4 * c * t2 ** 2 * t3
-        return np.stack([g0, g1, g2, g3], axis=-1)
+        sq = t * t
+        return 4 * t * sq + 2 * t * (sq @ _coupling(*self.abc))
 
     def hessian(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(4)
-        a, b, c = self.abc
-        t0, t1, t2, t3 = t
-        H = np.zeros((4, 4))
-        H[0, 0] = 12 * t0 ** 2 - 4 * a * t3 ** 2 + 4 * b * t2 ** 2 - 4 * c * t1 ** 2
-        H[1, 1] = 12 * t1 ** 2 - 4 * a * t2 ** 2 + 4 * b * t3 ** 2 - 4 * c * t0 ** 2
-        H[2, 2] = 12 * t2 ** 2 - 4 * a * t1 ** 2 + 4 * b * t0 ** 2 - 4 * c * t3 ** 2
-        H[3, 3] = 12 * t3 ** 2 - 4 * a * t0 ** 2 + 4 * b * t1 ** 2 - 4 * c * t2 ** 2
-        H[0, 1] = H[1, 0] = -8 * c * t0 * t1
-        H[0, 2] = H[2, 0] = 8 * b * t0 * t2
-        H[0, 3] = H[3, 0] = -8 * a * t0 * t3
-        H[1, 2] = H[2, 1] = -8 * a * t1 * t2
-        H[1, 3] = H[3, 1] = 8 * b * t1 * t3
-        H[2, 3] = H[3, 2] = -8 * c * t2 * t3
-        return H
+        K = _coupling(*self.abc)
+        return 4 * K * np.outer(t, t) + np.diag(12 * t * t + 2 * (K @ (t * t)))
+
+
+def _coupling(a: float, b: float, c: float) -> np.ndarray:
+    """Symmetric K with zero diagonal: F(t) = sum t_i^4 + 1/2 sum_ij K_ij t_i^2 t_j^2."""
+    return np.array([[0.0, -2 * c, 2 * b, -2 * a],
+                     [-2 * c, 0.0, -2 * a, 2 * b],
+                     [2 * b, -2 * a, 0.0, -2 * c],
+                     [-2 * a, 2 * b, -2 * c, 0.0]])
 
 
 def homogeneous_form(config: SensorConfig) -> HomogeneousForm:
@@ -461,7 +441,8 @@ class ConicArc:
 
     plane     : (c0, c1, c2, c3) with c0 + c1 T1 + c2 T2 + c3 T3 = 0, the
                 facet row of the trope (>= 0 on the feasible side)
-    quadratic : polynomial terms cutting the conic inside the plane (read-only)
+    quadratic : polynomial terms cutting the conic inside the plane (read-only),
+                <= 0 on the fill side (the hull's flat part over the arc)
     bounded   : segment/circumcircle arcs are bounded, ray arcs are not
     endpoints : receiver-image endpoints (two if bounded, one if not)
     direction : ideal direction (1,1,1) for unbounded arcs, else None
@@ -542,11 +523,13 @@ def _arc_table(config: SensorConfig) -> MappingProxyType:
             label=label, plane=plane, quadratic=MappingProxyType(quad), bounded=bounded,
             endpoints=endpoints, direction=None if bounded else one))
 
+    # every quadratic is signed <= 0 on its fill side, as every facet row's
+    # slack is >= 0 on the feasible side (hull_boundary_classify reads both)
     return MappingProxyType(dict((
         # bounded arcs over the receiver segments
         arc("r30", {X2: 1.0, Z2: -1.0, X: -2 * c * d31, ONE: d31 * d31}, (N1, N2)),
         arc("r20", {X2: 1.0, Y2: -1.0, X: -2 * c * d21, ONE: d21 * d21}, (N1, N3)),
-        arc("r10", {X2: 1.0, Y2: -1.0, Y: -2 * b * d21, ONE: -d21 * d21}, (N2, N3)),
+        arc("r10", {X2: -1.0, Y2: 1.0, Y: 2 * b * d21, ONE: d21 * d21}, (N2, N3)),
         # unbounded arcs over the outward rays
         arc("r3-", {Y2: 1.0, Z2: -1.0, Y: -2 * b * d32, ONE: d32 * d32}, (N2,)),
         arc("r3+", {Y2: 1.0, Z2: -1.0, Y: 2 * b * d32, ONE: d32 * d32}, (N1,)),
@@ -642,6 +625,14 @@ def tangent_cone(config: SensorConfig, node) -> TangentCone:
 # ---------------------------------------------------------------------------
 # curvature of the image surface
 
+def _areas_and_squares(config: SensorConfig, x) -> tuple:
+    """((h1, h2, h3), (q1, q2, q3)) at source(s) x (..., 2): h_i is twice the signed
+    area of (x, m_j, m_k) in cyclic order, q_i the squared range |x - m_i|^2."""
+    d1, d2, d3 = (x - config.m(i) for i in (1, 2, 3))
+    return ((_cross2(d2, d3), _cross2(d3, d1), _cross2(d1, d2)),
+            tuple(np.sum(d * d, axis=-1) for d in (d1, d2, d3)))
+
+
 def gaussian_curvature(config: SensorConfig, x):
     """Gaussian curvature of the range surface at the image of x.
 
@@ -653,14 +644,7 @@ def gaussian_curvature(config: SensorConfig, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 2:
         raise DimensionMismatch("expected planar points")
-    d1 = x - config.m(1)
-    d2 = x - config.m(2)
-    d3 = x - config.m(3)
-
-    h1, h2, h3 = _cross2(d2, d3), _cross2(d3, d1), _cross2(d1, d2)
-    q1 = np.sum(d1 * d1, axis=-1)
-    q2 = np.sum(d2 * d2, axis=-1)
-    q3 = np.sum(d3 * d3, axis=-1)
+    (h1, h2, h3), (q1, q2, q3) = _areas_and_squares(config, x)
     num = h1 * h2 * h3 * (q1 * h1 + q2 * h2 + q3 * h3)
     den = (q1 * h1 ** 2 + q2 * h2 ** 2 + q3 * h3 ** 2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -751,6 +735,14 @@ class HullComponent:
     details: dict
 
 
+# active facet -> the fill it carries, in the order fills are tried
+_FILLS = {
+    "Gamma1": "F_123", "Gamma2": "F_213", "Gamma3": "F_312",
+    "r10": "G_123", "r20": "G_213", "r30": "G_312",
+    "r1+": "L1+", "r1-": "L1-", "r2+": "L2+", "r2-": "L2-", "r3+": "L3+", "r3-": "L3-",
+}
+
+
 def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> HullComponent:
     """Name the hull-boundary component containing a range triple.
 
@@ -764,8 +756,6 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
     d_max = config.d_max
     tol_lin = rtol * d_max
     tol_quad = rtol * d_max ** 2
-    a, b, c = config._memo(_abc)
-    d21, d31, d32 = config.d21, config.d31, config.d32
 
     # 1) ideal edges from the receiver-image nodes along (1,1,1)
     for i, node in enumerate(config._memo(_node_images), start=1):
@@ -788,10 +778,9 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
             x = sols.points[0]
             m1, m2, m3 = config.receivers
             sgn = math.copysign(1.0, float(_cross2(m2 - m1, m3 - m1)))
-            d1, d2, d3 = x - m1, x - m2, x - m3
-            h = np.array([float(_cross2(d2, d3)), float(_cross2(d3, d1)),
-                          float(_cross2(d1, d2))]) * sgn
-            circ = float((d1 @ d1) * h[0] + (d2 @ d2) * h[1] + (d3 @ d3) * h[2])
+            h, q = _areas_and_squares(config, x)
+            h = np.array(h) * sgn
+            circ = float(q[0] * h[0] + q[1] * h[1] + q[2] * h[2])
             circ_tol = rtol * d_max ** 4
             neg = [i for i in range(3) if h[i] < -tol_quad]
             details = {"source": x, "h": h, "circumcircle": circ}
@@ -808,119 +797,20 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
         raise NotOnBoundary("point is strictly inside the feasible polyhedron, off the surface")
 
     # 3) flat fills on the active facet planes (F over circumcircle arcs,
-    #    G over segment arcs, L strips along ray arcs)
-    T1, T2, T3 = float(T[0]), float(T[1]), float(T[2])
-
-    def inside_F(name):
-        quad = _poly_eval(config._memo(_arc_table)[name]["quadratic"], T)
-        if name == "Gamma3":
-            chord = T1 + T2 - d21
-            chord_tol = tol_lin
-        elif name == "Gamma2":
-            chord = (d21 - d32) * T1 + d31 * T2 - d21 * d31
-            chord_tol = tol_quad
-        else:  # Gamma1
-            chord = d32 * T1 - (d31 - d21) * T2 - d21 * d32
-            chord_tol = tol_quad
-        return (
-            T1 >= -tol_lin and T2 >= -tol_lin
-            and quad <= tol_quad and chord >= -chord_tol
-        )
-
-    def inside_G(name):
-        if name == "r30":
-            s, off = T1, T3
-            span, curve_c, curve_d = d21, c * d31, d31
-            lo, hi = d31, d32
-        elif name == "r20":
-            s, off = T1, T2
-            span, curve_c, curve_d = d31, c * d21, d21
-            lo, hi = d21, d32
-        else:  # r10
-            s, off = T2, T1
-            span, curve_c, curve_d = d32, -b * d21, d21
-            lo, hi = d21, d31
-        if not (-tol_lin <= s <= span + tol_lin):
-            return False
-        curve = math.sqrt(max(s * s - 2 * curve_c * s + curve_d * curve_d, 0.0))
-        chord = lo + (hi - lo) * s / span
-        return curve - tol_lin <= off <= chord + tol_lin
-
-    def inside_L(name):
-        table = {
-            "r1+": (T2, T1, -b * d21, d21, d21),
-            "r1-": (T3, T1, a * d31, d31, d31),
-            "r2+": (T1, T2, c * d21, d21, d21),
-            "r2-": (T3, T2, a * d32, d32, d32),
-            "r3+": (T1, T3, c * d31, d31, d31),
-            "r3-": (T2, T3, -b * d32, d32, d32),
-        }
-        s, off, curve_c, curve_d, edge_c = table[name]
-        if s < -tol_lin:
-            return False
-        curve = math.sqrt(max(s * s + 2 * curve_c * s + curve_d * curve_d, 0.0))
-        return curve - tol_lin <= off <= s + edge_c + tol_lin
-
-    fill_name = {
-        "Gamma1": "F_123", "Gamma2": "F_213", "Gamma3": "F_312",
-        "r10": "G_123", "r20": "G_213", "r30": "G_312",
-        "r1+": "L1+", "r1-": "L1-", "r2+": "L2+", "r2-": "L2-",
-        "r3+": "L3+", "r3-": "L3-",
-    }
-    order = ["Gamma1", "Gamma2", "Gamma3", "r10", "r20", "r30",
-             "r1+", "r1-", "r2+", "r2-", "r3+", "r3-"]
-    for facet in order:
-        if facet not in q3.active:
-            continue
-        if facet.startswith("Gamma"):
-            ok = inside_F(facet)
-        elif facet.endswith("0"):
-            ok = inside_G(facet)
-        else:
-            ok = inside_L(facet)
-        if ok:
+    #    G over segment arcs, L strips along ray arcs): each fill is the side
+    #    of its conic where the arc quadratic is <= 0; its chord or ideal edge
+    #    lies on another facet plane, which Q3 membership has already checked
+    arcs = config._memo(_arc_table)
+    for facet, name in _FILLS.items():
+        if facet in q3.active and _poly_eval(arcs[facet]["quadratic"], T) <= tol_quad:
             return HullComponent(
-                name=fill_name[facet], in_hull=True,
-                details={"facet": facet, "q3": q3.residuals},
+                name=name, in_hull=True, details={"facet": facet, "q3": q3.residuals},
             )
     raise NotOnBoundary("point is on a facet plane but outside its fill region")
 
 
 # ---------------------------------------------------------------------------
 # collinear degeneration
-
-def _sigma_terms(config: SensorConfig) -> tuple:
-    """Stewart quadric terms in canonical labels, plus (order, rho, d21).
-
-    The dot test tolerates nearly collinear receivers, which config.kind does not.
-    """
-    canonical = _canonical_collinear(config.receivers)
-    if canonical is None:
-        raise NotCollinear(
-            "no middle receiver (all angles acute); configuration is far from collinear"
-        )
-    order, rho, d21 = canonical
-    terms = {
-        (2, 0, 0): 1.0 - rho,
-        (0, 2, 0): rho,
-        (0, 0, 2): -1.0,
-        (0, 0, 0): -rho * (1.0 - rho) * d21 * d21,
-    }
-    return terms, order, rho, d21
-
-
-def _sigma_squared_terms(config: SensorConfig) -> tuple:
-    """d21^2 * sigma^2 as polynomial terms in the ORIGINAL receiver labels, and d21."""
-    terms, order, _, d21 = _sigma_terms(config)
-    sq = _poly_mul(terms, terms)
-    out = {}
-    for exp, coeff in sq.items():
-        orig = [0, 0, 0]
-        for pos in range(3):
-            orig[order[pos]] = exp[pos]
-        out[tuple(orig)] = coeff * d21 * d21
-    return out, d21
-
 
 def collinear_degeneration_check(
     config: SensorConfig, n: int = 512, seed: int = 0, box: float = 3.0
@@ -933,9 +823,21 @@ def collinear_degeneration_check(
     collinear ones.  Raises NotCollinear when no middle receiver exists.
     """
     _require_planar_triple(config)
-    quartic = config._memo(_quartic_terms)
-    sigma_sq, d_end = _sigma_squared_terms(config)
-    rng = np.random.default_rng(seed)
-    T = rng.uniform(0.0, box * d_end, size=(n, 3))
-    gap = _poly_eval(quartic, T) - _poly_eval(sigma_sq, T)
+    # the dot test tolerates nearly collinear receivers, which config.kind does not
+    canonical = _canonical_collinear(config.receivers)
+    if canonical is None:
+        raise NotCollinear(
+            "no middle receiver (all angles acute); configuration is far from collinear"
+        )
+    order, rho, d21 = canonical
+    # the Stewart quadric in canonical labels, evaluated on the canonical columns
+    sigma = {
+        (2, 0, 0): 1.0 - rho,
+        (0, 2, 0): rho,
+        (0, 0, 2): -1.0,
+        (0, 0, 0): -rho * (1.0 - rho) * d21 * d21,
+    }
+    T = np.random.default_rng(seed).uniform(0.0, box * d21, size=(n, 3))
+    s = _poly_eval(sigma, T[:, list(order)])
+    gap = _poly_eval(config._memo(_quartic_terms), T) - d21 * d21 * s * s
     return float(np.max(np.abs(gap)) / config.d_max ** 6)

@@ -310,9 +310,7 @@ def _vertex_images(config: SensorConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inversion
 
-def invert_tdoa(
-    config: SensorConfig, tau, rtol: float = _RTOL, verify_rtol: float = _VERIFY_RTOL
-) -> SolutionSet:
+def invert_tdoa(config: SensorConfig, tau, rtol: float = _RTOL) -> SolutionSet:
     """Source positions with range differences tau (general position only).
 
     Solves the null-cone quadratic stably, keeps past-cone roots, and
@@ -321,7 +319,7 @@ def invert_tdoa(
     """
     _require_general(config)
     tau = _measurement(tau, 2, "range differences")
-    return _solution_sets(*_invert_rows(config, tau[None], rtol, verify_rtol))[0]
+    return _solution_sets(*_invert_rows(config, tau[None], rtol))[0]
 
 
 def _null_cone_roots(a: float, b: float, c: float, rtol: float, scale_a: float,
@@ -345,8 +343,7 @@ def _null_cone_roots(a: float, b: float, c: float, rtol: float, scale_a: float,
     return []
 
 
-def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, verify_rtol: float,
-                 co: tuple = None) -> tuple:
+def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = None) -> tuple:
     """invert_tdoa for every row of an (N, 2) array of validated tau (general position).
 
     Returns (x, kept): the candidate points as the rows of an (K, 2) array,
@@ -377,7 +374,7 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, verify_rto
     for k, (i, m) in enumerate(zip(rows, miss)):
         found = kept[i]
         # merge numerically identical roots
-        if m <= verify_rtol * d_max and not any(
+        if m <= _VERIFY_RTOL * d_max and not any(
                 np.linalg.norm(x[k] - x[j]) <= 1e-9 * d_max for j in found):
             found.append(k)
     return x, kept
@@ -434,7 +431,7 @@ def classify_invert_tau(config: SensorConfig, taus, rtol: float = _RTOL) -> tupl
         return _regions(config, taus, rtol), None
     co = _coeff_rows(config, taus)
     return (_regions(config, taus, rtol, co),
-            _solution_sets(*_invert_rows(config, taus, rtol, _VERIFY_RTOL, co)))
+            _solution_sets(*_invert_rows(config, taus, rtol, co)))
 
 
 def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
@@ -454,7 +451,7 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
         return tuple(labels), tuple(fibers), None
     co = _coeff_rows(config, taus)
     labels, _, fibers, _ = _classify_rows(config, taus, rtol, co, _p2_rows(config, taus))
-    x, kept = _invert_rows(config, taus, rtol, _VERIFY_RTOL, co)
+    x, kept = _invert_rows(config, taus, rtol, co)
     xs = list(map(tuple, x.tolist()))
     return tuple(labels), tuple(fibers), tuple([tuple([xs[k] for k in found]) for found in kept])
 

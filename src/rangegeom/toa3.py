@@ -35,7 +35,7 @@ from .config import (
     _measurement,
     _require_planar_triple,
 )
-from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, NotCollinear
+from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, InvalidParam, NotCollinear
 from .spacetime import SpacetimeVec3, hodge_cross, lift, triple_form
 from .toa2 import _mirror_pair, _two_sphere
 
@@ -225,10 +225,14 @@ def _stewart(kind: CollinearTriple, T1: float, T2: float, T3: float) -> float:
 
     The squares go through the C library's pow, as ``float ** 2`` computes
     them; NumPy's array square (x * x) differs from it in the last bit on
-    about one value in 1300, so batch callers evaluate this per row.
+    about one value in 1300, so batch callers evaluate this per row.  A square
+    past the float range raises InvalidParam, as a non-finite range does.
     """
     rho, d21 = kind.rho, kind.d21
-    return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
+    try:
+        return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
+    except OverflowError:
+        raise InvalidParam(f"ranges too large to square, got {[T1, T2, T3]}") from None
 
 
 def _canonical_stewart(kind: CollinearTriple, T: list) -> float:

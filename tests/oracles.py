@@ -270,3 +270,184 @@ def mirror_pair_arrays(base, axis, h) -> tuple:
         return (base,)
     n = np.array([-axis[1], axis[0]])
     return (base + h * n, base - h * n)
+
+
+def hull_fill(config, T, rtol: float):
+    """hull_boundary_classify's step 3 as it was before it read the arc table's conics, verbatim.
+
+    The fill name of a range triple on an active facet plane of Q3, or None
+    where the point is not on a facet (Interior or Outside) or lies beyond
+    every active facet's fill.  Steps 1 and 2 (ideal edges, the quartic) are
+    left to the caller.
+    """
+    from rangegeom.kummer import _abc, _arc_table, _poly_eval
+
+    T = np.asarray(T, dtype=float)
+    q3 = rg.q3_membership(config, T, rtol=rtol)
+    if q3.verdict != "OnFacet":
+        return None
+    d_max = config.d_max
+    tol_lin = rtol * d_max
+    tol_quad = rtol * d_max ** 2
+    a, b, c = config._memo(_abc)
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    T1, T2, T3 = float(T[0]), float(T[1]), float(T[2])
+
+    def inside_F(name):
+        quad = _poly_eval(config._memo(_arc_table)[name]["quadratic"], T)
+        if name == "Gamma3":
+            chord = T1 + T2 - d21
+            chord_tol = tol_lin
+        elif name == "Gamma2":
+            chord = (d21 - d32) * T1 + d31 * T2 - d21 * d31
+            chord_tol = tol_quad
+        else:  # Gamma1
+            chord = d32 * T1 - (d31 - d21) * T2 - d21 * d32
+            chord_tol = tol_quad
+        return (
+            T1 >= -tol_lin and T2 >= -tol_lin
+            and quad <= tol_quad and chord >= -chord_tol
+        )
+
+    def inside_G(name):
+        if name == "r30":
+            s, off = T1, T3
+            span, curve_c, curve_d = d21, c * d31, d31
+            lo, hi = d31, d32
+        elif name == "r20":
+            s, off = T1, T2
+            span, curve_c, curve_d = d31, c * d21, d21
+            lo, hi = d21, d32
+        else:  # r10
+            s, off = T2, T1
+            span, curve_c, curve_d = d32, -b * d21, d21
+            lo, hi = d21, d31
+        if not (-tol_lin <= s <= span + tol_lin):
+            return False
+        curve = math.sqrt(max(s * s - 2 * curve_c * s + curve_d * curve_d, 0.0))
+        chord = lo + (hi - lo) * s / span
+        return curve - tol_lin <= off <= chord + tol_lin
+
+    def inside_L(name):
+        table = {
+            "r1+": (T2, T1, -b * d21, d21, d21),
+            "r1-": (T3, T1, a * d31, d31, d31),
+            "r2+": (T1, T2, c * d21, d21, d21),
+            "r2-": (T3, T2, a * d32, d32, d32),
+            "r3+": (T1, T3, c * d31, d31, d31),
+            "r3-": (T2, T3, -b * d32, d32, d32),
+        }
+        s, off, curve_c, curve_d, edge_c = table[name]
+        if s < -tol_lin:
+            return False
+        curve = math.sqrt(max(s * s + 2 * curve_c * s + curve_d * curve_d, 0.0))
+        return curve - tol_lin <= off <= s + edge_c + tol_lin
+
+    fill_name = {
+        "Gamma1": "F_123", "Gamma2": "F_213", "Gamma3": "F_312",
+        "r10": "G_123", "r20": "G_213", "r30": "G_312",
+        "r1+": "L1+", "r1-": "L1-", "r2+": "L2+", "r2-": "L2-",
+        "r3+": "L3+", "r3-": "L3-",
+    }
+    order = ["Gamma1", "Gamma2", "Gamma3", "r10", "r20", "r30",
+             "r1+", "r1-", "r2+", "r2-", "r3+", "r3-"]
+    for facet in order:
+        if facet not in q3.active:
+            continue
+        if facet.startswith("Gamma"):
+            ok = inside_F(facet)
+        elif facet.endswith("0"):
+            ok = inside_G(facet)
+        else:
+            ok = inside_L(facet)
+        if ok:
+            return fill_name[facet]
+    return None
+
+
+def homogeneous_evaluate(abc, t):
+    """HomogeneousForm.evaluate as it was with the cross terms written out, verbatim."""
+    t = np.asarray(t, dtype=float)
+    a, b, c = abc
+    sq = t * t
+    quads = (
+        sq[..., 1] * sq[..., 2] + sq[..., 0] * sq[..., 3],
+        sq[..., 1] * sq[..., 3] + sq[..., 0] * sq[..., 2],
+        sq[..., 2] * sq[..., 3] + sq[..., 0] * sq[..., 1],
+    )
+    val = np.sum(sq * sq, axis=-1) - 2 * a * quads[0] + 2 * b * quads[1] - 2 * c * quads[2]
+    if val.ndim == 0:
+        return float(val)
+    return val
+
+
+def homogeneous_gradient(abc, t):
+    """HomogeneousForm.gradient as it was with the cross terms written out, verbatim."""
+    t = np.asarray(t, dtype=float)
+    a, b, c = abc
+    t0, t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
+    g0 = 4 * t0 ** 3 - 4 * a * t0 * t3 ** 2 + 4 * b * t0 * t2 ** 2 - 4 * c * t0 * t1 ** 2
+    g1 = 4 * t1 ** 3 - 4 * a * t1 * t2 ** 2 + 4 * b * t1 * t3 ** 2 - 4 * c * t0 ** 2 * t1
+    g2 = 4 * t2 ** 3 - 4 * a * t1 ** 2 * t2 + 4 * b * t0 ** 2 * t2 - 4 * c * t2 * t3 ** 2
+    g3 = 4 * t3 ** 3 - 4 * a * t0 ** 2 * t3 + 4 * b * t1 ** 2 * t3 - 4 * c * t2 ** 2 * t3
+    return np.stack([g0, g1, g2, g3], axis=-1)
+
+
+def homogeneous_hessian(abc, t):
+    """HomogeneousForm.hessian as it was with the cross terms written out, verbatim."""
+    t = np.asarray(t, dtype=float).reshape(4)
+    a, b, c = abc
+    t0, t1, t2, t3 = t
+    H = np.zeros((4, 4))
+    H[0, 0] = 12 * t0 ** 2 - 4 * a * t3 ** 2 + 4 * b * t2 ** 2 - 4 * c * t1 ** 2
+    H[1, 1] = 12 * t1 ** 2 - 4 * a * t2 ** 2 + 4 * b * t3 ** 2 - 4 * c * t0 ** 2
+    H[2, 2] = 12 * t2 ** 2 - 4 * a * t1 ** 2 + 4 * b * t0 ** 2 - 4 * c * t3 ** 2
+    H[3, 3] = 12 * t3 ** 2 - 4 * a * t0 ** 2 + 4 * b * t1 ** 2 - 4 * c * t2 ** 2
+    H[0, 1] = H[1, 0] = -8 * c * t0 * t1
+    H[0, 2] = H[2, 0] = 8 * b * t0 * t2
+    H[0, 3] = H[3, 0] = -8 * a * t0 * t3
+    H[1, 2] = H[2, 1] = -8 * a * t1 * t2
+    H[1, 3] = H[3, 1] = 8 * b * t1 * t3
+    H[2, 3] = H[3, 2] = -8 * c * t2 * t3
+    return H
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            key = (ep[0] + eq[0], ep[1] + eq[1], ep[2] + eq[2])
+            out[key] = out.get(key, 0.0) + cp * cq
+    return out
+
+
+def degeneration_gap_by_squared_terms(config, n: int = 512, seed: int = 0, box: float = 3.0):
+    """collinear_degeneration_check as it was, squaring the Stewart quadric's terms, verbatim.
+
+    d21^2 * sigma^2 is multiplied out term by term and relabelled into the
+    original receiver order before it is evaluated.  Returns the gap and the
+    largest |d21^2 sigma^2| / d_max^6 over the samples, the scale of its rounding.
+    """
+    from rangegeom.config import _canonical_collinear
+    from rangegeom.kummer import _poly_eval, _quartic_terms
+
+    order, rho, d21 = _canonical_collinear(config.receivers)
+    terms = {
+        (2, 0, 0): 1.0 - rho,
+        (0, 2, 0): rho,
+        (0, 0, 2): -1.0,
+        (0, 0, 0): -rho * (1.0 - rho) * d21 * d21,
+    }
+    sq = _poly_mul(terms, terms)
+    sigma_sq = {}
+    for exp, coeff in sq.items():
+        orig = [0, 0, 0]
+        for pos in range(3):
+            orig[order[pos]] = exp[pos]
+        sigma_sq[tuple(orig)] = coeff * d21 * d21
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.0, box * d21, size=(n, 3))
+    square = _poly_eval(sigma_sq, T)
+    gap = _poly_eval(config._memo(_quartic_terms), T) - square
+    return (float(np.max(np.abs(gap)) / config.d_max ** 6),
+            float(np.max(np.abs(square)) / config.d_max ** 6))

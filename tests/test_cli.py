@@ -213,6 +213,7 @@ def test_exit_code_config_errors(tmp_path):
     ["localize-toa", "--config", RIGHT, "--toa", "nan,1,1"],
     ["classify", "--config", PAIR, "--toa", "1,inf"],
     ["localize-tdoa", "--config", RIGHT, "--tau=nan,0"],
+    ["classify", "--config", COLLINEAR, "--tdoa=1e155,-1e155"],  # finite, its square is not
 ])
 def test_exit_code_non_finite_measurement(argv):
     code, out = _run(argv)

@@ -8,9 +8,24 @@ from hypothesis import assume, given, settings
 import rangegeom as rg
 
 from conftest import away_from_receivers, sources, triangles
-from oracles import poly_eval_per_term
+from oracles import (
+    degeneration_gap_by_squared_terms,
+    homogeneous_evaluate,
+    homogeneous_gradient,
+    homogeneous_hessian,
+    hull_fill,
+    poly_eval_per_term,
+)
 
 _RT = 1e-9
+
+# receiver sets for the checks against the written-out formulas in oracles.py
+_SHAPES = {
+    "right": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    "scalene": [(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)],
+    "obtuse": [(0.0, 0.0), (1.0, 0.0), (1.4, 0.5)],
+    "thin": [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-2)],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +154,29 @@ def test_homogeneous_hessian_symmetric(scalene):
     H = rg.homogeneous_form(scalene).hessian(np.array([1.0, 0.7, 1.1, 0.4]))
     assert H.shape == (4, 4)
     assert np.max(np.abs(H - H.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_homogeneous_form_matches_the_written_out_cross_terms(shape):
+    cfg = rg.validate_config(_SHAPES[shape])
+    form = rg.homogeneous_form(cfg)
+    rng = np.random.default_rng(3)
+    probes = list(rng.uniform(-2.0, 2.0, size=(64, 4)))
+    probes += [n.homogeneous for n in rg.nodes_and_tropes(cfg).nodes]
+    # one scale per function, the largest |old value| over all probes: at the
+    # nodes F and its gradient vanish, so their own values are rounding noise
+    for method, reference in ((form.evaluate, homogeneous_evaluate),
+                              (form.gradient, homogeneous_gradient),
+                              (form.hessian, homogeneous_hessian)):
+        new = np.array([method(t) for t in probes])
+        old = np.array([reference(form.abc, t) for t in probes])
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), method.__name__
+    batch = np.stack(probes)
+    for method, reference in ((form.evaluate, homogeneous_evaluate),
+                              (form.gradient, homogeneous_gradient)):
+        old = reference(form.abc, batch)
+        assert method(batch).shape == old.shape
+        assert np.max(np.abs(method(batch) - old)) <= 1e-12 * np.max(np.abs(old))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +456,65 @@ def test_hull_fills_and_strips(right):
     assert rg.hull_boundary_classify(right, T_l).name == "L3-"
 
 
+_FILL_OF_ARC = {
+    "Gamma1": "F_123", "Gamma2": "F_213", "Gamma3": "F_312",
+    "r10": "G_123", "r20": "G_213", "r30": "G_312",
+    "r1+": "L1+", "r1-": "L1-", "r2+": "L2+", "r2-": "L2-", "r3+": "L3+", "r3-": "L3-",
+}
+
+
+def _fill_probes(cfg):
+    """(arc label, inside?, T) on each arc's facet plane.
+
+    Inside points are midpoints of two arc samples off the endpoint nodes, so
+    strictly inside the (convex) fill.  Beyond points continue the ray from
+    the mean of those midpoints through each arc sample past the conic.
+    """
+    for label in rg.ARC_LABELS:
+        arc = rg.conic_arc(cfg, label)
+        P = cfg.distances(arc.sample_sources(n=9, extent=2.0))[1:-1 if arc.bounded else None]
+        inside = [(P[i] + P[j]) / 2 for i in range(len(P)) for j in range(i + 1, len(P))]
+        centre = np.mean(inside, axis=0)
+        yield from ((label, True, T) for T in inside)
+        yield from ((label, False, p + s * (p - centre)) for p in P for s in (0.05, 0.5))
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_hull_fills_match_the_written_out_fill_tests(shape, rtol):
+    cfg = rg.validate_config(_SHAPES[shape])
+    beyond_on_facet = 0
+    for label, inside, T in _fill_probes(cfg):
+        # points on the quartic are step 2's (V regions), not a fill's; on the
+        # thin triangle that takes most of the Gamma1, Gamma2, r10 and r20 fills
+        if abs(rg.quartic_residual(cfg, T, normalized=True)) <= 1e-9:
+            continue
+        want = hull_fill(cfg, T, rtol)
+        try:
+            got = rg.hull_boundary_classify(cfg, T, rtol=rtol).name
+        except rg.NotOnBoundary:
+            got = None
+        assert got == want, (label, inside, T.tolist())
+        if inside:
+            assert want == _FILL_OF_ARC[label], (label, T.tolist())
+        else:
+            q3 = rg.q3_membership(cfg, T, rtol=rtol)
+            beyond_on_facet += q3.verdict == "OnFacet" and label in q3.active
+    assert beyond_on_facet >= 10  # beyond points that only the fill test turns away
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_each_arc_quadratic_is_negative_on_its_fill_side(shape):
+    cfg = rg.validate_config(_SHAPES[shape])
+    for label in rg.ARC_LABELS:
+        arc = rg.conic_arc(cfg, label)
+        if arc.bounded:
+            inner = 0.5 * (arc.endpoints[0] + arc.endpoints[1])
+        else:
+            inner = arc.endpoints[0] + cfg.d_max * arc.direction
+        assert rg.kummer._poly_eval(arc.quadratic, inner) < 0.0, label
+
+
 def test_hull_ideal_edges(right):
     comp = rg.hull_boundary_classify(right, np.array([2.0, 3.0, 3.0]))
     assert comp.name == "UnboundedEdge1" and not comp.in_hull
@@ -454,3 +551,17 @@ def test_degeneration_far_from_collinear(equilateral):
         rg.collinear_degeneration_check(equilateral)
     obtuse = rg.validate_config([(0.0, 0.0), (1.0, 0.0), (0.5, 0.3)])
     assert rg.collinear_degeneration_check(obtuse) > 1e-3
+
+
+@pytest.mark.parametrize("receivers", [
+    [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)],
+    [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)],
+    [(3.0, 1.0), (-1.0, 2.0), (1.4, 1.4)],
+    [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)],
+    [(0.0, 0.0), (1.0, 0.0), (0.5, 0.3)],
+])
+def test_degeneration_gap_matches_the_squared_stewart_terms(receivers):
+    cfg = rg.validate_config(receivers)
+    for seed in (0, 1):
+        old, scale = degeneration_gap_by_squared_terms(cfg, n=256, seed=seed)
+        assert abs(rg.collinear_degeneration_check(cfg, n=256, seed=seed) - old) <= 1e-12 * scale

@@ -265,6 +265,23 @@ def test_collinear_compatibility_pinned(collinear_mid):
     assert rep.verdict == "Feasible" and rep.fiber == 2
 
 
+_BIG = 1e155  # finite, but its square overflows a float
+
+
+@pytest.mark.parametrize("entry", [
+    lambda cfg, cfg3d: rg.classify_tau(cfg, (_BIG, -_BIG)),
+    lambda cfg, cfg3d: rg.tau_fibers(cfg, np.array([[0.1, 0.2], [_BIG, -_BIG]])),
+    lambda cfg, cfg3d: rg.classify3(cfg, (_BIG, _BIG, _BIG)),
+    lambda cfg, cfg3d: rg.invert3_collinear(cfg, (_BIG, _BIG, _BIG)),
+    lambda cfg, cfg3d: rg.collinear_quadric_residual(cfg, (_BIG, 1.0, 1.0)),
+    lambda cfg, cfg3d: rg.invert3d_r3_collinear(cfg3d, (1.0, _BIG, 1.0)),
+], ids=["classify_tau", "tau_fibers", "classify3", "invert3_collinear",
+        "collinear_quadric_residual", "invert3d_r3_collinear"])
+def test_collinear_ranges_whose_squares_overflow_are_invalid(collinear_mid, collinear3d, entry):
+    with pytest.raises(rg.InvalidParam):
+        entry(collinear_mid, collinear3d)
+
+
 def test_collinear_inversion_remaps_noisy_triples(collinear_mid, collinear3d):
     """Noisy collinear triples at the matched tolerance: mirror pairs and circles re-map to T.
 
