@@ -15,12 +15,12 @@ is reproducible and identical for every input ordering of the same points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateReceiver, InvalidParam
+from .spacetime import _cross3
 
 # Default relative tolerance of every classification and inversion.
 _RTOL = 1e-9
@@ -60,11 +60,38 @@ class CollinearTriple:
 
 @dataclass(frozen=True, eq=False)
 class SensorConfig:
-    """A validated receiver configuration (build via :func:`validate_config`)."""
+    """A validated receiver configuration (build via :func:`validate_config`).
+
+    validate_config sets every field, and is the one place the pairwise
+    geometry is computed:
+
+    receivers       : the receivers, read-only rows of _receiver_stack
+    d21, d31, d32   : pairwise distances |m_j - m_i| (d31 = d32 = None for
+                      two receivers), d_max the largest
+    _receiver_stack : the receivers as one read-only (n, dimension) array
+    _sides          : read-only rows m2 - m1, m3 - m1, m3 - m2 (only m2 - m1
+                      for two receivers)
+    _gram           : (g21, g31, g32, p12, p13, p23), the NumPy dot products
+                      of the sides: g21 = |m2 - m1|^2, ..., p12 = (m2 - m1) .
+                      (m3 - m1), p13 = (m2 - m1) . (m3 - m2), p23 = (m3 - m1) .
+                      (m3 - m2); (g21,) for two receivers
+
+    The config-only builders behind _memo read these values instead of
+    re-deriving them from the receivers.
+    """
 
     receivers: tuple
     dimension: int
     kind: object
+    d21: float
+    d31: object
+    d32: object
+    d_max: float
+    _receiver_stack: np.ndarray = field(repr=False)
+    _sides: np.ndarray = field(repr=False)
+    _gram: tuple = field(repr=False)
+    # the memo behind _memo: builder function -> value
+    _constants: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -83,24 +110,6 @@ class SensorConfig:
     def dist(self, j: int, i: int) -> float:
         return _norm(self.vec(j, i))
 
-    @cached_property
-    def d21(self) -> float:
-        return self.dist(2, 1)
-
-    @cached_property
-    def d31(self) -> float:
-        return self.dist(3, 1)
-
-    @cached_property
-    def d32(self) -> float:
-        return self.dist(3, 2)
-
-    @cached_property
-    def d_max(self) -> float:
-        if self.n == 2:
-            return self.d21
-        return max(self.d21, self.d31, self.d32)
-
     @property
     def is_collinear(self) -> bool:
         return isinstance(self.kind, CollinearTriple)
@@ -112,33 +121,22 @@ class SensorConfig:
             return self.receivers
         return tuple(self.receivers[i] for i in self.kind.order)
 
-    @cached_property
-    def _constants(self) -> dict:
-        """The memo behind :meth:`_memo`: builder function -> value."""
-        return {}
-
     def _memo(self, build):
         """build(self), computed on first use and kept for this configuration.
 
         For constants that depend only on the receivers (quartic
-        coefficients, invert3's reference system, tangency points).  Like the
-        cached properties here, the memo lives in the instance ``__dict__``,
-        so it dies with the configuration.  build must return an immutable
-        or read-only value that holds no reference to the configuration.
-        Two threads may both build a missing value; builders are pure, so
-        either result serves.  Builders never return None.
+        coefficients, invert3's reference system, tangency points).  The memo
+        is a plain field, so it dies with the configuration.  Builders read
+        the fields validate_config set (distances, _sides, _gram, the
+        receiver stack), not config.vec or config.m.  build must return an
+        immutable or read-only value that holds no reference to the
+        configuration.  Two threads may both build a missing value; builders
+        are pure, so either result serves.  Builders never return None.
         """
         value = self._constants.get(build)
         if value is None:
             value = self._constants[build] = build(self)
         return value
-
-    @cached_property
-    def _receiver_stack(self) -> np.ndarray:
-        """The receivers as one read-only (n, dimension) array."""
-        stack = np.stack(self.receivers)
-        stack.setflags(write=False)
-        return stack
 
     def distances(self, x) -> np.ndarray:
         """Euclidean distances from point(s) x to every receiver.
@@ -189,26 +187,26 @@ def _require_planar_triple(config: SensorConfig) -> None:
         raise DimensionMismatch("expected planar receivers (use the 3D variants otherwise)")
 
 
-def _canonical_collinear(points):
+def _canonical_collinear(points, gram: tuple, dists: tuple):
     """Return (order, rho, d21) for three (near-)collinear points, else None.
 
+    gram and dists: the points' SensorConfig._gram and (d21, d31, d32).
     `order` lists original indices as (endpoint-1, endpoint-2, middle).  The
     middle point is found by a dot test (it sees the other two in opposite
     directions), which is stable under small perturbations off the line; an
     acute triangle has no middle and yields None.
     """
-    middle = None
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        if float(np.dot(points[j] - points[i], points[k] - points[i])) <= 0.0:
-            middle = i
+    _, _, _, p12, p13, p23 = gram
+    d21, d31, d32 = dists
+    # per middle i: (m_j - m_i) . (m_k - m_i), the endpoints [j, k], |m_k - m_j|,
+    # |m_j - m_i| and |m_k - m_i|
+    for middle, dot, ends, d_end, d0, d1 in ((0, p12, [1, 2], d32, d21, d31),
+                                            (1, -p13, [0, 2], d31, d21, d32),
+                                            (2, p23, [0, 1], d21, d31, d32)):
+        if dot <= 0.0:
             break
-    if middle is None:
+    else:
         return None
-    ends = [t for t in range(3) if t != middle]
-    d_end = _norm(points[ends[1]] - points[ends[0]])
-    d0 = _norm(points[middle] - points[ends[0]])
-    d1 = _norm(points[middle] - points[ends[1]])
     if d0 < d1:
         e1, e2 = ends
         rho = d0 / d_end
@@ -225,13 +223,21 @@ def _canonical_collinear(points):
     return (e1, e2, middle), rho, d_end
 
 
+# receiver index pairs (i, j) of the sides m_j - m_i, in the order of _sides
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+# the sides of three receivers dotted into _gram: left factors, right factors
+_GRAM_LEFT, _GRAM_RIGHT = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+
+
 def validate_config(receivers, dimension=None) -> SensorConfig:
     """Validate receiver positions and build a :class:`SensorConfig`.
 
     Raises DimensionMismatch for wrong counts/coordinate lengths and
     DuplicateReceiver for coincident receivers.  Three-receiver configurations
     are classified as GeneralTriangle or CollinearTriple (canonical order and
-    rho recorded, see module docstring).
+    rho recorded, see module docstring).  The pairwise sides, their dot
+    products and distances are computed here once and kept in the
+    configuration (see SensorConfig).
     """
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in receivers]
     if len(pts) not in (2, 3):
@@ -244,38 +250,46 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         raise DimensionMismatch(f"receivers must be 2D or 3D, got {dim}D")
     if dimension is not None and dimension != dim:
         raise DimensionMismatch(f"declared dimension {dimension} but receivers are {dim}D")
-    if not all(math.isfinite(c) for p in pts for c in p.tolist()):
+    stack = np.array(pts)
+    coords = stack.tolist()
+    if not all(math.isfinite(c) for p in coords for c in p):
         raise DimensionMismatch("receiver coordinates must be finite")
+    stack.setflags(write=False)
 
     n = len(pts)
-    dists = {}
-    d_max = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dists[(i, j)] = _norm(pts[j] - pts[i])
-            d_max = max(d_max, dists[(i, j)])
-    for (i, j), d in dists.items():
+    # the sides on floats, which subtract as the arrays m_j - m_i do
+    side_rows = [[b - a for a, b in zip(coords[i], coords[j])] for i, j in _PAIRS[:2 * n - 3]]
+    sides = np.array(side_rows)
+    sides.setflags(write=False)
+    if n == 2:
+        gram = (float(sides[0] @ sides[0]),)
+    else:
+        # one stack of (1, k) @ (k, 1) products, each the dot of a 1-D u @ v bit for bit
+        left, right = sides.take(_GRAM_LEFT, axis=0), sides.take(_GRAM_RIGHT, axis=0)
+        gram = tuple((left[:, None, :] @ right[:, :, None]).ravel().tolist())
+    dists = [math.sqrt(g) for g in gram[:n]]
+    d_max = max(dists)
+    for (i, j), d in zip(_PAIRS, dists):
         if d <= _DUPLICATE_RTOL * d_max:
             raise DuplicateReceiver(f"receivers {i + 1} and {j + 1} coincide (d = {d:g})")
 
     if n == 2:
         kind = TwoReceivers()
+        dists += [None, None]
     else:
-        v21 = pts[1] - pts[0]
-        v31 = pts[2] - pts[0]
+        v21, v31 = side_rows[:2]
         if dim == 2:
-            area2 = abs(float(v21[0] * v31[1] - v21[1] * v31[0]))
+            area2 = abs(v21[0] * v31[1] - v21[1] * v31[0])
         else:
-            area2 = _norm(np.cross(v21, v31))
-        if area2 / (dists[(0, 1)] * dists[(0, 2)]) <= _COLLINEAR_RTOL:
-            canonical = _canonical_collinear(pts)
+            area2 = _norm(np.array(_cross3(v21, v31)))
+        if area2 / (dists[0] * dists[1]) <= _COLLINEAR_RTOL:
+            canonical = _canonical_collinear(stack, gram, dists)
             assert canonical is not None  # exactly collinear points have a middle
             order, rho, d_end = canonical
             kind = CollinearTriple(rho=rho, order=order, d21=d_end)
         else:
             kind = GeneralTriangle()
 
-    frozen = tuple(p.copy() for p in pts)
-    for p in frozen:
-        p.setflags(write=False)
-    return SensorConfig(receivers=frozen, dimension=dim, kind=kind)
+    d21, d31, d32 = dists
+    return SensorConfig(receivers=tuple(stack), dimension=dim, kind=kind, d21=d21, d31=d31,
+                        d32=d32, d_max=d_max, _receiver_stack=stack, _sides=sides, _gram=gram)

@@ -32,6 +32,7 @@ with extra symmetry).  This module exposes the surface algebraically:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -47,6 +48,7 @@ from .config import (
 from .errors import (
     DegenerateConfig,
     DimensionMismatch,
+    InvalidParam,
     NotANode,
     NotCollinear,
     NotOnBoundary,
@@ -92,9 +94,10 @@ def _require_general(config: SensorConfig) -> None:
 def _abc(config: SensorConfig) -> tuple:
     """Cosine parameters of the triangle: a = cos(angle at m3),
     b = -cos(angle at m2), c = cos(angle at m1); a config-only constant (config._memo)."""
-    a = float(config.vec(3, 1) @ config.vec(3, 2)) / (config.d31 * config.d32)
-    b = float(config.vec(2, 1) @ config.vec(3, 2)) / (config.d21 * config.d32)
-    c = float(config.vec(2, 1) @ config.vec(3, 1)) / (config.d21 * config.d31)
+    _, _, _, p12, p13, p23 = config._gram
+    a = p23 / (config.d31 * config.d32)
+    b = p13 / (config.d21 * config.d32)
+    c = p12 / (config.d21 * config.d31)
     return a, b, c
 
 
@@ -128,19 +131,22 @@ def _poly_eval(terms, T: np.ndarray):
     return out
 
 
-def _quartic_terms(config: SensorConfig) -> MappingProxyType:
-    """Coefficients of the defining quartic (no general-position gate).
+_FLOAT_MAX = sys.float_info.max
 
-    A config-only constant: read it through config._memo(_quartic_terms).
+
+def _quartic_terms(config: SensorConfig) -> tuple:
+    """Coefficients of the defining quartic (no general-position gate), and its input bound.
+
+    (terms, bound), a config-only constant: read it through
+    config._memo(_quartic_terms).  The coefficients come from validate_config's
+    dot products (config._gram), not from norms squared, which keeps them exact
+    on exactly-representable receiver coordinates.  bound is the largest
+    max |T_i| at which every power and every partial sum of the quartic stays
+    finite: each of the degree-4 and degree-2 parts is at most a quarter of
+    the largest float there (_quartic_value rejects triples beyond it).
     """
-    d21v, d31v, d32v = config.vec(2, 1), config.vec(3, 1), config.vec(3, 2)
-    # squared lengths from dot products (not norm-then-square) keep the
-    # coefficients exact on exactly-representable receiver coordinates
-    g21, g31, g32 = float(d21v @ d21v), float(d31v @ d31v), float(d32v @ d32v)
-    p12 = float(d21v @ d31v)   # d21 . d31
-    p13 = float(d21v @ d32v)   # d21 . d32
-    p23 = float(d31v @ d32v)   # d31 . d32
-    return MappingProxyType({
+    g21, g31, g32, p12, p13, p23 = config._gram
+    terms = MappingProxyType({
         (4, 0, 0): g32,
         (0, 4, 0): g31,
         (0, 0, 4): g21,
@@ -152,6 +158,27 @@ def _quartic_terms(config: SensorConfig) -> MappingProxyType:
         (0, 0, 2): -2.0 * p23 * g21,
         (0, 0, 0): g21 * g31 * g32,
     })
+    degree4 = g32 + g31 + g21 + 2.0 * (abs(p23) + abs(p13) + abs(p12))
+    degree2 = 2.0 * (abs(p12) * g32 + abs(p13) * g31 + abs(p23) * g21)
+    bound = min(_FLOAT_MAX ** 0.25, _part_bound(degree4, 4), _part_bound(degree2, 2))
+    return terms, bound
+
+
+def _part_bound(coefficients: float, degree: int) -> float:
+    """Largest max |T_i| at which a degree-`degree` part, |coefficients| summed, stays below
+    a quarter of the largest float; no bound when the sum underflowed to 0.0 (tiny receivers)."""
+    if coefficients == 0.0:
+        return math.inf
+    return (0.25 * _FLOAT_MAX / coefficients) ** (1.0 / degree)
+
+
+def _quartic_value(config: SensorConfig, T: np.ndarray):
+    """The defining quartic at range triple(s) T; raises InvalidParam beyond its input bound."""
+    terms, bound = config._memo(_quartic_terms)
+    largest = max(map(abs, T.tolist())) if T.ndim == 1 else np.abs(T).max(initial=0.0)
+    if largest > bound:
+        raise InvalidParam(f"ranges too large for the quartic (|T| > {bound:g}), got |T| = {largest:g}")
+    return _poly_eval(terms, T)
 
 
 def quartic_residual(config: SensorConfig, T, normalized: bool = False):
@@ -159,16 +186,27 @@ def quartic_residual(config: SensorConfig, T, normalized: bool = False):
 
     Zero exactly on the range surface.  With normalized=True the value is
     divided by d_max^6, making it scale-free (the polynomial has total length
-    degree six).  Raises DegenerateConfig for collinear receivers.
+    degree six).  Raises DegenerateConfig for collinear receivers, and
+    InvalidParam for ranges so large that the quartic overflows or, when
+    normalized, receivers so close that d_max^6 underflows.
     """
     _require_general(config)
     T = np.asarray(T, dtype=float)
     if T.shape[-1] != 3:
         raise DimensionMismatch("expected range triples with last axis 3")
-    val = _poly_eval(config._memo(_quartic_terms), T)
+    val = _quartic_value(config, T)
     if normalized:
-        val = val / config.d_max ** 6
+        val = _scale_free(config, val)
     return val
+
+
+def _scale_free(config: SensorConfig, value):
+    """A quartic value divided by d_max^6; InvalidParam when d_max^6 underflows to 0.0."""
+    scale = config.d_max ** 6
+    if scale == 0.0:
+        raise InvalidParam(f"receivers too close for the quartic (d_max^6 underflows), "
+                           f"d_max = {config.d_max:g}")
+    return value / scale
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +862,8 @@ def collinear_degeneration_check(
     """
     _require_planar_triple(config)
     # the dot test tolerates nearly collinear receivers, which config.kind does not
-    canonical = _canonical_collinear(config.receivers)
+    canonical = _canonical_collinear(config.receivers, config._gram,
+                                     (config.d21, config.d31, config.d32))
     if canonical is None:
         raise NotCollinear(
             "no middle receiver (all angles acute); configuration is far from collinear"
@@ -839,5 +878,5 @@ def collinear_degeneration_check(
     }
     T = np.random.default_rng(seed).uniform(0.0, box * d21, size=(n, 3))
     s = _poly_eval(sigma, T[:, list(order)])
-    gap = _poly_eval(config._memo(_quartic_terms), T) - d21 * d21 * s * s
-    return float(np.max(np.abs(gap)) / config.d_max ** 6)
+    gap = _poly_eval(config._memo(_quartic_terms)[0], T) - d21 * d21 * s * s
+    return float(_scale_free(config, np.max(np.abs(gap))))

@@ -76,6 +76,12 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _cross3(u, v) -> list:
+    """np.cross of two 3-vectors given as float sequences, as a list of floats, bit for bit."""
+    (x1, y1, z1), (x2, y2, z2) = u, v
+    return [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
+
+
 def cross2(u, v) -> float:
     """Scalar cross product (2D Hodge of the wedge) of two planar vectors."""
     return float(_cross2(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))

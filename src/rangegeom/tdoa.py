@@ -51,10 +51,9 @@ from .config import (
     _require_planar_triple,
 )
 from .errors import DegenerateConfig, InvalidParam, RangeGeomError
-from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_table,
+from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
                      _facet_verdict, _node_images, _quartic_terms, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
-from .spacetime import _cross2
 from .toa3 import SolutionSet, _stewart
 
 _VERIFY_RTOL = 1e-7
@@ -72,10 +71,8 @@ TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
 # the hexagon only at those points, so every a > 0, b > 0 point off the facets
 # lies strictly inside exactly one of these cones.
 _LENS_CONES = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
-# the same cones as rows of the tangency table
-_LENS_ROWS = np.array([[TANGENCY_IDS.index(p), TANGENCY_IDS.index(q)]
-                       for p, q in _LENS_CONES.values()])
-_LENS_ROWS.setflags(write=False)
+# the same cones as rows of the tangency table: the rows of the p's, then of the q's
+_LENS_ROWS = tuple(tuple(TANGENCY_IDS.index(t) for t in ends) for ends in zip(*_LENS_CONES.values()))
 
 
 def tau_map(config: SensorConfig, x) -> np.ndarray:
@@ -142,26 +139,29 @@ class P2Report:
     active: tuple
 
 
+# each P2 facet and the index in Q3_FACETS of the ray trope projecting to it
+_P2_ROWS = tuple(zip(P2_FACETS, (Q3_FACETS.index(ray) for ray in
+                                 ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+"))))
+
+
 def _p2_table(config: SensorConfig) -> tuple:
     """P2's facet names, read-only normals (2, k) and offsets (k,); a config-only constant.
 
     Column k is (c1, c2) and c0 of the ray trope projecting to facet names[k]
-    of P2_FACETS: on the lift (tau1 + t, tau2 + t, t), t drops out as c1 + c2 + c3
-    = 0.  The normals are 0 or +-1, so each slack is one rounding, as in t1 + d31.
-    Collinear receivers drop the facet pair of the longest pairwise distance.
+    of P2_FACETS (_facet_rows at the configuration's distances): on the lift
+    (tau1 + t, tau2 + t, t), t drops out as c1 + c2 + c3 = 0.  The normals are
+    0 or +-1, so each slack is one rounding, as in t1 + d31.  Collinear
+    receivers drop the facet pair of the longest pairwise distance.
     """
-    table = dict(zip(Q3_FACETS, config._memo(_facet_table)))
-    names = P2_FACETS
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    rows = _facet_rows(d21, d31, d32)
+    columns = _P2_ROWS
     if config.is_collinear:
-        longest = max([("tau2-tau1", config.d21), ("tau1", config.d31), ("tau2", config.d32)],
-                      key=lambda p: p[1])[0]
-        names = tuple(name for name in P2_FACETS if not name.startswith(longest + "="))
-    rays = dict(zip(P2_FACETS, ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+")))
-    rows = np.array([table[rays[name]] for name in names])
-    normals, offsets = rows[:, 1:3].T.copy(), rows[:, 0].copy()
-    normals.setflags(write=False)
-    offsets.setflags(write=False)
-    return names, normals, offsets
+        longest = max([("tau2-tau1", d21), ("tau1", d31), ("tau2", d32)], key=lambda p: p[1])[0]
+        columns = [(name, k) for name, k in columns if not name.startswith(longest + "=")]
+    table = np.array([[rows[k][c] for _, k in columns] for c in (0, 1, 2)])
+    table.setflags(write=False)
+    return tuple(name for name, _ in columns), table[1:], table[0]
 
 
 def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
@@ -225,14 +225,12 @@ def _line_constants(config: SensorConfig) -> tuple:
     """The null-cone line's config-only constants, read-only.
 
     (d31v, d32v, M, shift, w12, flip): d31v = m3 - m1 and d32v = m3 - m2 are
-    the rows of M, the 2x2 system for the base point u0; shift =
-    (d31^2, d32^2); w12 = cross2(d31v, d32v) is twice the signed area; flip =
-    (s, -s) with s = -sign(w12) orients v_spatial.  Read it through
-    config._memo(_line_constants).
+    the rows of M (validate_config's last two sides), the 2x2 system for the
+    base point u0; shift = (d31^2, d32^2); w12 = cross2(d31v, d32v) is twice
+    the signed area; flip = (s, -s) with s = -sign(w12) orients v_spatial.
+    Read it through config._memo(_line_constants).
     """
-    m1, m2, m3 = config.receivers
-    M = m3 - np.array([m1, m2])
-    M.setflags(write=False)
+    M = config._sides[1:]
     d31v, d32v = M
     (x31, y31), (x32, y32) = M.tolist()
     w12 = x31 * y32 - y31 * x32
@@ -272,15 +270,19 @@ def tangency_points(config: SensorConfig) -> dict:
 def _tangency_table(config: SensorConfig) -> np.ndarray:
     """The tangency points as a read-only (6, 2) array, rows in TANGENCY_IDS order.
 
-    A config-only constant: read it through config._memo(_tangency_table).
+    T_i^+ = (d31v . u, d32v . u) for the unit side u = (m3 - m2) / d32,
+    (m3 - m1) / d31, (m2 - m1) / d21 (validate_config's sides, reversed), and
+    T_i^- = -T_i^+.  A config-only constant: read it through
+    config._memo(_tangency_table).
     """
-    d31v, d32v = config._memo(_line_constants)[:2]
-    rows = []
-    for vec, norm in ((d32v, config.d32), (d31v, config.d31), (config.vec(2, 1), config.d21)):
-        u = vec / norm
-        pt = np.array([float(d31v @ u), float(d32v @ u)])
-        rows += [pt, -pt]
-    table = np.array(rows)
+    d21v, d31v, d32v = config._sides.tolist()
+    units = [[c / norm for c in side] for side, norm in
+             ((d32v, config.d32), (d31v, config.d31), (d21v, config.d21))]
+    # each (1, 2) @ (2, 1) product of the stack is the dot of a 1-D d31v @ u, bit for bit
+    left = np.array((d31v + d32v) * 3).reshape(6, 1, 2)
+    right = np.array([c for u in units for c in u + u]).reshape(6, 2, 1)
+    a1, b1, a2, b2, a3, b3 = (left @ right).ravel().tolist()
+    table = np.array([a1, b1, -a1, -b1, a2, b2, -a2, -b2, a3, b3, -a3, -b3]).reshape(6, 2)
     table.setflags(write=False)
     return table
 
@@ -291,12 +293,12 @@ def _lens_table(config: SensorConfig) -> tuple:
     Entry i - 1 is the cone of U_i, spanned by its two tangency points
     p = (px, py) and q = (qx, qy) of _LENS_CONES, with w = cross2(p, q).
     """
-    tangency = config._memo(_tangency_table)
-    p, q = tangency[_LENS_ROWS[:, 0]], tangency[_LENS_ROWS[:, 1]]
-    w = _cross2(p, q)
-    for arr in (p, q, w):
-        arr.setflags(write=False)
-    return p[:, 0], p[:, 1], q[:, 0], q[:, 1], w
+    tangency = config._memo(_tangency_table).tolist()
+    (px, py), (qx, qy) = (zip(*(tangency[k] for k in ks)) for ks in _LENS_ROWS)
+    w = [a * d - b * c for a, b, c, d in zip(px, py, qx, qy)]
+    table = np.array([px, py, qx, qy, w])
+    table.setflags(write=False)
+    return tuple(table)
 
 
 def _vertex_images(config: SensorConfig) -> np.ndarray:
@@ -629,7 +631,7 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     t1, t2 = float(tau[0]), float(tau[1])
     coeffs = np.zeros(5)
     shifts = (np.array([t1, 1.0]), np.array([t2, 1.0]), np.array([0.0, 1.0]))
-    for (e1, e2, e3), coeff in config._memo(_quartic_terms).items():
+    for (e1, e2, e3), coeff in config._memo(_quartic_terms)[0].items():
         poly = np.array([1.0])
         for shift, e in zip(shifts, (e1, e2, e3)):
             for _ in range(e):

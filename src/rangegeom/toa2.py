@@ -121,7 +121,7 @@ def invert2(config: SensorConfig, T, rtol: float = _RTOL) -> tuple:
         raise DimensionMismatch("two-receiver inversion requires planar receivers")
     T = _measurement(T, 2)
     T1, T2 = float(T[0]), float(T[1])
-    fiber = _two_sphere(config.m(1), config.m(2), T1, T2, config.d21, rtol)
+    fiber = _two_sphere(*config.receivers, T1, T2, config.d21, rtol)
     if fiber is None:
         raise Infeasible(
             "range pair outside the feasible cone", residuals=q2_residuals(T1, T2, config.d21)

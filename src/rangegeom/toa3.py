@@ -8,9 +8,11 @@ by a quadric (a consequence of Stewart's relation) and the generic fiber is a
 mirror pair across the receiver line (fiber size 2).
 
 Inversion is linear once the squared-range differences are formed; the
-reference receiver is chosen to minimize the condition number of the 2x2
-system, once per configuration (it depends only on the receivers), and every
-candidate is verified against the forward map.
+reference receiver is the vertex opposite the longest side, which minimizes
+the condition number of the 2x2 system (closed form, see _reference_system).
+It is chosen once per configuration from the squared side lengths that
+validate_config computed, and every candidate is verified against the
+forward map.
 
 One measurement is parsed once and worked on as Python floats, which give the
 same bits as NumPy's elementwise ops on the same operands in the same order.
@@ -161,7 +163,7 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
     alpha = gj + Ti * Ti - Tj * Tj
     beta = gk + Ti * Ti - Tk * Tk
     u = np.linalg.solve(M, np.array([0.5 * alpha, 0.5 * beta]))
-    x = config.m(i) + u
+    x = config.receivers[i - 1] + u
     return SolutionSet(points=_remapping(config, (x,), T, rtol))
 
 
@@ -171,17 +173,25 @@ def _reference_system(config: SensorConfig) -> tuple:
     (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2): reference i and the read-only
     2x2 matrix M with rows m_j - m_i and m_k - m_i of least condition number.
     Read it through config._memo(_reference_system).
+
+    The three candidate matrices share |det M| = |2 * area|, and for a 2x2
+    matrix cond + 1/cond = |M|_F^2 / |det M|, so the least condition number
+    has the least |M|_F^2, the sum of the two squared sides at m_i: i is the
+    vertex opposite the longest side.  The sides are compared by their float
+    squared lengths (config._gram), and among equal ones the lowest i wins.
+    So the float equilateral (0,0) (1,0) (0.5, sqrt(3)/2), where g21 = 1
+    exceeds g31 = g32 = 1 - 2^-53, takes i = 3.
     """
-    best = None
-    for i in (1, 2, 3):
-        j, k = [t for t in (1, 2, 3) if t != i]
-        M = np.stack([config.vec(j, i), config.vec(k, i)])
-        c = np.linalg.cond(M)
-        if best is None or c < best[0]:
-            best = (c, i, j, k, M)
-    _, i, j, k, M = best
+    g21, g31, g32 = config._gram[:3]
+    # per reference i = 1, 2, 3: (i, j, k, |m_j - m_i|^2, |m_k - m_i|^2), and the
+    # squared length of the side opposite m_i
+    candidates = ((1, 2, 3, g21, g31), (2, 1, 3, g21, g32), (3, 1, 2, g31, g32))
+    opposite = (g32, g31, g21)
+    i, j, k, gj, gk = candidates[opposite.index(max(opposite))]
+    stack = config._receiver_stack
+    M = stack.take((j - 1, k - 1), axis=0) - stack[i - 1]
     M.setflags(write=False)
-    return i, j, k, M, float(M[0] @ M[0]), float(M[1] @ M[1])
+    return i, j, k, M, gj, gk
 
 
 def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tuple:

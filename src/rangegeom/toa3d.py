@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement
+from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement, _norm
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
-from .kummer import _poly_eval, _quartic_terms
+from .kummer import _quartic_value, _scale_free
+from .spacetime import _cross3
 from .toa2 import _two_sphere
 from .toa3 import _collinear_fiber, _remapping
 
@@ -29,7 +30,7 @@ def _circle_frame(axis: np.ndarray) -> tuple:
     e[k] = 1.0
     u = e - float(e @ axis) * axis
     u = u / np.linalg.norm(u)
-    v = np.cross(axis, u)
+    v = np.array(_cross3(axis.tolist(), u.tolist()))
     return u, v
 
 
@@ -128,7 +129,7 @@ def invert3d_r2(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
         raise DimensionMismatch("expected a two-receiver configuration")
     T = _measurement(T, 2)
     return _circle_or_point(
-        _two_sphere(config.m(1), config.m(2), float(T[0]), float(T[1]), config.d21, rtol)
+        _two_sphere(*config.receivers, float(T[0]), float(T[1]), config.d21, rtol)
     )
 
 
@@ -140,8 +141,8 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
             "collinear receivers: use invert3d_r3_collinear (circle fibers)"
         )
     T = _measurement(T, 3)
-    raw = _poly_eval(config._memo(_quartic_terms), T)
-    normalized = raw / config.d_max ** 6
+    raw = _quartic_value(config, T)
+    normalized = _scale_free(config, raw)
     if min(T.tolist()) < -rtol * config.d_max:
         verdict, fiber = "Outside", 0
     elif abs(normalized) <= rtol:
@@ -167,21 +168,33 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
             "range triple is not realizable in space",
             residuals={"quartic": report.quartic, "normalized": report.normalized},
         )
-    d21v, d31v = config.vec(2, 1), config.vec(3, 1)
-    T1, T2, T3 = (float(t) for t in T)
-    alpha = float(d21v @ d21v) + T1 * T1 - T2 * T2
-    beta = float(d31v @ d31v) + T1 * T1 - T3 * T3
-    Q, R = np.linalg.qr(np.stack([d21v, d31v], axis=1))
-    w = np.linalg.solve(R.T, 0.5 * np.array([alpha, beta]))
+    m1, Q, RT, n, g21, g31 = config._memo(_plane_frame)
+    T1, T2, T3 = T.tolist()
+    alpha = g21 + T1 * T1 - T2 * T2
+    beta = g31 + T1 * T1 - T3 * T3
+    w = np.linalg.solve(RT, 0.5 * np.array([alpha, beta]))
     u_pl = Q @ w
     if report.verdict == "OnSurface":
-        return SolutionSet3D(points=(config.m(1) + u_pl,))
-    n = np.cross(d21v, d31v)
-    n = n / np.linalg.norm(n)
+        return SolutionSet3D(points=(m1 + u_pl,))
     h = math.sqrt(max(T1 * T1 - float(u_pl @ u_pl), 0.0))
-    return SolutionSet3D(
-        points=(config.m(1) + u_pl + h * n, config.m(1) + u_pl - h * n)
-    )
+    return SolutionSet3D(points=(m1 + u_pl + h * n, m1 + u_pl - h * n))
+
+
+def _plane_frame(config: SensorConfig) -> tuple:
+    """invert3d_r3's frame of the receiver plane, a config-only constant.
+
+    (m1, Q, R^T, n, |m2 - m1|^2, |m3 - m1|^2), arrays read-only: Q, R the QR
+    factors of the columns m2 - m1 and m3 - m1, n the unit normal along
+    their cross product.  Read it through config._memo(_plane_frame).
+    """
+    d21v, d31v = config._sides[:2]
+    Q, R = np.linalg.qr(np.stack([d21v, d31v], axis=1))
+    n = np.array(_cross3(d21v.tolist(), d31v.tolist()))
+    n = n / _norm(n)
+    RT = R.T
+    for arr in (Q, RT, n):
+        arr.setflags(write=False)
+    return config.receivers[0], Q, RT, n, *config._gram[:2]
 
 
 def invert3d_r3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:

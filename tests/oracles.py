@@ -428,10 +428,9 @@ def degeneration_gap_by_squared_terms(config, n: int = 512, seed: int = 0, box: 
     original receiver order before it is evaluated.  Returns the gap and the
     largest |d21^2 sigma^2| / d_max^6 over the samples, the scale of its rounding.
     """
-    from rangegeom.config import _canonical_collinear
     from rangegeom.kummer import _poly_eval, _quartic_terms
 
-    order, rho, d21 = _canonical_collinear(config.receivers)
+    order, rho, d21 = canonical_collinear_by_points(config.receivers)
     terms = {
         (2, 0, 0): 1.0 - rho,
         (0, 2, 0): rho,
@@ -448,6 +447,221 @@ def degeneration_gap_by_squared_terms(config, n: int = 512, seed: int = 0, box: 
     rng = np.random.default_rng(seed)
     T = rng.uniform(0.0, box * d21, size=(n, 3))
     square = _poly_eval(sigma_sq, T)
-    gap = _poly_eval(config._memo(_quartic_terms), T) - square
+    gap = _poly_eval(config._memo(_quartic_terms)[0], T) - square
     return (float(np.max(np.abs(gap)) / config.d_max ** 6),
             float(np.max(np.abs(square)) / config.d_max ** 6))
+
+
+# ---------------------------------------------------------------------------
+# configuration geometry as validate_config and the config-only builders had it,
+# verbatim but for names: each builder reads the configuration through m, vec and
+# dist, and the distances are recomputed from the receivers
+
+def _norm(v) -> float:
+    return math.sqrt(float(v @ v))
+
+
+def canonical_collinear_by_points(points):
+    """config._canonical_collinear as it was: dot test and norms on the points."""
+    middle = None
+    for i in range(3):
+        j, k = [t for t in range(3) if t != i]
+        if float(np.dot(points[j] - points[i], points[k] - points[i])) <= 0.0:
+            middle = i
+            break
+    if middle is None:
+        return None
+    ends = [t for t in range(3) if t != middle]
+    d_end = _norm(points[ends[1]] - points[ends[0]])
+    d0 = _norm(points[middle] - points[ends[0]])
+    d1 = _norm(points[middle] - points[ends[1]])
+    if d0 < d1:
+        e1, e2 = ends
+        rho = d0 / d_end
+    elif d1 < d0:
+        e1, e2 = ends[1], ends[0]
+        rho = d1 / d_end
+    else:
+        # exact tie: pick the lexicographically smaller endpoint as e1
+        if tuple(points[ends[0]]) <= tuple(points[ends[1]]):
+            e1, e2 = ends
+        else:
+            e1, e2 = ends[1], ends[0]
+        rho = d0 / d_end
+    return (e1, e2, middle), rho, d_end
+
+
+def config_values_by_points(receivers) -> dict:
+    """validate_config's values as it computed them: kind, receivers and distances.
+
+    The distances are the old cached properties: dist(j, i) = |m_j - m_i| of
+    the stored receivers, d_max their max.
+    """
+    from rangegeom.config import _COLLINEAR_RTOL, _DUPLICATE_RTOL
+
+    pts = [np.asarray(p, dtype=float).reshape(-1) for p in receivers]
+    dim = pts[0].shape[0]
+    n = len(pts)
+    dists = {}
+    d_max = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dists[(i, j)] = _norm(pts[j] - pts[i])
+            d_max = max(d_max, dists[(i, j)])
+    for (i, j), d in dists.items():
+        if d <= _DUPLICATE_RTOL * d_max:
+            raise rg.DuplicateReceiver(f"receivers {i + 1} and {j + 1} coincide (d = {d:g})")
+
+    if n == 2:
+        kind = rg.TwoReceivers()
+    else:
+        v21 = pts[1] - pts[0]
+        v31 = pts[2] - pts[0]
+        if dim == 2:
+            area2 = abs(float(v21[0] * v31[1] - v21[1] * v31[0]))
+        else:
+            area2 = _norm(np.cross(v21, v31))
+        if area2 / (dists[(0, 1)] * dists[(0, 2)]) <= _COLLINEAR_RTOL:
+            canonical = canonical_collinear_by_points(pts)
+            assert canonical is not None  # exactly collinear points have a middle
+            order, rho, d_end = canonical
+            kind = rg.CollinearTriple(rho=rho, order=order, d21=d_end)
+        else:
+            kind = rg.GeneralTriangle()
+
+    frozen = tuple(p.copy() for p in pts)
+    d21 = _norm(frozen[1] - frozen[0])
+    if n == 2:
+        return dict(receivers=frozen, dimension=dim, kind=kind, d21=d21, d_max=d21)
+    d31, d32 = _norm(frozen[2] - frozen[0]), _norm(frozen[2] - frozen[1])
+    return dict(receivers=frozen, dimension=dim, kind=kind, d21=d21, d31=d31, d32=d32,
+                d_max=max(d21, d31, d32))
+
+
+def reference_system_by_cond(config) -> tuple:
+    """toa3._reference_system as it was: the least np.linalg.cond of the three candidates."""
+    best = None
+    for i in (1, 2, 3):
+        j, k = [t for t in (1, 2, 3) if t != i]
+        M = np.stack([config.vec(j, i), config.vec(k, i)])
+        c = np.linalg.cond(M)
+        if best is None or c < best[0]:
+            best = (c, i, j, k, M)
+    _, i, j, k, M = best
+    M.setflags(write=False)
+    return i, j, k, M, float(M[0] @ M[0]), float(M[1] @ M[1])
+
+
+def quartic_terms_by_vectors(config) -> dict:
+    """kummer._quartic_terms as it was: dot products of config.vec."""
+    d21v, d31v, d32v = config.vec(2, 1), config.vec(3, 1), config.vec(3, 2)
+    # squared lengths from dot products (not norm-then-square) keep the
+    # coefficients exact on exactly-representable receiver coordinates
+    g21, g31, g32 = float(d21v @ d21v), float(d31v @ d31v), float(d32v @ d32v)
+    p12 = float(d21v @ d31v)   # d21 . d31
+    p13 = float(d21v @ d32v)   # d21 . d32
+    p23 = float(d31v @ d32v)   # d31 . d32
+    return {
+        (4, 0, 0): g32,
+        (0, 4, 0): g31,
+        (0, 0, 4): g21,
+        (2, 2, 0): -2.0 * p23,
+        (2, 0, 2): 2.0 * p13,
+        (0, 2, 2): -2.0 * p12,
+        (2, 0, 0): -2.0 * p12 * g32,
+        (0, 2, 0): 2.0 * p13 * g31,
+        (0, 0, 2): -2.0 * p23 * g21,
+        (0, 0, 0): g21 * g31 * g32,
+    }
+
+
+def facet_table_by_distances(config) -> tuple:
+    """kummer._facet_table as it is: _facet_rows at the three distances."""
+    return rg.kummer._facet_rows(config.d21, config.d31, config.d32)
+
+
+def node_images_by_distances(config) -> np.ndarray:
+    """kummer._node_images as it is."""
+    d21, d31, d32 = config.d21, config.d31, config.d32
+    nodes = np.array([[0.0, d21, d31], [d21, 0.0, d32], [d31, d32, 0.0]])
+    nodes.setflags(write=False)
+    return nodes
+
+
+def line_constants_by_receivers(config) -> tuple:
+    """tdoa._line_constants as it was: M = m3 - (m1, m2) from the receivers."""
+    m1, m2, m3 = config.receivers
+    M = m3 - np.array([m1, m2])
+    M.setflags(write=False)
+    d31v, d32v = M
+    (x31, y31), (x32, y32) = M.tolist()
+    w12 = x31 * y32 - y31 * x32
+    s = -math.copysign(1.0, w12)
+    shift = np.array([config.d31 * config.d31, config.d32 * config.d32])
+    flip = np.array([s, -s])
+    shift.setflags(write=False)
+    flip.setflags(write=False)
+    return d31v, d32v, M, shift, w12, flip
+
+
+def tangency_table_by_vectors(config) -> np.ndarray:
+    """tdoa._tangency_table as it was: one unit vector and two 1-D dots per pair."""
+    d31v, d32v = line_constants_by_receivers(config)[:2]
+    rows = []
+    for vec, norm in ((d32v, config.d32), (d31v, config.d31), (config.vec(2, 1), config.d21)):
+        u = vec / norm
+        pt = np.array([float(d31v @ u), float(d32v @ u)])
+        rows += [pt, -pt]
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
+
+
+def lens_table_by_arrays(config) -> tuple:
+    """tdoa._lens_table as it was: fancy rows of the tangency table and cross2."""
+    from rangegeom.spacetime import _cross2
+
+    lens_rows = np.array([[rg.TANGENCY_IDS.index(p), rg.TANGENCY_IDS.index(q)]
+                          for p, q in rg.tdoa._LENS_CONES.values()])
+    tangency = tangency_table_by_vectors(config)
+    p, q = tangency[lens_rows[:, 0]], tangency[lens_rows[:, 1]]
+    w = _cross2(p, q)
+    for arr in (p, q, w):
+        arr.setflags(write=False)
+    return p[:, 0], p[:, 1], q[:, 0], q[:, 1], w
+
+
+def p2_table_by_facet_rows(config) -> tuple:
+    """tdoa._p2_table as it was: the ray rows of the facet table, picked by name."""
+    table = dict(zip(rg.Q3_FACETS, facet_table_by_distances(config)))
+    names = rg.P2_FACETS
+    if config.is_collinear:
+        longest = max([("tau2-tau1", config.d21), ("tau1", config.d31), ("tau2", config.d32)],
+                      key=lambda p: p[1])[0]
+        names = tuple(name for name in rg.P2_FACETS if not name.startswith(longest + "="))
+    rays = dict(zip(rg.P2_FACETS, ("r2+", "r2-", "r1+", "r1-", "r3-", "r3+")))
+    rows = np.array([table[rays[name]] for name in names])
+    normals, offsets = rows[:, 1:3].T.copy(), rows[:, 0].copy()
+    normals.setflags(write=False)
+    offsets.setflags(write=False)
+    return names, normals, offsets
+
+
+def plane_frame_by_vectors(config) -> tuple:
+    """invert3d_r3's frame as it was built per call: QR of (d21v, d31v) and the unit normal."""
+    d21v, d31v = config.vec(2, 1), config.vec(3, 1)
+    Q, R = np.linalg.qr(np.stack([d21v, d31v], axis=1))
+    n = np.cross(d21v, d31v)
+    n = n / np.linalg.norm(n)
+    return config.m(1), Q, R.T, n, float(d21v @ d21v), float(d31v @ d31v)
+
+
+def circle_frame_by_arrays(axis: np.ndarray) -> tuple:
+    """toa3d._circle_frame as it was, with np.cross."""
+    k = int(np.argmin(np.abs(axis)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    u = e - float(e @ axis) * axis
+    u = u / np.linalg.norm(u)
+    v = np.cross(axis, u)
+    return u, v

@@ -117,8 +117,7 @@ def _answers(configs, rng) -> list:
 def test_float_path_matches_the_array_kernels_bit_for_bit(monkeypatch):
     configs = _configs()
     got = _answers(configs, np.random.default_rng(2))
-    for module in (kummer, toa3d):
-        monkeypatch.setattr(module, "_poly_eval", poly_eval_array_powers)
+    monkeypatch.setattr(kummer, "_poly_eval", poly_eval_array_powers)  # also toa3d's quartic
     for module in (toa3, toa3d):
         monkeypatch.setattr(module, "_remapping", remapping_by_distances)
     for module in (toa2, toa3, toa3d):

@@ -88,7 +88,7 @@ def _triangle_and_triples(height, scale, seed):
 def test_quartic_residual_bit_exact_against_per_term_loop(height, scale):
     cfg, _, T = _triangle_and_triples(height, scale, seed=int(-math.log10(height)) * 7 + 3)
     assert not cfg.is_collinear
-    terms = dict(rg.kummer._quartic_terms(cfg))
+    terms = dict(rg.kummer._quartic_terms(cfg)[0])
     norm = cfg.d_max ** 6
     for t in T:
         ref = poly_eval_per_term(terms, t)
@@ -105,7 +105,7 @@ def test_quartic_residual_bit_exact_against_per_term_loop(height, scale):
 def test_classify3d_quartic_bit_exact_against_per_term_loop(height, scale):
     _, pts, _ = _triangle_and_triples(height, scale, seed=11)
     cfg = rg.validate_config(np.c_[pts, np.array([0.0, 0.1, 0.25]) * scale])
-    terms = dict(rg.kummer._quartic_terms(cfg))
+    terms = dict(rg.kummer._quartic_terms(cfg)[0])
     rng = np.random.default_rng(5)
     xs = np.append(pts.mean(axis=0), 0.0) + rng.normal(size=(60, 3)) * scale
     T = rg.forward3d(cfg, xs)
@@ -115,9 +115,54 @@ def test_classify3d_quartic_bit_exact_against_per_term_loop(height, scale):
 
 
 def test_quartic_terms_are_read_only(scalene):
-    terms = rg.kummer._quartic_terms(scalene)
+    terms = rg.kummer._quartic_terms(scalene)[0]
     with pytest.raises(TypeError):
         terms[(0, 0, 0)] = 0.0
+
+
+def test_quartic_input_bound_rejects_what_would_overflow(right, right3d):
+    """On the right triangle the bound is ~4.9e76: 1e76 answers from the quartic, while
+    1e77 (where the residual is NaN) and 1e78 (where T**4 overflows) raise InvalidParam."""
+    terms = dict(rg.kummer._quartic_terms(right)[0])
+    T = np.full(3, 1e76)
+    quartic = float(poly_eval_per_term(terms, T))
+    assert math.isfinite(quartic)
+    report = rg.classify3(right, T)
+    assert report.quartic_or_quadric_residual == quartic / right.d_max ** 6
+    assert report.verdict == "Infeasible"
+    assert rg.classify3d_r3(right3d, T).quartic == quartic
+    assert np.array_equal(rg.quartic_residual(right, np.stack([T, -T])),
+                          poly_eval_per_term(terms, np.stack([T, -T])))
+    for big in (1e77, 1e78):
+        for call in (lambda T: rg.classify3(right, T), lambda T: rg.classify3d_r3(right3d, T),
+                     lambda T: rg.invert3d_r3(right3d, T), lambda T: rg.quartic_residual(right, T),
+                     lambda T: rg.quartic_residual(right, np.stack([T, T / big]))):
+            for T in (np.full(3, big), np.array([1.0, -big, 1.0])):
+                with pytest.raises(rg.InvalidParam):
+                    call(T)
+
+
+@pytest.mark.parametrize("side", [1e-52, 1e-60, 1e-82])
+def test_tiny_receivers_answer_or_raise_invalid_param(side):
+    """Where the quartic's coefficient sums underflow to 0.0 the input bound drops that part,
+    and where d_max^6 underflows every scale-free quartic call raises InvalidParam."""
+    cfg = rg.validate_config([(0.0, 0.0), (side, 0.0), (0.6 * side, 0.7 * side)])
+    line = rg.validate_config([(0.0, 0.0), (side, 0.0), (3.0 * side, 0.0)])
+    T = cfg.distances(np.array([0.3 * side, 0.4 * side]))
+    assert 0.0 < rg.kummer._quartic_terms(cfg)[1] < math.inf
+    assert math.isfinite(rg.quartic_residual(cfg, T))
+    calls = [lambda: rg.classify3(cfg, T), lambda: rg.quartic_residual(cfg, T, normalized=True),
+             lambda: rg.collinear_degeneration_check(line)]
+    if side >= 1e-60:  # below ~1e-82 validate_config's 3-D area test underflows
+        cfg3d = rg.validate_config([(0.0, 0.0, 0.0), (side, 0.0, 0.0),
+                                    (0.6 * side, 0.7 * side, 0.0)])
+        calls += [lambda: rg.classify3d_r3(cfg3d, T), lambda: rg.invert3d_r3(cfg3d, T)]
+    for call in calls:
+        if cfg.d_max ** 6 > 0.0:
+            call()
+        else:
+            with pytest.raises(rg.InvalidParam):
+                call()
 
 
 # ---------------------------------------------------------------------------
