@@ -188,10 +188,10 @@ def _require_planar_triple(config: SensorConfig) -> None:
 
 
 def _canonical_collinear(points, gram: tuple, dists: tuple):
-    """Return (order, rho, d21) for three (near-)collinear points, else None.
+    """The CollinearTriple of three (near-)collinear points, else None.
 
     gram and dists: the points' SensorConfig._gram and (d21, d31, d32).
-    `order` lists original indices as (endpoint-1, endpoint-2, middle).  The
+    Its order lists original indices as (endpoint-1, endpoint-2, middle).  The
     middle point is found by a dot test (it sees the other two in opposite
     directions), which is stable under small perturbations off the line; an
     acute triangle has no middle and yields None.
@@ -220,7 +220,7 @@ def _canonical_collinear(points, gram: tuple, dists: tuple):
         else:
             e1, e2 = ends[1], ends[0]
         rho = d0 / d_end
-    return (e1, e2, middle), rho, d_end
+    return CollinearTriple(rho=rho, order=(e1, e2, middle), d21=d_end)
 
 
 # receiver index pairs (i, j) of the sides m_j - m_i, in the order of _sides
@@ -281,12 +281,10 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         if dim == 2:
             area2 = abs(v21[0] * v31[1] - v21[1] * v31[0])
         else:
-            area2 = _norm(np.array(_cross3(v21, v31)))
+            area2 = math.hypot(*_cross3(v21, v31))  # no squares to underflow on tiny triangles
         if area2 / (dists[0] * dists[1]) <= _COLLINEAR_RTOL:
-            canonical = _canonical_collinear(stack, gram, dists)
-            assert canonical is not None  # exactly collinear points have a middle
-            order, rho, d_end = canonical
-            kind = CollinearTriple(rho=rho, order=order, d21=d_end)
+            kind = _canonical_collinear(stack, gram, dists)
+            assert kind is not None  # exactly collinear points have a middle
         else:
             kind = GeneralTriangle()
 

@@ -43,6 +43,7 @@ from .config import (
     SensorConfig,
     _canonical_collinear,
     _measurement,
+    _norm,
     _require_planar_triple,
 )
 from .errors import (
@@ -532,13 +533,13 @@ class ConicArc:
 
 
 def _circumcircle(config: SensorConfig) -> tuple:
-    """Circumcenter (read-only) and circumradius; a config-only constant (config._memo)."""
-    m1, m2, m3 = config.receivers
-    A = 2.0 * np.stack([m2 - m1, m3 - m1])
-    rhs = np.array([float(m2 @ m2 - m1 @ m1), float(m3 @ m3 - m1 @ m1)])
-    o = np.linalg.solve(A, rhs)
+    """Circumcenter (read-only) and circumradius; a config-only constant (config._memo).
+    The circumcenter is toa3._foot's point at equal ranges T = (0, 0, 0)."""
+    from .toa3 import _foot
+
+    o, u, _ = _foot(config, [0.0, 0.0, 0.0])
     o.setflags(write=False)
-    return o, float(np.linalg.norm(m1 - o))
+    return o, _norm(u)
 
 
 def _arc_table(config: SensorConfig) -> MappingProxyType:
@@ -860,23 +861,18 @@ def collinear_degeneration_check(
     for collinear receivers, and small of order (offset/d21)^2 for nearly
     collinear ones.  Raises NotCollinear when no middle receiver exists.
     """
+    from .toa3 import _canonical_stewart
+
     _require_planar_triple(config)
     # the dot test tolerates nearly collinear receivers, which config.kind does not
-    canonical = _canonical_collinear(config.receivers, config._gram,
-                                     (config.d21, config.d31, config.d32))
-    if canonical is None:
+    kind = _canonical_collinear(config.receivers, config._gram,
+                                (config.d21, config.d31, config.d32))
+    if kind is None:
         raise NotCollinear(
             "no middle receiver (all angles acute); configuration is far from collinear"
         )
-    order, rho, d21 = canonical
-    # the Stewart quadric in canonical labels, evaluated on the canonical columns
-    sigma = {
-        (2, 0, 0): 1.0 - rho,
-        (0, 2, 0): rho,
-        (0, 0, 2): -1.0,
-        (0, 0, 0): -rho * (1.0 - rho) * d21 * d21,
-    }
+    d21 = kind.d21
     T = np.random.default_rng(seed).uniform(0.0, box * d21, size=(n, 3))
-    s = _poly_eval(sigma, T[:, list(order)])
+    s = np.array([_canonical_stewart(kind, row) for row in T.tolist()])
     gap = _poly_eval(config._memo(_quartic_terms)[0], T) - d21 * d21 * s * s
     return float(_scale_free(config, np.max(np.abs(gap))))

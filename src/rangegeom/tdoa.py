@@ -51,8 +51,8 @@ from .config import (
     _require_planar_triple,
 )
 from .errors import DegenerateConfig, InvalidParam, RangeGeomError
-from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
-                     _facet_verdict, _node_images, _quartic_terms, _slacks)
+from .kummer import (_FLOAT_MAX, Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table,
+                     _facet_rows, _facet_verdict, _node_images, _quartic_terms, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
 from .toa3 import SolutionSet, _stewart
 
@@ -224,11 +224,15 @@ def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
 def _line_constants(config: SensorConfig) -> tuple:
     """The null-cone line's config-only constants, read-only.
 
-    (d31v, d32v, M, shift, w12, flip): d31v = m3 - m1 and d32v = m3 - m2 are
-    the rows of M (validate_config's last two sides), the 2x2 system for the
-    base point u0; shift = (d31^2, d32^2); w12 = cross2(d31v, d32v) is twice
-    the signed area; flip = (s, -s) with s = -sign(w12) orients v_spatial.
-    Read it through config._memo(_line_constants).
+    (d31v, d32v, M, shift, w12, flip, bound): d31v = m3 - m1 and d32v = m3 - m2
+    are the rows of M (validate_config's last two sides), the 2x2 system for
+    the base point u0; shift = (d31^2, d32^2); w12 = cross2(d31v, d32v) is
+    twice the signed area; flip = (s, -s) with s = -sign(w12) orients
+    v_spatial.  bound is the largest s = max(|tau_i|, d_max) at which the row
+    kernels' products stay below a quarter of the largest float: with kappa =
+    d_max^2 / |w12|, tau_i^2 <= s^2, the roots' b*b + |a*c| <= 136 kappa^2 s^6,
+    and the candidate points lie within 400 kappa^3 s^2 / d_max of every
+    receiver.  Read it through config._memo(_line_constants).
     """
     M = config._sides[1:]
     d31v, d32v = M
@@ -239,12 +243,20 @@ def _line_constants(config: SensorConfig) -> tuple:
     flip = np.array([s, -s])
     shift.setflags(write=False)
     flip.setflags(write=False)
-    return d31v, d32v, M, shift, w12, flip
+    kappa = config.d_max ** 2 / abs(w12)
+    bound = min(math.sqrt(0.25 * _FLOAT_MAX), (_FLOAT_MAX / 544.0) ** (1 / 6) / kappa ** (1 / 3),
+                math.sqrt(math.sqrt(_FLOAT_MAX / 8.0) * config.d_max / (400.0 * kappa ** 3)))
+    return d31v, d32v, M, shift, w12, flip, bound
 
 
 def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Arrays a, b, c, u0, v_spatial and |v_spatial|^2 of every row of an (N, 2) array of tau."""
-    d31v, d32v, M, shift, w12, flip = config._memo(_line_constants)
+    """Arrays a, b, c, u0, v_spatial and |v_spatial|^2 of every row of an (N, 2) array of tau;
+    InvalidParam beyond the bound of _line_constants."""
+    d31v, d32v, M, shift, w12, flip, bound = config._memo(_line_constants)
+    largest = float(np.abs(taus).max(initial=config.d_max))
+    if largest > bound:
+        raise InvalidParam(f"range differences too large for the null-cone quadratic: "
+                           f"max(|tau|, d_max) = {largest:g} > {bound:g}")
     # a stack of one-column systems: each row is the LAPACK solve of the
     # scalar call; one multi-column solve(M, rhs.T) rounds differently
     u0 = np.linalg.solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]

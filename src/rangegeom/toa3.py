@@ -7,18 +7,18 @@ injective there (fiber size 1).  For collinear receivers the image is cut out
 by a quadric (a consequence of Stewart's relation) and the generic fiber is a
 mirror pair across the receiver line (fiber size 2).
 
-Inversion is linear once the squared-range differences are formed; the
-reference receiver is the vertex opposite the longest side, which minimizes
-the condition number of the 2x2 system (closed form, see _reference_system).
-It is chosen once per configuration from the squared side lengths that
-validate_config computed, and every candidate is verified against the
-forward map.
+Inversion is linear once the squared-range differences are formed: one 2x2
+system, solved only in _foot, gives the source's foot point on the receiver
+plane.  invert3 verifies it against the forward map, exterior_point adds the
+time -T_i, the circumcenter is the foot at equal ranges, and invert3d_r3 adds
+the height above the plane.  The reference receiver, the vertex opposite the
+longest side, minimizes the system's condition number (_reference_system).
 
 One measurement is parsed once and worked on as Python floats, which give the
 same bits as NumPy's elementwise ops on the same operands in the same order.
 NumPy stays where it sets bits that floats cannot reproduce: the fourth
 powers of the quartic (kummer._poly_eval: NumPy's power loop for T ** e,
-e > 2, rounds differently from libm pow) and invert3's 2x2 solve (LAPACK's
+e > 2, rounds differently from libm pow) and _foot's 2x2 solve (LAPACK's
 LU, matched by a closed form only with fused multiply-adds, which Python
 floats lack).  Points are returned as NumPy arrays.
 """
@@ -35,10 +35,11 @@ from .config import (
     CollinearTriple,
     SensorConfig,
     _measurement,
+    _norm,
     _require_planar_triple,
 )
 from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, InvalidParam, NotCollinear
-from .spacetime import SpacetimeVec3, hodge_cross, lift, triple_form
+from .spacetime import SpacetimeVec3, _cross3
 from .toa2 import _mirror_pair, _two_sphere
 
 _AT_RECEIVER_RTOL = 1e-12
@@ -118,38 +119,28 @@ def jacobian3(config: SensorConfig, x) -> JacobianReport:
 def exterior_point(config: SensorConfig, T, i: int = 1) -> SpacetimeVec3:
     """Spacetime solution of the two linearized range-difference equations.
 
-    Returns the past-pointing spacetime vector (x, -T_i): the spatial
-    intersection point x of the three range circles -- independent of the
-    chosen reference index -- computed via the Lorentzian cross product of
-    the lifted constraint normals, with time component -T_i.  Requires
-    receivers in general position.
+    Returns the past-pointing spacetime vector (x, -T_i): x is the spatial
+    intersection point of the three range circles, _foot's point, the same
+    bits for every reference index i.  It equals the Lorentzian-cross
+    construction from the lifted constraint normals, kept as the tests'
+    oracle.  Requires receivers in general position.
     """
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("exterior point construction needs non-collinear receivers")
     if i not in (1, 2, 3):
         raise DimensionMismatch(f"receiver index must be 1, 2 or 3, got {i}")
-    T = _measurement(T, 3)
-    j, k = [t for t in (1, 2, 3) if t != i]
-    dj = config.vec(j, i)
-    dk = config.vec(k, i)
-    Ti, Tj, Tk = float(T[i - 1]), float(T[j - 1]), float(T[k - 1])
-    alpha = float(dj @ dj) + Ti * Ti - Tj * Tj
-    beta = float(dk @ dk) + Ti * Ti - Tk * Tk
-    w = alpha * dk - beta * dj
-    e3 = np.array([0.0, 0.0, 1.0])
-    denom = 2.0 * triple_form(lift(dj), lift(dk), e3)
-    u = hodge_cross(lift(w), e3) / denom
-    p = config.m(i) + u[:2]
-    return SpacetimeVec3(x=float(p[0]), y=float(p[1]), t=-Ti)
+    T = _measurement(T, 3).tolist()
+    x, y = _foot(config, T)[0].tolist()
+    return SpacetimeVec3(x=x, y=y, t=-T[i - 1])
 
 
 def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
     """Invert the three-receiver range map; empty when T is not realizable.
 
     Solves the linear system of squared-range differences with the
-    best-conditioned reference receiver, then verifies the candidate against
-    the forward map at relative tolerance rtol.
+    best-conditioned reference receiver (_foot), then verifies the candidate
+    against the forward map at relative tolerance rtol.
     """
     _require_planar_triple(config)
     if config.is_collinear:
@@ -157,30 +148,41 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
             "collinear receivers: use invert3_collinear (mirror-pair fibers)"
         )
     T = _measurement(T, 3).tolist()
+    return SolutionSet(points=_remapping(config, (_foot(config, T)[0],), T, rtol))
 
-    i, j, k, M, gj, gk = config._memo(_reference_system)
+
+def _foot(config: SensorConfig, T: list) -> tuple:
+    """(x, u, T_i): the foot point x = m_i + u of the floats T on the receiver plane.
+
+    u solves (m_j - m_i) . u = (|m_j - m_i|^2 + T_i^2 - T_j^2) / 2, and likewise
+    for k, at the reference i of _reference_system; in space u = Q w, with R^T w
+    the same right-hand side.  A spatial source's height is left to the caller.
+    """
+    i, j, k, M, gj, gk, Q, _ = config._memo(_reference_system)
     Ti, Tj, Tk = T[i - 1], T[j - 1], T[k - 1]
-    alpha = gj + Ti * Ti - Tj * Tj
-    beta = gk + Ti * Ti - Tk * Tk
-    u = np.linalg.solve(M, np.array([0.5 * alpha, 0.5 * beta]))
-    x = config.receivers[i - 1] + u
-    return SolutionSet(points=_remapping(config, (x,), T, rtol))
+    u = np.linalg.solve(M, np.array([0.5 * (gj + Ti * Ti - Tj * Tj),
+                                     0.5 * (gk + Ti * Ti - Tk * Tk)]))
+    if Q is not None:
+        u = Q @ u
+    return config.receivers[i - 1] + u, u, Ti
 
 
 def _reference_system(config: SensorConfig) -> tuple:
-    """invert3's best-conditioned reference receiver, a config-only constant.
+    """_foot's system at the best-conditioned reference receiver, a config-only constant.
 
-    (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2): reference i and the read-only
-    2x2 matrix M with rows m_j - m_i and m_k - m_i of least condition number.
-    Read it through config._memo(_reference_system).
+    (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2, Q, n), arrays read-only: in the
+    plane M has rows m_j - m_i and m_k - m_i, and Q = n = None; in space Q R is
+    the QR factorization of those sides as columns, M = R^T, and n the unit
+    normal along (m2 - m1) x (m3 - m1).  Read it through
+    config._memo(_reference_system).
 
-    The three candidate matrices share |det M| = |2 * area|, and for a 2x2
-    matrix cond + 1/cond = |M|_F^2 / |det M|, so the least condition number
-    has the least |M|_F^2, the sum of the two squared sides at m_i: i is the
-    vertex opposite the longest side.  The sides are compared by their float
-    squared lengths (config._gram), and among equal ones the lowest i wins.
-    So the float equilateral (0,0) (1,0) (0.5, sqrt(3)/2), where g21 = 1
-    exceeds g31 = g32 = 1 - 2^-53, takes i = 3.
+    The three candidate matrices share |det M M^T| = (2 * area)^2, and for
+    two sides cond + 1/cond = |M|_F^2 / (2 * area), so the least condition
+    number has the least |M|_F^2, the sum of the two squared sides at m_i: i
+    is the vertex opposite the longest side.  The sides are compared by their
+    float squared lengths (config._gram), and among equal ones the lowest i
+    wins.  So the float equilateral (0,0) (1,0) (0.5, sqrt(3)/2), where
+    g21 = 1 exceeds g31 = g32 = 1 - 2^-53, takes i = 3.
     """
     g21, g31, g32 = config._gram[:3]
     # per reference i = 1, 2, 3: (i, j, k, |m_j - m_i|^2, |m_k - m_i|^2), and the
@@ -190,8 +192,16 @@ def _reference_system(config: SensorConfig) -> tuple:
     i, j, k, gj, gk = candidates[opposite.index(max(opposite))]
     stack = config._receiver_stack
     M = stack.take((j - 1, k - 1), axis=0) - stack[i - 1]
+    Q = n = None
+    if config.dimension == 3:
+        Q, R = np.linalg.qr(M.T)
+        M = R.T
+        n = np.array(_cross3(*config._sides[:2].tolist()))
+        n = n / _norm(n)
+        Q.setflags(write=False)
+        n.setflags(write=False)
     M.setflags(write=False)
-    return i, j, k, M, gj, gk
+    return i, j, k, M, gj, gk, Q, n
 
 
 def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tuple:

@@ -6,6 +6,8 @@ across their plane; the feasible region in range space is the solid side of
 the same quartic that cuts the range surface in the planar problem (its sign
 tells the two-point / one-point / empty fiber apart).  Three collinear
 receivers again give circles around the receiver line.
+The mirror pair is x +- h n: toa3._foot's point x on the receiver plane, and
+the height h = sqrt(T_i^2 - |x - m_i|^2) along the unit normal n.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement, _norm
+from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
 from .kummer import _quartic_value, _scale_free
 from .spacetime import _cross3
 from .toa2 import _two_sphere
-from .toa3 import _collinear_fiber, _remapping
+from .toa3 import _collinear_fiber, _foot, _reference_system, _remapping
 
 
 def _circle_frame(axis: np.ndarray) -> tuple:
@@ -162,39 +164,17 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
     Raises Infeasible when the triple is off the feasible solid.
     """
     report = classify3d_r3(config, T, rtol=rtol)
-    T = _measurement(T, 3)
     if report.verdict == "Outside":
         raise Infeasible(
             "range triple is not realizable in space",
             residuals={"quartic": report.quartic, "normalized": report.normalized},
         )
-    m1, Q, RT, n, g21, g31 = config._memo(_plane_frame)
-    T1, T2, T3 = T.tolist()
-    alpha = g21 + T1 * T1 - T2 * T2
-    beta = g31 + T1 * T1 - T3 * T3
-    w = np.linalg.solve(RT, 0.5 * np.array([alpha, beta]))
-    u_pl = Q @ w
+    x, u, Ti = _foot(config, _measurement(T, 3).tolist())
     if report.verdict == "OnSurface":
-        return SolutionSet3D(points=(m1 + u_pl,))
-    h = math.sqrt(max(T1 * T1 - float(u_pl @ u_pl), 0.0))
-    return SolutionSet3D(points=(m1 + u_pl + h * n, m1 + u_pl - h * n))
-
-
-def _plane_frame(config: SensorConfig) -> tuple:
-    """invert3d_r3's frame of the receiver plane, a config-only constant.
-
-    (m1, Q, R^T, n, |m2 - m1|^2, |m3 - m1|^2), arrays read-only: Q, R the QR
-    factors of the columns m2 - m1 and m3 - m1, n the unit normal along
-    their cross product.  Read it through config._memo(_plane_frame).
-    """
-    d21v, d31v = config._sides[:2]
-    Q, R = np.linalg.qr(np.stack([d21v, d31v], axis=1))
-    n = np.array(_cross3(d21v.tolist(), d31v.tolist()))
-    n = n / _norm(n)
-    RT = R.T
-    for arr in (Q, RT, n):
-        arr.setflags(write=False)
-    return config.receivers[0], Q, RT, n, *config._gram[:2]
+        return SolutionSet3D(points=(x,))
+    n = config._memo(_reference_system)[7]
+    h = math.sqrt(max(Ti * Ti - float(u @ u), 0.0))
+    return SolutionSet3D(points=(x + h * n, x - h * n))
 
 
 def invert3d_r3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:

@@ -665,3 +665,46 @@ def circle_frame_by_arrays(axis: np.ndarray) -> tuple:
     u = u / np.linalg.norm(u)
     v = np.cross(axis, u)
     return u, v
+
+
+# ---------------------------------------------------------------------------
+# the squared-range-difference solves that toa3._foot replaced, verbatim but for
+# names and the argument checks
+
+def exterior_point_by_hodge(config, T, i: int = 1):
+    """toa3.exterior_point as it was: the Lorentzian cross product of the lifted
+    constraint normals, with time component -T_i."""
+    from rangegeom.config import _measurement
+    from rangegeom.spacetime import SpacetimeVec3, hodge_cross, lift, triple_form
+
+    T = _measurement(T, 3)
+    j, k = [t for t in (1, 2, 3) if t != i]
+    dj = config.vec(j, i)
+    dk = config.vec(k, i)
+    Ti, Tj, Tk = float(T[i - 1]), float(T[j - 1]), float(T[k - 1])
+    alpha = float(dj @ dj) + Ti * Ti - Tj * Tj
+    beta = float(dk @ dk) + Ti * Ti - Tk * Tk
+    w = alpha * dk - beta * dj
+    e3 = np.array([0.0, 0.0, 1.0])
+    denom = 2.0 * triple_form(lift(dj), lift(dk), e3)
+    u = hodge_cross(lift(w), e3) / denom
+    p = config.m(i) + u[:2]
+    return SpacetimeVec3(x=float(p[0]), y=float(p[1]), t=-Ti)
+
+
+def circumcircle_by_receivers(config) -> tuple:
+    """kummer._circumcircle as it was: a 2x2 solve from the differences of |m|^2."""
+    m1, m2, m3 = config.receivers
+    A = 2.0 * np.stack([m2 - m1, m3 - m1])
+    rhs = np.array([float(m2 @ m2 - m1 @ m1), float(m3 @ m3 - m1 @ m1)])
+    o = np.linalg.solve(A, rhs)
+    o.setflags(write=False)
+    return o, float(np.linalg.norm(m1 - o))
+
+
+def reference_system_3d_by_cond(config) -> tuple:
+    """toa3._reference_system of a spatial triangle, from the old builders: the reference of
+    least np.linalg.cond, np.linalg.qr of its two sides, and the normal of the old frame."""
+    i, j, k, M, gj, gk = reference_system_by_cond(config)
+    Q, R = np.linalg.qr(np.stack([config.vec(j, i), config.vec(k, i)], axis=1))
+    return i, j, k, R.T, gj, gk, Q, plane_frame_by_vectors(config)[3]

@@ -215,6 +215,8 @@ def test_exit_code_config_errors(tmp_path):
     ["localize-tdoa", "--config", RIGHT, "--tau=nan,0"],
     ["classify", "--config", COLLINEAR, "--tdoa=1e155,-1e155"],  # finite, its square is not
     ["classify", "--config", RIGHT, "--toa", "1e77,1e77,1e77"],  # finite, its quartic is not
+    ["classify", "--config", RIGHT, "--tdoa=1e78,-1e78"],  # finite, its null-cone quadratic is not
+    ["localize-tdoa", "--config", RIGHT, "--tau=1e78,-1e78"],
 ])
 def test_exit_code_non_finite_measurement(argv):
     code, out = _run(argv)

@@ -27,8 +27,8 @@ from oracles import (
     lens_table_by_arrays,
     node_images_by_distances,
     p2_table_by_facet_rows,
-    plane_frame_by_vectors,
     quartic_terms_by_vectors,
+    reference_system_3d_by_cond,
     reference_system_by_cond,
     tangency_table_by_vectors,
 )
@@ -72,7 +72,7 @@ def _memo_values(cfg) -> list:
     if not cfg.is_collinear:
         pairs.append((kummer._quartic_terms, quartic_terms_by_vectors))
     if cfg.dimension == 3:
-        pairs += [] if cfg.is_collinear else [(toa3d._plane_frame, plane_frame_by_vectors)]
+        pairs += [] if cfg.is_collinear else [(toa3._reference_system, reference_system_3d_by_cond)]
     else:
         pairs += [(kummer._facet_table, facet_table_by_distances),
                   (kummer._node_images, node_images_by_distances),
@@ -87,6 +87,11 @@ def _memo_values(cfg) -> list:
         value = cfg._memo(build)
         if build is kummer._quartic_terms:
             value = dict(value[0])  # the terms; the input bound is new
+        if build is tdoa._line_constants:
+            value = value[:-1]  # the input bound is new
+        if build is toa3._reference_system and cfg.dimension == 2:
+            assert value[6:] == (None, None)  # no frame in the plane
+            value = value[:6]
         out.append((build.__name__, value, old(cfg)))
     return out
 

@@ -1,6 +1,7 @@
 """Range-difference model: projection, feasible regions, fibers, inversion."""
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -418,6 +419,50 @@ def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, ba
                 batch(cfg, [[0.1, 0.2], [bad, 0.1]])
 
 
+def test_tdoa_input_bound_rejects_what_would_overflow(right):
+    """On the right triangle the bound is ~6.6e50.  At it every entry answers, with the
+    null-cone quadratic's products finite and RuntimeWarnings as errors; just beyond it, at
+    1e78 (where u0 . u0 overflowed) and at 1e155 (where tau^2 did) every entry raises."""
+    bound = right._memo(tdoa._line_constants)[-1]
+    assert 6e50 < bound < 7e50
+    calls = (rg.classify_tau, rg.invert_tdoa, rg.tdoa_coeffs,
+             lambda cfg, tau: rg.classify_invert_tau(cfg, [(0.1, 0.2), tau]),
+             lambda cfg, tau: rg.tau_fibers(cfg, [tau, (0.1, 0.2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in ((bound, -bound), (bound, bound), (-bound, 0.3)):
+            assert rg.classify_tau(right, tau).label == "OutsideIm"
+            assert rg.invert_tdoa(right, tau).kind == "Empty"
+            co = rg.tdoa_coeffs(right, tau)
+            assert math.isfinite(co.b * co.b + abs(co.a * co.c))
+            for call in calls:
+                call(right, tau)
+    for big in (math.nextafter(bound, math.inf), 1e78, 1e155):
+        for tau in ((big, -big), (0.3, -big)):
+            for call in calls:
+                with pytest.raises(rg.InvalidParam):
+                    call(right, tau)
+
+
+def test_tdoa_input_bound_holds_on_scaled_and_thin_triangles():
+    """At the bound, in seeded directions, on triangles of heights 1 to 1e-9 and scales
+    1e-30 to 1e30, the kernels' products stay finite and no RuntimeWarning is raised."""
+    rng = np.random.default_rng(43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-30.0, 30.0)
+            apex = (rng.uniform(-0.5, 1.5), 10.0 ** rng.uniform(-9.0, 0.0))
+            cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), apex]) * scale)
+            bound = cfg._memo(tdoa._line_constants)[-1]
+            for _ in range(10):
+                tau = rng.normal(size=2)
+                tau = np.clip(tau * (bound / np.abs(tau).max()), -bound, bound)
+                co = rg.tdoa_coeffs(cfg, tau)
+                assert math.isfinite(co.b * co.b + abs(co.a * co.c))
+                rg.tau_fibers(cfg, [tau, -tau])
+
+
 def test_classify_invert_tau_rejects_other_shapes(scalene, pair, right3d):
     for batch in (rg.classify_invert_tau, rg.tau_fibers):
         for taus in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2))):
@@ -454,7 +499,7 @@ def test_line_constants_are_read_only_and_die_with_their_configuration():
     lens_tau = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
     regions, _ = rg.classify_invert_tau(cfg, [rg.tau_map(cfg, (0.3, 0.4)), lens_tau])
     assert regions[1].label == "U_1"
-    d31v, d32v, M, shift, w12, flip = cfg._constants[tdoa._line_constants]
+    d31v, d32v, M, shift, w12, flip, _ = cfg._constants[tdoa._line_constants]
     assert d31v.tobytes() == cfg.vec(3, 1).tobytes() and M.tobytes() == np.stack(
         [cfg.vec(3, 1), cfg.vec(3, 2)]).tobytes()
     assert w12 == rg.cross2(d31v, d32v) and flip.tolist() == [-1.0, 1.0]

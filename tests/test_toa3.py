@@ -10,7 +10,7 @@ import rangegeom as rg
 from rangegeom import kummer
 
 from conftest import away_from_receivers, collinear_triples, sources, triangles
-from oracles import numeric_jacobian
+from oracles import circumcircle_by_receivers, exterior_point_by_hodge, numeric_jacobian
 
 _RT = 1e-9
 
@@ -153,6 +153,36 @@ def test_exterior_point_errors(right, collinear_mid):
         rg.exterior_point(collinear_mid, (1.0, 1.0, 1.0))
     with pytest.raises(rg.DimensionMismatch):
         rg.exterior_point(right, (1.0, 1.0, 1.0), i=4)
+
+
+def test_foot_point_matches_the_replaced_solves():
+    """exterior_point and the circumcircle, both toa3._foot now, hold to the Lorentzian-cross
+    construction and the |m|^2-difference solve they replaced, over seeded scaled and shifted
+    triangles.  The tolerance is 1e-12 * d_max times the condition d_max^2 / (2 * area), as
+    both solves lose digits with it on thin triangles.  exterior_point's (x, y) is the same
+    bits for every reference index, and its time component is -T_i."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(600):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        cfg = rg.validate_config((rng.uniform(-1.0, 1.0, (3, 2)) + rng.uniform(-3.0, 3.0, 2)) * scale)
+        if cfg.is_collinear:
+            continue
+        tol = 1e-12 * cfg.d_max ** 3 / abs(rg.cross2(cfg.vec(2, 1), cfg.vec(3, 1)))
+        o, R = cfg._memo(kummer._circumcircle)
+        o_old, R_old = circumcircle_by_receivers(cfg)
+        assert np.max(np.abs(o - o_old)) <= tol and abs(R - R_old) <= tol
+        for _ in range(3):
+            T = rg.forward3(cfg, cfg.m(1) + rng.uniform(-2.0, 2.0, 2) * cfg.d_max)
+            T = T * rng.uniform(0.5, 1.5, 3) if rng.uniform() < 0.5 else T
+            points = [rg.exterior_point(cfg, T, i=i) for i in (1, 2, 3)]
+            assert len({(ep.x, ep.y) for ep in points}) == 1
+            for i, ep in enumerate(points, start=1):
+                old = exterior_point_by_hodge(cfg, T, i=i)
+                assert max(abs(ep.x - old.x), abs(ep.y - old.y)) <= tol
+                assert ep.t == old.t == -T[i - 1]
+        checked += 1
+    assert checked >= 590
 
 
 def test_jacobian_rows_unit(right):

@@ -165,3 +165,16 @@ def test_spatial_fibers_meet_the_plane_at_planar_fibers(planar_pts, invert_plana
             for ours, theirs in ((flat, lifted), (lifted, flat)):
                 for p in ours:
                     assert min(np.abs(p - q).max() for q in theirs) <= 1e-12 * planar.d_max
+
+
+@pytest.mark.parametrize("side", [1e-60, 1e-82, 1e-150])
+@pytest.mark.parametrize("z", [0.1, 0.0])
+def test_tiny_spatial_triangle_is_a_triangle_and_raises_invalid_param(side, z):
+    """The 3-D area test takes no squares, so a triangle of sides ~1e-82 stays a
+    GeneralTriangle; its scale-free quartic (d_max^6 underflows) raises InvalidParam."""
+    cfg = rg.validate_config([(0.0, 0.0, 0.0), (side, 0.0, 0.0), (0.6 * side, 0.7 * side, z * side)])
+    assert isinstance(cfg.kind, rg.GeneralTriangle)
+    T = cfg.distances(np.array([0.3, 0.4, 0.2]) * side)
+    for call in (rg.classify3d_r3, rg.invert3d_r3):
+        with pytest.raises(rg.InvalidParam):
+            call(cfg, T)
