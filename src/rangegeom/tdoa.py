@@ -28,7 +28,9 @@ runs in row kernels over an (N, 2) array of tau (``_classify_rows``,
 per configuration (``SensorConfig._memo``).  The kernels return plain per-row
 decisions, not objects: labels, ids, fibers and lifts, and the accepted
 points of each row.  ``tau_fibers``, the batch entry, hands the labels,
-fibers and points on as plain tuples.  The result objects (``TauRegion``,
+fibers and points on as plain tuples; it inverts only the rows it classifies
+with fiber 1 or 2 and gives the rows of fiber 0, which have no source, the
+points ().  The result objects (``TauRegion``,
 ``TdoaCoeffs``, ``SolutionSet``) are made only for the public calls, by
 ``_regions``, ``_coeff_objects`` and ``_solution_sets``.  ``classify_tau``,
 ``invert_tdoa``, ``tdoa_coeffs`` and ``p2_membership`` are row 0 of a
@@ -232,8 +234,15 @@ def _line_constants(config: SensorConfig) -> tuple:
     kernels' products stay below a quarter of the largest float: with kappa =
     d_max^2 / |w12|, tau_i^2 <= s^2, the roots' b*b + |a*c| <= 136 kappa^2 s^6,
     and the candidate points lie within 400 kappa^3 s^2 / d_max of every
-    receiver.  Read it through config._memo(_line_constants).
+    receiver.  InvalidParam when d_max^4, the scale of a, underflows to 0.0.
+    Read it through config._memo(_line_constants).
     """
+    # a product, not **: Python's float power raises OverflowError where the
+    # bound below has to answer, and d_max^2 is finite with the squared sides
+    d2 = config.d_max * config.d_max
+    if d2 * d2 == 0.0:
+        raise InvalidParam(f"receivers too close for the null-cone quadratic (d_max^4 "
+                           f"underflows), d_max = {config.d_max:g}")
     M = config._sides[1:]
     d31v, d32v = M
     (x31, y31), (x32, y32) = M.tolist()
@@ -453,10 +462,11 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
 
     Returns (labels, fibers, points), plain tuples with one entry per row:
     labels[i] and fibers[i] are the label and fiber of classify_tau(config,
-    taus[i], rtol), and points[i] holds the points of invert_tdoa(config,
-    taus[i], rtol) as (x, y) pairs of floats, bit for bit.  points is None
-    for collinear receivers, where invert_tdoa raises.  No result object is
-    built.
+    taus[i], rtol).  Where fibers[i] is 1 or 2, points[i] holds the points of
+    invert_tdoa(config, taus[i], rtol) as (x, y) pairs of floats, bit for
+    bit; where it is 0, points[i] is () and the row is not inverted.  points
+    is None for collinear receivers, where invert_tdoa raises.  No result
+    object is built.
     """
     _require_planar_triple(config)
     taus = _measurement_rows(taus, 2, "range differences")
@@ -465,9 +475,15 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
         return tuple(labels), tuple(fibers), None
     co = _coeff_rows(config, taus)
     labels, _, fibers, _ = _classify_rows(config, taus, rtol, co, _p2_rows(config, taus))
-    x, kept = _invert_rows(config, taus, rtol, co)
+    # in general position every fiber is 0, 1 or 2
+    rows = [i for i, fiber in enumerate(fibers) if fiber]
+    x, kept = _invert_rows(config, taus.take(rows, axis=0), rtol,
+                           tuple(column.take(rows, axis=0) for column in co))
     xs = list(map(tuple, x.tolist()))
-    return tuple(labels), tuple(fibers), tuple([tuple([xs[k] for k in found]) for found in kept])
+    points = [()] * len(taus)
+    for i, found in zip(rows, kept):
+        points[i] = tuple([xs[k] for k in found])
+    return tuple(labels), tuple(fibers), tuple(points)
 
 
 def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple,

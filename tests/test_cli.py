@@ -224,6 +224,22 @@ def test_exit_code_non_finite_measurement(argv):
     assert json.loads(out)["error"]["type"] == "InvalidParam"
 
 
+@pytest.mark.parametrize("receivers", [
+    # d_max^4 underflows to 0.0; unguarded, classify answered U_3 (fiber 2) with no solution
+    "[[0,0],[1e-82,0],[3e-83,8e-83]]",
+    # d_max (about 1e78) is past the overflow bound; d_max^4 would overflow a float
+    "[[0,0],[1e78,0],[3e77,8e77]]",
+])
+def test_exit_code_receivers_out_of_the_null_cone_range(tmp_path, receivers):
+    config = tmp_path / "receivers.json"
+    config.write_text(f'{{"receivers": {receivers}}}', encoding="utf-8")
+    for argv in (["classify", "--config", str(config), "--tdoa=1e-83,2e-83"],
+                 ["localize-tdoa", "--config", str(config), "--tau=1e-83,2e-83"]):
+        code, out = _run(argv)
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "InvalidParam"
+
+
 def test_infeasible_is_not_an_error():
     code, out = _run(CASES["localize_toa_infeasible"])
     assert code == 0

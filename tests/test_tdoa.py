@@ -422,7 +422,8 @@ def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, ba
 def test_tdoa_input_bound_rejects_what_would_overflow(right):
     """On the right triangle the bound is ~6.6e50.  At it every entry answers, with the
     null-cone quadratic's products finite and RuntimeWarnings as errors; just beyond it, at
-    1e78 (where u0 . u0 overflowed) and at 1e155 (where tau^2 did) every entry raises."""
+    1e78 (where u0 . u0 overflowed) and at 1e155 (where tau^2 did) every entry raises, and
+    so it does on receivers scaled by 1e78."""
     bound = right._memo(tdoa._line_constants)[-1]
     assert 6e50 < bound < 7e50
     calls = (rg.classify_tau, rg.invert_tdoa, rg.tdoa_coeffs,
@@ -442,6 +443,11 @@ def test_tdoa_input_bound_rejects_what_would_overflow(right):
             for call in calls:
                 with pytest.raises(rg.InvalidParam):
                     call(right, tau)
+    # receivers beyond the bound, with d_max^4 (about 1e312) past the largest float
+    huge = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * 1e78)
+    for call in calls:
+        with pytest.raises(rg.InvalidParam, match="too large"):
+            call(huge, (0.1, 0.2))
 
 
 def test_tdoa_input_bound_holds_on_scaled_and_thin_triangles():
@@ -487,11 +493,53 @@ def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(rece
         assert points is None and solutions is None
         return
     assert type(points) is tuple and len(points) == len(taus)
-    for found, sol in zip(points, solutions):
+    assert 0 in fibers
+    for found, sol, fiber in zip(points, solutions, fibers):
+        if fiber == 0:  # not inverted
+            assert found == ()
+            continue
         assert type(found) is tuple and len(found) == len(sol.points)
         for pair, point in zip(found, sol.points):
             assert type(pair) is tuple and all(type(v) is float for v in pair)
             assert [v.hex() for v in pair] == [float(v).hex() for v in point]
+
+
+@pytest.mark.parametrize("receivers", [  # the receivers in general position of test_census.py
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.0, 0.0), (1.0, 0.0), (0.6, 0.7)],
+    [(3.0, -1.0), (5.5, -1.0), (4.5, 0.75)],
+    [(0.0, 0.0), (1.0, 0.0), (1.5, 0.4)],
+    [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-3)],
+    [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-5)],
+    [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)],
+    [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-6)],
+])
+def test_no_fiber_0_row_of_the_census_grid_has_a_source(receivers):
+    """tau_fibers inverts only the rows of fiber 1 or 2, so it cannot show a source at a
+    fiber-0 point.  classify_invert_tau still inverts every row: on fiber_census.py's 41^2
+    grid no row of fiber 0 has a point."""
+    cfg = rg.validate_config(receivers)
+    axis = np.linspace(-1.2 * cfg.d_max, 1.2 * cfg.d_max, 41)
+    taus = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    regions, solutions = rg.classify_invert_tau(cfg, taus)
+    fiber_0 = [(region.label, sol.points) for region, sol in zip(regions, solutions)
+               if region.fiber == 0]
+    assert fiber_0
+    assert [(label, points) for label, points in fiber_0 if points] == []
+
+
+def test_tdoa_entries_raise_where_d_max_4_underflows():
+    """On (0,0) (s,0) (0.3s,0.8s) at s = 1e-82, d_max^4 underflows to 0.0: classify_tau divided
+    by it and invert_tdoa returned Empty.  With RuntimeWarnings as errors, every entry raises."""
+    s = 1e-82
+    cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * s)
+    tau = rg.tau_map(cfg, (0.2 * s, 0.3 * s))
+    calls = (rg.classify_tau, rg.invert_tdoa, lambda c, t: rg.tau_fibers(c, [t, -t]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(rg.InvalidParam, match=r"d_max\^4 underflows"):
+                call(cfg, tau)
 
 
 def test_line_constants_are_read_only_and_die_with_their_configuration():
