@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .config import _RTOL, SensorConfig, validate_config
+from .config import _RTOL, _VERIFY_RTOL, SensorConfig, validate_config
 from .kummer import (
     ARC_LABELS,
     HULL_COMPONENTS,
@@ -143,9 +143,9 @@ def _cmd_localize_toa(args) -> int:
         if rep.verdict != "Feasible":
             solutions = ()
         elif config.is_collinear:
-            solutions = invert3_collinear(config, T, rtol=max(rtol, 1e-7)).points
+            solutions = invert3_collinear(config, T, rtol=max(rtol, _VERIFY_RTOL)).points
         else:
-            solutions = invert3(config, T, rtol=max(rtol, 1e-7)).points
+            solutions = invert3(config, T, rtol=max(rtol, _VERIFY_RTOL)).points
         payload = {
             "verdict": rep.verdict,
             "fiber": rep.fiber,
@@ -163,7 +163,7 @@ def _cmd_localize_tdoa(args) -> int:
     region = classify_tau(config, tau, rtol=args.tol)
     if config.is_collinear:
         if region.lift is not None and region.fiber not in (0, math.inf):
-            solutions = invert3_collinear(config, region.lift, rtol=1e-7).points
+            solutions = invert3_collinear(config, region.lift, rtol=_VERIFY_RTOL).points
         else:
             solutions = ()
     elif region.fiber in (1, 2):

@@ -24,6 +24,9 @@ from .spacetime import _cross3
 
 # Default relative tolerance of every classification and inversion.
 _RTOL = 1e-9
+# Relative tolerance of the forward-map check that accepts an inverted source:
+# invert_tdoa's, and the CLI's inversions when its --tol is tighter.
+_VERIFY_RTOL = 1e-7
 # Collinearity test: 2*area / (d21*d31) <= _COLLINEAR_RTOL  (i.e. sin of the
 # angle at receiver 1 vanishes to this relative precision).
 _COLLINEAR_RTOL = 1e-9

@@ -210,6 +210,14 @@ def _scale_free(config: SensorConfig, value):
     return value / scale
 
 
+def _quartic_gate(config: SensorConfig, T: np.ndarray, rtol: float) -> tuple:
+    """(value, _scale_free(value), on): the quartic at the triple T, scale-free, and within
+    rtol of zero; the one on-surface test of classify3, classify3d_r3 and the hull."""
+    value = _quartic_value(config, T)
+    residual = _scale_free(config, value)
+    return value, residual, abs(residual) <= rtol
+
+
 # ---------------------------------------------------------------------------
 # homogeneous (rescaled) form
 
@@ -811,7 +819,7 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
         raise NotOnBoundary("point lies outside the feasible polyhedron")
 
     # 2) on the quartic: positively curved surface regions V0..V3
-    if abs(quartic_residual(config, T, normalized=True)) <= 1e-9:
+    if _quartic_gate(config, T, 1e-9)[2]:
         sols = invert3(config, T, rtol=1e-5)
         if sols.points:
             x = sols.points[0]

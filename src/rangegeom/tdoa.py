@@ -47,6 +47,7 @@ import numpy as np
 
 from .config import (
     _RTOL,
+    _VERIFY_RTOL,
     SensorConfig,
     _measurement,
     _measurement_rows,
@@ -56,9 +57,7 @@ from .errors import DegenerateConfig, InvalidParam, RangeGeomError
 from .kummer import (_FLOAT_MAX, Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table,
                      _facet_rows, _facet_verdict, _node_images, _quartic_terms, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
-from .toa3 import SolutionSet, _stewart
-
-_VERIFY_RTOL = 1e-7
+from .toa3 import SolutionSet, _stewart, _stewart_gate
 
 P2_FACETS = (
     "tau1=-d31", "tau1=d31",
@@ -75,6 +74,10 @@ TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
 _LENS_CONES = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
 # the same cones as rows of the tangency table: the rows of the p's, then of the q's
 _LENS_ROWS = tuple(tuple(TANGENCY_IDS.index(t) for t in ends) for ends in zip(*_LENS_CONES.values()))
+
+# Largest max(|tau|, d_max) of the collinear lift: within it the Stewart value, the
+# lift's slope and the facet slacks of a lift t <= _FLOAT_MAX / (4 max(|tau|, d_max)) are finite.
+_COLLINEAR_BOUND = math.sqrt(_FLOAT_MAX) / 4.0
 
 
 def tau_map(config: SensorConfig, x) -> np.ndarray:
@@ -259,8 +262,9 @@ def _line_constants(config: SensorConfig) -> tuple:
 
 
 def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Arrays a, b, c, u0, v_spatial and |v_spatial|^2 of every row of an (N, 2) array of tau;
-    InvalidParam beyond the bound of _line_constants."""
+    """Arrays a, b, c, u0, v_spatial, |v_spatial|^2 and the scale-free an = a / d_max^4 and
+    bn = b / d_max^3 of every row of an (N, 2) array of tau; InvalidParam beyond the bound
+    of _line_constants."""
     d31v, d32v, M, shift, w12, flip, bound = config._memo(_line_constants)
     largest = float(np.abs(taus).max(initial=config.d_max))
     if largest > bound:
@@ -272,7 +276,14 @@ def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
     q = taus[:, :1] * d32v - taus[:, 1:] * d31v
     v = q[:, ::-1] * flip
     dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))
-    return dots[:, 0] - w12 * w12, dots[:, 1], dots[:, 2], u0, v, dots[:, 3]
+    a, b = dots[:, 0] - w12 * w12, dots[:, 1]
+    return a, b, dots[:, 2], u0, v, dots[:, 3], a / config.d_max ** 4, b / config.d_max ** 3
+
+
+def _null_cone_sign(x: float, rtol: float) -> int:
+    """The sign of an or bn of _coeff_rows, 0 within rtol of zero (on the ellipse E or the
+    cubic C): the one null-cone gate of classify_tau's labels and invert_tdoa's roots."""
+    return 0 if abs(x) <= rtol else 1 if x > 0.0 else -1
 
 
 def tangency_points(config: SensorConfig) -> dict:
@@ -345,11 +356,11 @@ def invert_tdoa(config: SensorConfig, tau, rtol: float = _RTOL) -> SolutionSet:
     return _solution_sets(*_invert_rows(config, tau[None], rtol))[0]
 
 
-def _null_cone_roots(a: float, b: float, c: float, rtol: float, scale_a: float,
-                     scale_b: float) -> list:
-    """Roots l of a*l^2 + 2b*l + c, by the stable formula, with the gates of invert_tdoa."""
-    if abs(a) <= rtol * scale_a:
-        return [-c / (2.0 * b)] if abs(b) > rtol * scale_b else []
+def _null_cone_roots(a: float, b: float, c: float, an: float, bn: float, rtol: float) -> list:
+    """Roots l of a*l^2 + 2b*l + c, by the stable formula, with the gates of invert_tdoa;
+    an and bn: the scale-free a and b of _coeff_rows."""
+    if _null_cone_sign(an, rtol) == 0:
+        return [-c / (2.0 * b)] if _null_cone_sign(bn, rtol) else []
     disc = b * b - a * c
     if abs(disc) <= rtol * (b * b + abs(a * c)):
         # tangency within tolerance: one double root
@@ -375,13 +386,13 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple 
     check run once over all rows.  co: the arrays of _coeff_rows when the
     caller has them.
     """
-    a, b, c, u0, v, vv = co if co is not None else _coeff_rows(config, taus)
+    a, b, c, u0, v, vv, an, bn = co if co is not None else _coeff_rows(config, taus)
     d_max = config.d_max
-    scale_a, scale_b, snap = d_max ** 4, d_max ** 3, 1e-12 * d_max
+    snap = 1e-12 * d_max
     rows, lams = [], []
-    for i, (ai, bi, ci, vn) in enumerate(zip(a.tolist(), b.tolist(), c.tolist(),
-                                             np.sqrt(vv).tolist())):
-        for lam in _null_cone_roots(ai, bi, ci, rtol, scale_a, scale_b):
+    for i, (ai, bi, ci, ani, bni, vn) in enumerate(zip(
+            a.tolist(), b.tolist(), c.tolist(), an.tolist(), bn.tolist(), np.sqrt(vv).tolist())):
+        for lam in _null_cone_roots(ai, bi, ci, ani, bni, rtol):
             if abs(lam) * vn <= snap:
                 lam = 0.0
             if not lam > 0.0:  # past-cone roots only
@@ -502,8 +513,7 @@ def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tupl
     outside = [min(row) < -tol for row in slack]
     tangent = None if all(outside) else _near_rows(config._memo(_tangency_table), taus, tol)
     corner = None
-    an = (co[0] / d_max ** 4).tolist()
-    bn = (co[1] / d_max ** 3).tolist()
+    an, bn = co[6].tolist(), co[7].tolist()
     labels, ids, fibers = [], [], []
     for i, residuals in enumerate(slack):
         ids_i, fiber = (), 1
@@ -511,18 +521,18 @@ def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tupl
             label, fiber = "OutsideIm", 0
         elif (tid := _first(tangent[i])) is not None:
             label, ids_i, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
-        elif an[i] < -rtol:
+        elif (sign_a := _null_cone_sign(an[i], rtol)) < 0:
             label = "EMinus"
-        elif abs(an[i]) <= rtol:
+        elif sign_a == 0:
             label, ids_i = "BoundaryArc", ("E",)
-        elif bn[i] > rtol:
+        elif (sign_b := _null_cone_sign(bn[i], rtol)) > 0:
             active = tuple(n for n, v in zip(names, residuals) if v <= tol)
             if active:
                 label, ids_i = "BoundaryArc", active
             else:
                 corner = corner or _lens_corners(config, taus)
                 label, fiber = f"U_{corner[i]}", 2
-        elif abs(bn[i]) <= rtol:
+        elif sign_b == 0:
             label, ids_i = "BoundaryArc", ("C",)
         else:
             label, fiber = "OutsideIm", 0
@@ -549,12 +559,16 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
     """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic.
 
     Each lift is None or the lifted triple (tau1 + t, tau2 + t, t) as a list
-    of floats.
+    of floats.  InvalidParam beyond _COLLINEAR_BOUND, or for a lift t farther
+    than _FLOAT_MAX / (4 max(|tau|, d_max)).
     """
     kind = config.kind
     d_max = config.d_max
+    largest = float(np.abs(taus).max(initial=d_max))
+    if largest > _COLLINEAR_BOUND:
+        raise InvalidParam(f"range differences too large for the collinear lift: "
+                           f"max(|tau|, d_max) = {largest:g} > {_COLLINEAR_BOUND:g}")
     tol_lin = rtol * d_max
-    tol_quad = rtol * d_max ** 2
     vertex = _near_rows(config._memo(_vertex_images), taus, tol_lin)
 
     # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
@@ -565,14 +579,20 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
     a_lin = 2.0 * ((1.0 - rho) * qv[:, 0] + rho * qv[:, 1] - qv[:, 2])
     c_lin = np.array([_stewart(kind, *row) for row in qv.tolist()], dtype=float)
     flat = np.abs(a_lin) <= tol_lin
-    t_star = -c_lin / np.where(flat, 1.0, a_lin)
+    # a flat row's lift is discarded: t = 0 there keeps its slacks finite
+    num, den = np.where(flat, 0.0, -c_lin), np.where(flat, 1.0, a_lin)
+    # |t| = |num / den| against _FLOAT_MAX / (4 largest), compared without overflow
+    if np.any(np.abs(num) * (4.0 * largest / _FLOAT_MAX) > np.abs(den)):
+        raise InvalidParam(f"range differences too large for the collinear lift: a lift "
+                           f"lies beyond t = {_FLOAT_MAX / (4.0 * largest):g}")
+    t_star = num / den
     lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
     q3 = _slacks([config._memo(_collinear_facet_table)], *lift[:, order].T[:, :, None])[0]
 
     labels, ids, fibers, lifts = [], [], [], []
-    for (t1, t2), near, is_flat, c, low, ts, lift_i, slack3 in zip(
+    for (t1, t2), near, is_flat, c, low, lift_i, slack3 in zip(
             taus.tolist(), vertex, flat.tolist(), c_lin.tolist(), lift.min(axis=1).tolist(),
-            t_star.tolist(), lift.tolist(), q3.tolist()):
+            lift.tolist(), q3.tolist()):
         ids_i, fiber = (), 0
         if (row := _first(near)) is not None:
             # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
@@ -584,15 +604,14 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
             else:
                 label, ids_i, fiber, lift_i = "VertexRay", (cid,), math.inf, None
         elif is_flat:
+            # the flat lift meets the quadric everywhere or nowhere
             lift_i = None
-            if abs(c) <= tol_quad:
+            if _stewart_gate(config, c, rtol)[1]:
                 label, ids_i, fiber = "VertexRay", ("R1", "R2"), math.inf
             else:
                 label = "OutsideIm"
         elif low < -tol_lin:
             label = "OutsideIm"
-        elif not math.isfinite(ts):
-            raise InvalidParam(f"ranges must be finite, got {lift_i}")
         else:
             active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d_max)
             if verdict == "Outside":
@@ -613,7 +632,7 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
 
 def _coeff_objects(config: SensorConfig, co: tuple) -> list:
     """One TdoaCoeffs per row of the arrays of _coeff_rows."""
-    a, b, c, u0, v, _ = co
+    a, b, c, u0, v = co[:5]
     v_time = abs(config._memo(_line_constants)[4])
     return [TdoaCoeffs(a=ai, b=bi, c=ci, u0=ui, v_spatial=vi, v_time=v_time)
             for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]

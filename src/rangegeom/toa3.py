@@ -260,10 +260,18 @@ def _canonical_stewart(kind: CollinearTriple, T: list) -> float:
     return _stewart(kind, *(T[k] for k in kind.order))
 
 
+def _stewart_gate(config: SensorConfig, value: float, rtol: float) -> tuple:
+    """(value / d_max^2, on): a Stewart quadric value made scale-free, and whether it lies
+    within rtol of zero; the one on-quadric test of classify3, the collinear inversions and
+    classify_tau's flat lifts."""
+    residual = value / config.d_max ** 2
+    return residual, abs(residual) <= rtol
+
+
 def _collinear_fiber(config: SensorConfig, T: list, rtol: float):
     """Stewart gate, then _two_sphere on the canonical endpoints (None if off the quadric)."""
     kind = config.kind
-    if abs(_canonical_stewart(kind, T)) > rtol * config.d_max ** 2:
+    if not _stewart_gate(config, _canonical_stewart(kind, T), rtol)[1]:
         return None
     i1, i2, _ = kind.order
     e1, e2 = config.receivers[i1], config.receivers[i2]
@@ -302,7 +310,7 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     polyhedron have mirror-pair fibers.
     """
     _require_planar_triple(config)
-    from .kummer import q3_membership, quartic_residual
+    from .kummer import _quartic_gate, q3_membership
 
     T = _measurement(T, 3)
     Ts = T.tolist()
@@ -310,12 +318,11 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     q3 = q3_membership(config, T, rtol=rtol)
 
     if config.is_collinear:
-        residual = _canonical_stewart(config.kind, Ts) / config.d_max**2
+        residual, on_surface = _stewart_gate(config, _canonical_stewart(config.kind, Ts), rtol)
         fiber_interior = 2
     else:
-        residual = quartic_residual(config, T, normalized=True)
+        _, residual, on_surface = _quartic_gate(config, T, rtol)
         fiber_interior = 1
-    on_surface = abs(residual) <= rtol
 
     if not in_octant:
         verdict, fiber, reason = "Infeasible", 0, "not in first octant"

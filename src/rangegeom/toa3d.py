@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
-from .kummer import _quartic_value, _scale_free
+from .kummer import _quartic_gate
 from .spacetime import _cross3
 from .toa2 import _two_sphere
 from .toa3 import _collinear_fiber, _foot, _reference_system, _remapping
@@ -143,11 +143,10 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
             "collinear receivers: use invert3d_r3_collinear (circle fibers)"
         )
     T = _measurement(T, 3)
-    raw = _quartic_value(config, T)
-    normalized = _scale_free(config, raw)
+    raw, normalized, on_surface = _quartic_gate(config, T, rtol)
     if min(T.tolist()) < -rtol * config.d_max:
         verdict, fiber = "Outside", 0
-    elif abs(normalized) <= rtol:
+    elif on_surface:
         verdict, fiber = "OnSurface", 1
     elif normalized < 0.0:
         verdict, fiber = "InteriorSolid", 2

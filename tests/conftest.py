@@ -133,3 +133,15 @@ def away_from_receivers(config, x, margin: float = 1e-3) -> bool:
         float(np.linalg.norm(x - np.asarray(m, dtype=float))) >= margin * config.d_max
         for m in config.receivers
     )
+
+
+def band_edge(inside, t_in: float, t_out: float) -> tuple:
+    """Adjacent floats (t_in, t_out) between which the predicate inside flips, bisected from a
+    parameter t_in where it holds to a parameter t_out where it does not."""
+    assert inside(t_in) and not inside(t_out)
+    while (mid := 0.5 * (t_in + t_out)) not in (t_in, t_out):
+        if inside(mid):
+            t_in = mid
+        else:
+            t_out = mid
+    return t_in, t_out

@@ -229,6 +229,8 @@ def test_exit_code_non_finite_measurement(argv):
     "[[0,0],[1e-82,0],[3e-83,8e-83]]",
     # d_max (about 1e78) is past the overflow bound; d_max^4 would overflow a float
     "[[0,0],[1e78,0],[3e77,8e77]]",
+    # collinear, past the lift's bound (about 3.4e153); unbounded, the lift's slacks overflowed
+    "[[0,0],[1e154,0],[3e153,0]]",
 ])
 def test_exit_code_receivers_out_of_the_null_cone_range(tmp_path, receivers):
     config = tmp_path / "receivers.json"

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 import rangegeom as rg
 from rangegeom import tdoa
 
-from conftest import away_from_receivers, collinear_triples, sources, triangles
+from conftest import away_from_receivers, band_edge, collinear_triples, sources, triangles
 from oracles import brute_fiber, tdoa_coeffs_per_call
 
 
@@ -467,6 +467,68 @@ def test_tdoa_input_bound_holds_on_scaled_and_thin_triangles():
                 co = rg.tdoa_coeffs(cfg, tau)
                 assert math.isfinite(co.b * co.b + abs(co.a * co.c))
                 rg.tau_fibers(cfg, [tau, -tau])
+
+
+def test_collinear_lift_input_bound():
+    """On (0,0) (s,0) (0.3s,0) and its near-collinear (0.3s, 1e-10 s) apex, tau = (0.1, 0.2)
+    is OutsideIm at s = 1e60, 1e100 and 1e150 with RuntimeWarnings as errors; at 1e150 the
+    discarded lift of that flat row had overflowed its facet slacks.  Past the bound
+    (receivers or tau), and for a lift beyond the float range's reach, every entry raises."""
+    def collinear(s, apex=(0.3, 0.0)):
+        return rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), apex]) * s)
+
+    calls = (rg.classify_tau, lambda cfg, tau: rg.classify_invert_tau(cfg, [(0.1, 0.2), tau]),
+             lambda cfg, tau: rg.tau_fibers(cfg, [tau, (0.1, 0.2)]))
+    bound = tdoa._COLLINEAR_BOUND
+    rng = np.random.default_rng(44)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e60, 1e100, 1e150):
+            for apex in ((0.3, 0.0), (0.3, 1e-10)):
+                cfg = collinear(s, apex)
+                assert cfg.is_collinear
+                assert rg.classify_tau(cfg, (0.1, 0.2)).label == "OutsideIm"
+                assert rg.tau_fibers(cfg, [(0.1, 0.2)])[0] == ("OutsideIm",)
+        for cfg, tau in ((collinear(1e154), (0.1, 0.2)), (collinear(1.0), (4e153, 0.1)),
+                         (collinear(1.0), (math.nextafter(bound, math.inf), -0.5)),
+                         (collinear(1e150), (3e141, 0.0))):  # its lift t is about 5e157
+            for call in calls:
+                with pytest.raises(rg.InvalidParam, match="collinear lift"):
+                    call(cfg, tau)
+        # within the bound every row answers or raises InvalidParam, and nothing overflows
+        for _ in range(40):
+            cfg = collinear(10.0 ** rng.uniform(-30.0, 153.0), (rng.uniform(0.05, 0.95), 0.0))
+            tau = rng.normal(size=2)
+            for big in (bound, cfg.d_max, 1e-3 * cfg.d_max):
+                try:
+                    rg.tau_fibers(cfg, [tau * (big / np.abs(tau).max()), -tau * cfg.d_max])
+                except rg.InvalidParam as exc:
+                    assert "collinear lift" in str(exc)
+
+
+def test_e_gate_band_edges_agree_with_the_linear_root_branch():
+    """One ulp either side of each edge of the band |a| / d_max^4 <= rtol, bisected along
+    rays through the ellipse E: classify_tau labels the point BoundaryArc E exactly where
+    invert_tdoa takes the linear root -c / 2b."""
+    cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
+    assert math.frexp(cfg.d_max)[0] != 0.5  # d_max is not a power of two
+    d31v, d32v, _, _, w12, _, _ = cfg._memo(tdoa._line_constants)
+    rtol = 1e-9
+
+    def on_e(tau):
+        region = rg.classify_tau(cfg, tau, rtol)
+        return region.label == "BoundaryArc" and region.ids == ("E",)
+
+    def linear_root(tau):
+        a, b, c, _, _, _, an, bn = (col[0] for col in tdoa._coeff_rows(cfg, np.array([tau])))
+        return tdoa._null_cone_roots(a, b, c, an, bn, rtol) == [-c / (2.0 * b)]
+
+    for theta in np.linspace(0.3, 0.3 + 2.0 * math.pi, 7, endpoint=False):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        r_e = abs(w12) / np.linalg.norm(u[0] * d32v - u[1] * d31v)  # a = 0 on E
+        for far in (0.5, 1.5):
+            for r in band_edge(lambda r: on_e(r * u), r_e, far * r_e):
+                assert on_e(r * u) == linear_root(r * u)
 
 
 def test_classify_invert_tau_rejects_other_shapes(scalene, pair, right3d):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given
 
 import rangegeom as rg
-from rangegeom import kummer
+from rangegeom import kummer, toa3
 
-from conftest import away_from_receivers, collinear_triples, sources, triangles
+from conftest import away_from_receivers, band_edge, collinear_triples, sources, triangles
 from oracles import circumcircle_by_receivers, exterior_point_by_hodge, numeric_jacobian
 
 _RT = 1e-9
@@ -353,3 +353,20 @@ def test_collinear_boundary_band_keeps_the_line_point(collinear_mid, collinear3d
     sol3 = rg.invert3d_r3_collinear(collinear3d, T)
     assert sol3.circle is None and len(sol3.points) == 1
     assert np.allclose(sol3.points[0], (x[0], 0.0, 0.0), atol=1e-12)
+
+
+def test_stewart_gate_band_edges_agree_with_invert3_collinear():
+    """One ulp either side of each edge of the band |Stewart| / d_max^2 <= rtol, bisected
+    along the middle range: classify3 says Feasible exactly where invert3_collinear passes
+    the Stewart gate and returns its mirror pair."""
+    cfg = rg.validate_config([(0.0, 0.0), (1.7, 0.0), (0.6, 0.0)])
+    rtol = 1e-9
+    T1, T2, T3 = rg.forward3(cfg, (0.5, 1.3)).tolist()
+
+    def feasible(t):
+        return rg.classify3(cfg, (T1, T2, t), rtol).verdict == "Feasible"
+
+    for far in (1.0 - 1e-6, 1.0 + 1e-6):
+        for t in band_edge(feasible, T3, far * T3):
+            passes = toa3._collinear_fiber(cfg, [T1, T2, t], rtol) is not None
+            assert feasible(t) == passes == bool(rg.invert3_collinear(cfg, (T1, T2, t), rtol).points)

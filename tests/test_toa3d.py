@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rangegeom as rg
 
-from conftest import sources3d
+from conftest import band_edge, sources3d
 
 _ANGLES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -178,3 +178,23 @@ def test_tiny_spatial_triangle_is_a_triangle_and_raises_invalid_param(side, z):
     for call in (rg.classify3d_r3, rg.invert3d_r3):
         with pytest.raises(rg.InvalidParam):
             call(cfg, T)
+
+
+def test_quartic_gate_band_edges_agree_with_classify3():
+    """One ulp either side of each edge of the band |quartic| / d_max^6 <= rtol, bisected
+    along T3 on receivers in the plane z = 0: classify3d_r3 says OnSurface exactly where
+    classify3 finds the triple on the range surface of the same receivers."""
+    planar = [(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)]
+    cfg = rg.validate_config(planar)
+    cfg3 = rg.validate_config([(x, y, 0.0) for x, y in planar])
+    assert cfg3._gram == cfg._gram
+    rtol = 1e-9
+    T1, T2, T3 = rg.forward3(cfg, (0.6, 0.35)).tolist()
+
+    def on_surface(t):
+        return rg.classify3d_r3(cfg3, (T1, T2, t), rtol).verdict == "OnSurface"
+
+    for far in (1.0 - 1e-6, 1.0 + 1e-6):
+        for t in band_edge(on_surface, T3, far * T3):
+            report = rg.classify3(cfg, (T1, T2, t), rtol)
+            assert on_surface(t) == (report.reason != "not on range surface")
