@@ -10,14 +10,16 @@ with that length), so neither runs from a working tree.  --change defaults to
 HEAD; a tree id such as the output of ``git write-tree`` measures the staged
 files.  Pair k runs every workload of BENCHMARK.json on both sides at seed
 FIRST_SEED + k for BENCHMARK.json's run_seconds, the parent first in even
-pairs and the change first in odd ones.  Then the in-process
+pairs and the change first in odd ones.  Then each side runs every workload
+once traced (``--trace 1``) at the first pair's seed, the in-process
 cost of a fresh configuration is probed (PROBE), and the first-cycle failures
 are counted on both sides at each of FAILURE_SEEDS.
 The result goes to BENCH_<parent>.json at the repository root: per workload
 and end-to-end metric the quartiles of each side, the ratio of the medians,
 the pairs the change won and the median gap in units of the parent's
-interquartile range; the first-cycle failure counts by class; the machine
-(CPU, Python, NumPy, BLAS and its thread count); and every run's result line.
+interquartile range; per workload the traced per-layer metrics of both sides;
+the first-cycle failure counts by class; the machine (CPU, Python, NumPy,
+BLAS and its thread count); and every run's result line.
 The extracted directories are removed afterwards.
 """
 from __future__ import annotations
@@ -55,15 +57,15 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One perfbench/run.py run; its last stdout line, and the detail file it wrote."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout.name} {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
-    detail = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    detail = checkout / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     return {"result": json.loads(proc.stdout.splitlines()[-1]),
             "detail": json.loads(detail.read_text(encoding="utf-8"))}
 
@@ -164,7 +166,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))  # a kill still cleans up below
     work = Path(tempfile.mkdtemp(prefix="bench_ab_"))
-    runs, failures, probes, provenance = [], {}, {}, {}
+    runs, traced, failures, probes, provenance = [], {}, {}, {}, {}
     try:
         trees = {"parent": parent, "change": change}
         for side in SIDES:
@@ -181,6 +183,13 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {workload} {side}: "
                           f"{out['result']['metrics']['throughput_qps']['value']:.6g} 1/s",
                           flush=True)
+        for workload in workloads:
+            layers = traced[workload] = {"correct": {}, "metrics": {}}
+            for side in SIDES:
+                result = run(work / side, workload, FIRST_SEED, spec["run_seconds"], 1)["result"]
+                layers["correct"][side] = result["correct"]
+                for name, m in result["metrics"].items():
+                    layers["metrics"].setdefault(name, {"unit": m["unit"]})[side] = m["value"]
         for _ in range(3):
             for side in SIDES:
                 for name, us in probe(work / side).items():
@@ -210,6 +219,8 @@ def main(argv=None) -> int:
         },
         "machine": machine(provenance),
         "summary": summarize(runs, spec["end_to_end"]),
+        "per_layer": {"about": f"one --trace 1 run per side and workload at seed {FIRST_SEED}, "
+                               f"{spec['run_seconds']} s", **traced},
         "fresh_config_us": {"about": "fastest of 7 x 2000 in-process calls, 3 interpreters "
                                      "per side, on (0,0) (1,0) (0.6,0.7)", **probes},
         "first_cycle_failures": failures,

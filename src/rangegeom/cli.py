@@ -35,7 +35,6 @@ from .kummer import (
     Q3_FACETS_COLLINEAR,
     gaussian_curvature,
     nodes_and_tropes,
-    quartic_residual,
 )
 from .params import ParamPoint, abc_from_config, cayley_residual, config_from_param, param_from_config
 from .sim import NoiseSpec, gen_noisy_tdoa, gen_noisy_toa
@@ -210,7 +209,7 @@ def _cmd_classify(args) -> int:
                 },
             }
             if not config.is_collinear:
-                payload["quartic"] = quartic_residual(config, T)
+                payload["quartic"] = rep.quartic
     else:
         tau = args.tdoa
         region = classify_tau(config, tau, rtol=args.tol)

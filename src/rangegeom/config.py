@@ -15,9 +15,11 @@ is reproducible and identical for every input ordering of the same points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, DuplicateReceiver, InvalidParam
 from .spacetime import _cross3
@@ -33,6 +35,9 @@ _COLLINEAR_RTOL = 1e-9
 # Receivers closer than this (relative to the largest pairwise distance)
 # are considered duplicates.
 _DUPLICATE_RTOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
+# The longest side whose square and dot products are finite, less a margin for rounding.
+_SIDE_BOUND = 0.999999 * math.sqrt(_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(M, b) bit for bit, without its Python wrapper: LAPACK's gufunc, solve1
+    for one right-hand side b, solve for a stack b of shape (N, 2, 1).  Every M here holds two
+    sides of a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular
+    (where the wrapper raised LinAlgError, the gufunc warns and returns NaN)."""
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(M, b, signature="dd->d")
+
+
 def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
     """A measurement vector of k finite floats; raises on any other input."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -235,12 +248,12 @@ _GRAM_LEFT, _GRAM_RIGHT = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
 def validate_config(receivers, dimension=None) -> SensorConfig:
     """Validate receiver positions and build a :class:`SensorConfig`.
 
-    Raises DimensionMismatch for wrong counts/coordinate lengths and
-    DuplicateReceiver for coincident receivers.  Three-receiver configurations
-    are classified as GeneralTriangle or CollinearTriple (canonical order and
-    rho recorded, see module docstring).  The pairwise sides, their dot
-    products and distances are computed here once and kept in the
-    configuration (see SensorConfig).
+    Raises DimensionMismatch for wrong counts/coordinate lengths, DuplicateReceiver
+    for coincident receivers and InvalidParam for sides too long to square
+    (_SIDE_BOUND).  Three-receiver configurations are classified as
+    GeneralTriangle or CollinearTriple (canonical order and rho recorded, see
+    module docstring).  The pairwise sides, their dot products and distances
+    are computed here once and kept in the configuration (see SensorConfig).
     """
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in receivers]
     if len(pts) not in (2, 3):
@@ -262,6 +275,9 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
     n = len(pts)
     # the sides on floats, which subtract as the arrays m_j - m_i do
     side_rows = [[b - a for a, b in zip(coords[i], coords[j])] for i, j in _PAIRS[:2 * n - 3]]
+    longest = max(math.hypot(*row) for row in side_rows)
+    if not longest <= _SIDE_BOUND:  # the squares below would overflow
+        raise InvalidParam(f"receivers too far apart: a side of {longest:g} > {_SIDE_BOUND:g}")
     sides = np.array(side_rows)
     sides.setflags(write=False)
     if n == 2:

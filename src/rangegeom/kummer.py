@@ -32,13 +32,13 @@ with extra symmetry).  This module exposes the surface algebraically:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .config import (
+    _FLOAT_MAX,
     _RTOL,
     SensorConfig,
     _canonical_collinear,
@@ -109,30 +109,37 @@ def _poly_eval(terms, T: np.ndarray):
     """Sum of coeff * T1^e1 * T2^e2 * T3^e3 over terms, at triple(s) T.
 
     A float for one triple, an array for a batch (..., 3).  Each power is
-    formed once per call.  A power above 2 is one array op on the whole of T:
-    numpy's power loop rounds differently from libm pow (Python floats, numpy
-    scalars) on a few percent of inputs, so those are never taken on
-    scalars.  Powers 0, 1 and 2 are exact or one rounding (numpy's T ** 2 is
-    T * T), so one triple takes them on floats.  The products and the sum
-    then run term by term in the order of terms.
+    formed once per call, on first use (_Powers).  A power above 2 is one
+    array op on the whole of T: numpy's power loop rounds differently from
+    libm pow (Python floats, numpy scalars) on a few percent of inputs, so
+    those are never taken on scalars.  Powers 0, 1 and 2 are exact or one
+    rounding (numpy's T ** 2 is T * T), so one triple takes them on floats.
+    The products and the sum then run term by term in the order of terms.
     """
     T = np.asarray(T, dtype=float)
-    exponents = set().union(*terms)
+    powers = _Powers()
+    powers.T = T
     if T.ndim == 1:
         t = T.tolist()
-        powers = {e: (T ** e).tolist() for e in exponents if e > 2}
         powers.update({0: (1.0, 1.0, 1.0), 1: t, 2: [v * v for v in t]})
         out = 0.0
     else:
-        powers = {e: T ** e for e in exponents}
-        powers = {e: (p[..., 0], p[..., 1], p[..., 2]) for e, p in powers.items()}
         out = np.zeros(T.shape[:-1])
     for (e1, e2, e3), coeff in terms.items():
         out = out + coeff * powers[e1][0] * powers[e2][1] * powers[e3][2]
     return out
 
 
-_FLOAT_MAX = sys.float_info.max
+class _Powers(dict):
+    """Exponent -> the powers of T per coordinate, each one array op on the whole of T at its
+    first lookup, so no call gathers the exponent set of its terms."""
+
+    __slots__ = ("T",)
+
+    def __missing__(self, e: int):
+        p = self.T ** e
+        power = self[e] = p.tolist() if p.ndim == 1 else (p[..., 0], p[..., 1], p[..., 2])
+        return power
 
 
 def _quartic_terms(config: SensorConfig) -> tuple:
@@ -735,7 +742,11 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     order and relabeled internally.
     """
     _require_planar_triple(config)
-    T = _measurement(T, 3).tolist()
+    return _q3_report(config, _measurement(T, 3).tolist(), rtol)
+
+
+def _q3_report(config: SensorConfig, T: list, rtol: float) -> Q3Report:
+    """q3_membership at the floats T of a planar triple, already parsed (classify3's)."""
     if config.is_collinear:
         Tc = [T[k] for k in config.kind.order]
         rows = zip(*(col.tolist() for col in config._memo(_collinear_facet_table)))

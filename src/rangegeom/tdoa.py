@@ -46,16 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    _FLOAT_MAX,
     _RTOL,
     _VERIFY_RTOL,
     SensorConfig,
     _measurement,
     _measurement_rows,
     _require_planar_triple,
+    _solve,
 )
 from .errors import DegenerateConfig, InvalidParam, RangeGeomError
-from .kummer import (_FLOAT_MAX, Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table,
-                     _facet_rows, _facet_verdict, _node_images, _quartic_terms, _slacks)
+from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
+                     _facet_verdict, _node_images, _quartic_terms, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
 from .toa3 import SolutionSet, _stewart, _stewart_gate
 
@@ -272,7 +274,7 @@ def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
                            f"max(|tau|, d_max) = {largest:g} > {bound:g}")
     # a stack of one-column systems: each row is the LAPACK solve of the
     # scalar call; one multi-column solve(M, rhs.T) rounds differently
-    u0 = np.linalg.solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]
+    u0 = _solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]
     q = taus[:, :1] * d32v - taus[:, 1:] * d31v
     v = q[:, ::-1] * flip
     dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))

@@ -19,8 +19,9 @@ same bits as NumPy's elementwise ops on the same operands in the same order.
 NumPy stays where it sets bits that floats cannot reproduce: the fourth
 powers of the quartic (kummer._poly_eval: NumPy's power loop for T ** e,
 e > 2, rounds differently from libm pow) and _foot's 2x2 solve (LAPACK's
-LU, matched by a closed form only with fused multiply-adds, which Python
-floats lack).  Points are returned as NumPy arrays.
+LU through config._solve, np.linalg.solve's gufunc without its wrapper; a
+closed form matches it only with fused multiply-adds, which Python floats
+lack).  Points are returned as NumPy arrays.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .config import (
     _measurement,
     _norm,
     _require_planar_triple,
+    _solve,
 )
 from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, InvalidParam, NotCollinear
+from .kummer import _q3_report, _quartic_gate
 from .spacetime import SpacetimeVec3, _cross3
 from .toa2 import _mirror_pair, _two_sphere
 
@@ -82,6 +85,8 @@ class FeasibilityReport:
     verdict                    : "Feasible" | "Infeasible"
     fiber                      : generic number of source points
     reason                     : None when feasible, else first failed test
+    quartic                    : the raw quartic value (quartic_residual), None
+                                 for collinear receivers
     """
 
     in_octant: bool
@@ -90,6 +95,7 @@ class FeasibilityReport:
     verdict: str
     fiber: int
     reason: object
+    quartic: object
 
 
 def forward3(config: SensorConfig, x) -> np.ndarray:
@@ -160,8 +166,7 @@ def _foot(config: SensorConfig, T: list) -> tuple:
     """
     i, j, k, M, gj, gk, Q, _ = config._memo(_reference_system)
     Ti, Tj, Tk = T[i - 1], T[j - 1], T[k - 1]
-    u = np.linalg.solve(M, np.array([0.5 * (gj + Ti * Ti - Tj * Tj),
-                                     0.5 * (gk + Ti * Ti - Tk * Tk)]))
+    u = _solve(M, np.array([0.5 * (gj + Ti * Ti - Tj * Tj), 0.5 * (gk + Ti * Ti - Tk * Tk)]))
     if Q is not None:
         u = Q @ u
     return config.receivers[i - 1] + u, u, Ti
@@ -310,18 +315,17 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     polyhedron have mirror-pair fibers.
     """
     _require_planar_triple(config)
-    from .kummer import _quartic_gate, q3_membership
-
     T = _measurement(T, 3)
     Ts = T.tolist()
     in_octant = min(Ts) >= -rtol * config.d_max
-    q3 = q3_membership(config, T, rtol=rtol)
+    q3 = _q3_report(config, Ts, rtol)
 
     if config.is_collinear:
+        quartic = None
         residual, on_surface = _stewart_gate(config, _canonical_stewart(config.kind, Ts), rtol)
         fiber_interior = 2
     else:
-        _, residual, on_surface = _quartic_gate(config, T, rtol)
+        quartic, residual, on_surface = _quartic_gate(config, T, rtol)
         fiber_interior = 1
 
     if not in_octant:
@@ -341,4 +345,5 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
         verdict=verdict,
         fiber=fiber,
         reason=reason,
+        quartic=quartic,
     )

@@ -82,6 +82,22 @@ def test_golden_output(name):
     assert out1 == _golden_path(name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["classify_toa_exterior", "classify_toa_collinear"])
+def test_classify_toa_evaluates_the_quartic_once(monkeypatch, name):
+    """classify --toa prints the quartic that classify3's gate computed, so the quartic is
+    evaluated once on general receivers and never on collinear ones; the bytes are golden."""
+    real, calls = rg.kummer._quartic_value, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rg.kummer, "_quartic_value", counted)
+    code, out = _run(CASES[name])
+    assert code == 0 and out == _golden_path(name).read_text(encoding="utf-8")
+    assert len(calls) == (0 if "collinear" in name else 1)
+
+
 def test_golden_values_cross_checked(right):
     # goldens are regression anchors; re-derive their key numbers here
     payload = json.loads(_run(CASES["localize_toa_feasible"])[1])

@@ -129,3 +129,24 @@ def test_non_finite_receivers_are_rejected(receivers, bad):
             pts[i][k] = bad
             with pytest.raises(rg.DimensionMismatch, match="must be finite"):
                 rg.validate_config(pts)
+
+
+@pytest.mark.parametrize("receivers", [
+    [(0.0, 0.0), (1e160, 0.0), (3e159, 0.0)],
+    [(0.0, 0.0), (1e160, 0.0), (3e159, 8e159)],
+])
+def test_receivers_whose_squared_sides_overflow_are_invalid(receivers):
+    """Sides past the float range's square root raise InvalidParam naming the size, with no
+    warning (the suite makes RuntimeWarnings errors), where the squared sides overflowed in
+    the dot products and the receivers read as duplicates at d = inf.  Receivers a little
+    closer, up to about 1e154 apart, still validate, in the plane and in space."""
+    with pytest.raises(rg.InvalidParam, match=r"too far apart: a side of 1[.\d]*e\+160"):
+        rg.validate_config(receivers)
+    for pts in ([(0.0, 0.0), (1e154, 0.0), (3e153, 8e153)],
+                [(0.0, 0.0), (1e154, 0.0), (3e153, 0.0)],
+                [(0.0, 0.0), (9e153, 0.0), (0.0, 9e153)],
+                [(0.0, 0.0, 0.0), (1e154, 0.0, 0.0), (3e153, 8e153, 1e153)],
+                [(0.0, 0.0), (1e154, 0.0)]):
+        cfg = rg.validate_config(pts)
+        assert 1e154 <= cfg.d_max < 1.3e154
+        assert all(np.isfinite(cfg._gram))

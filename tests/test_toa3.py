@@ -1,5 +1,6 @@
 """Three-receiver planar range model: forward, Jacobian, inversion, feasibility."""
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 
 import rangegeom as rg
-from rangegeom import kummer, toa3
+from rangegeom import kummer, tdoa, toa3, toa3d
 
 from conftest import away_from_receivers, band_edge, collinear_triples, sources, triangles
 from oracles import circumcircle_by_receivers, exterior_point_by_hodge, numeric_jacobian
@@ -42,6 +43,10 @@ def test_invert_receiver_image(right):
 def test_invert_infeasible_empty(right):
     assert rg.invert3(right, (1.0, 1.0, 1.0)).kind == "Empty"
     assert rg.invert3(right, (9.0, 9.0, 9.0)).kind == "Empty"
+    # squares past the float range: config._solve's inf or NaN point is re-mapped and
+    # dropped, with no warning (the suite makes RuntimeWarnings errors)
+    assert rg.invert3(right, (1e300, 1.0, 1.0)).kind == "Empty"
+    assert rg.invert3(right, (1e200, 1e200, 1e200)).kind == "Empty"
 
 
 _MEMO_SHAPES = (
@@ -183,6 +188,72 @@ def test_foot_point_matches_the_replaced_solves():
                 assert ep.t == old.t == -T[i - 1]
         checked += 1
     assert checked >= 590
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [None, 1, 225, 512])
+def test_solve_matches_np_linalg_solve_bit_for_bit(n):
+    """config._solve, the LAPACK gufunc without np.linalg.solve's wrapper, gives the wrapper's
+    bytes on seeded random 2x2 systems: one right-hand side (n None), and stacks of n."""
+    rng = np.random.default_rng(17 if n is None else n)
+    for _ in range(50):
+        M = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        b = rng.normal(size=(2,) if n is None else (n, 2, 1)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert _same_bits(rg.config._solve(M, b), np.linalg.solve(M, b))
+
+
+def test_solve_matches_np_linalg_solve_on_the_thinnest_general_triangle():
+    """Just above _COLLINEAR_RTOL, where both systems are worst conditioned, _foot's system and
+    the TDOA line's base-point system solve to np.linalg.solve's bytes."""
+    h = 5e-10
+    while rg.validate_config([(0.0, 0.0), (1.0, 0.0), (0.5, h)]).is_collinear:
+        h = math.nextafter(h, 1.0)
+    cfg = rg.validate_config([(0.0, 0.0), (1.0, 0.0), (0.5, h)])
+    assert 1e-9 < h / (cfg.d21 * cfg.d31) < 1.000001e-9  # the collinearity sine
+    M_toa = cfg._memo(toa3._reference_system)[3]
+    M_tdoa = cfg._memo(tdoa._line_constants)[2]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        b = rng.normal(size=2)
+        assert _same_bits(rg.config._solve(M_toa, b), np.linalg.solve(M_toa, b))
+    b = rng.normal(size=(512, 2, 1))
+    assert _same_bits(rg.config._solve(M_tdoa, b), np.linalg.solve(M_tdoa, b))
+
+
+def _count_calls(monkeypatch, name, modules) -> dict:
+    """Wrap the function `name` in every module of modules that holds it; calls counted."""
+    calls = {"n": 0}
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["scalene", "collinear_mid"])
+def test_round_trip_parses_its_triple_once_per_call(request, monkeypatch, fixture):
+    """classify3 then invert3 (invert3_collinear on a collinear triple) parse their triple
+    once each, and evaluate the quartic once, in classify3's gate, on general receivers."""
+    cfg = request.getfixturevalue(fixture)
+    T = cfg.distances(np.array([0.3, 0.4]))
+    modules = (rg.config, toa3, kummer, tdoa, toa3d, rg.toa2)
+    parsed = _count_calls(monkeypatch, "_measurement", modules)
+    quartics = _count_calls(monkeypatch, "_quartic_value", (kummer,))
+    report = rg.classify3(cfg, T)
+    invert = rg.invert3_collinear if cfg.is_collinear else rg.invert3
+    points = invert(cfg, T).points
+    assert report.verdict == "Feasible" and len(points) == report.fiber
+    assert parsed["n"] == 2
+    assert quartics["n"] == (0 if cfg.is_collinear else 1)
+    assert report.quartic is None if cfg.is_collinear else report.quartic == rg.quartic_residual(cfg, T)
 
 
 def test_jacobian_rows_unit(right):
