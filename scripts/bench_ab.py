@@ -12,8 +12,9 @@ files.  Pair k runs every workload of BENCHMARK.json on both sides at seed
 FIRST_SEED + k for BENCHMARK.json's run_seconds, the parent first in even
 pairs and the change first in odd ones.  Then each side runs every workload
 once traced (``--trace 1``) at the first pair's seed, the in-process
-cost of a fresh configuration is probed (PROBE), and the first-cycle failures
-are counted on both sides at each of FAILURE_SEEDS.
+cost of a fresh configuration is probed (PROBE), the CLI cold start is probed per
+golden case (COLD_REPS), and the first-cycle failures are counted on both sides at
+each of FAILURE_SEEDS.
 The result goes to BENCH_<parent>.json at the repository root: per workload
 and end-to-end metric the quartiles of each side, the ratio of the medians,
 the pairs the change won and the median gap in units of the parent's
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -101,13 +103,81 @@ print(json.dumps(best))
 """
 
 
+def side_env(checkout: Path) -> dict:
+    """The environment as given, on the checkout's src/, BLAS on one thread."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def probe(checkout: Path) -> dict:
     """PROBE in a fresh interpreter on the checkout's src/, BLAS on one thread."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=side_env(checkout), check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
+
+
+# CLI cold start per golden case of tests/test_cli.py: COLD_REPS rounds of one fresh
+# perfbench/cli_entry.py process per case and side, the side that goes first alternating.
+# Kept: the fastest `import rangegeom` of each side and the fastest command of each case.
+# Run twice: in the environment as given (PYTHONDONTWRITEBYTECODE=1 makes every process
+# compile the package), and with a PYTHONPYCACHEPREFIX per side warmed by one run of every
+# case first, which leaves compilation out (ROADMAP item 11's floor).
+COLD_REPS = 8
+CASES_SCRIPT = """
+import json, test_cli
+print(json.dumps({n: [a, str(test_cli._golden_path(n))] for n, a in test_cli.CASES.items()}))
+"""
+
+
+def cli_cases(checkout: Path) -> dict:
+    """name -> (argv, golden file) of the checkout's golden CLI cases."""
+    env = side_env(checkout)
+    env["PYTHONPATH"] += os.pathsep + str(checkout / "tests")
+    proc = subprocess.run([sys.executable, "-c", CASES_SCRIPT], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def cli_entry(checkout: Path, argv: list, golden: str, env: dict) -> tuple:
+    """(import s, command s) of one fresh cli_entry.py process, whose stdout must be golden."""
+    r, w = os.pipe()
+    try:
+        proc = subprocess.run([sys.executable, "perfbench/cli_entry.py", str(w), *argv],
+                              cwd=checkout, env=env, pass_fds=(w,), capture_output=True)
+    finally:
+        os.close(w)
+    with os.fdopen(r) as fh:
+        times = fh.read().split()
+    if proc.returncode != 0 or proc.stdout != Path(golden).read_bytes():
+        raise RuntimeError(f"{checkout.name} {argv}: exit {proc.returncode}, or not the golden "
+                           f"output\n{proc.stderr.decode()}")
+    return float(times[0]), float(times[1])
+
+
+def cold_start(work: Path) -> dict:
+    """Per mode: each side's fastest import, each case's fastest command, and their sums' median."""
+    cases = {side: cli_cases(work / side) for side in SIDES}
+    out = {}
+    for mode in ("as_given", "warm_pycache"):
+        envs = {side: side_env(work / side) for side in SIDES}
+        if mode == "warm_pycache":
+            for side in SIDES:
+                envs[side].pop("PYTHONDONTWRITEBYTECODE", None)
+                envs[side]["PYTHONPYCACHEPREFIX"] = str(work / f"pycache-{side}")
+                for argv, golden in cases[side].values():
+                    cli_entry(work / side, argv, golden, envs[side])
+        imports = {side: math.inf for side in SIDES}
+        commands = {name: {side: math.inf for side in SIDES} for name in sorted(cases["change"])}
+        for rep in range(COLD_REPS):
+            for name in commands:
+                for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
+                    import_s, command_s = cli_entry(work / side, *cases[side][name], envs[side])
+                    imports[side] = min(imports[side], import_s)
+                    commands[name][side] = min(commands[name][side], command_s)
+        out[mode] = {"import_s": imports, "command_s": commands,
+                     "median_case_s": {side: imports[side] + statistics.median(
+                         c[side] for c in commands.values()) for side in SIDES}}
+    return out
 
 
 def quartiles(values: list) -> dict:
@@ -166,7 +236,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))  # a kill still cleans up below
     work = Path(tempfile.mkdtemp(prefix="bench_ab_"))
-    runs, traced, failures, probes, provenance = [], {}, {}, {}, {}
+    runs, traced, failures, probes, cold, provenance = [], {}, {}, {}, {}, {}
     try:
         trees = {"parent": parent, "change": change}
         for side in SIDES:
@@ -195,6 +265,7 @@ def main(argv=None) -> int:
                 for name, us in probe(work / side).items():
                     fastest = probes.setdefault(name, {}).setdefault(side, us)
                     probes[name][side] = min(fastest, us)
+        cold = cold_start(work)
         for workload in ("fresh_mixed", "toa_stream"):
             for seed in FAILURE_SEEDS:
                 for side in SIDES:
@@ -223,6 +294,9 @@ def main(argv=None) -> int:
                                f"{spec['run_seconds']} s", **traced},
         "fresh_config_us": {"about": "fastest of 7 x 2000 in-process calls, 3 interpreters "
                                      "per side, on (0,0) (1,0) (0.6,0.7)", **probes},
+        "cli_cold_start": {"about": f"fastest of {COLD_REPS} interleaved fresh "
+                                    "perfbench/cli_entry.py processes per golden case and side; "
+                                    "seconds", **cold},
         "first_cycle_failures": failures,
         "runs": runs,
     }

@@ -15,6 +15,9 @@ Output is JSON (sorted keys) on stdout, CSV for surface-sample.  Exit codes:
 3 configuration errors (bad receiver file, degenerate layout, bad parameters,
 non-finite measurements),
 4 numerical/domain errors.
+
+Each subcommand imports the modules it runs inside its handler, so a process
+loads (and, without a bytecode cache, compiles) only what its command needs.
 """
 
 from __future__ import annotations
@@ -28,19 +31,6 @@ import numpy as np
 
 from . import errors
 from .config import _RTOL, _VERIFY_RTOL, SensorConfig, validate_config
-from .kummer import (
-    ARC_LABELS,
-    HULL_COMPONENTS,
-    Q3_FACETS,
-    Q3_FACETS_COLLINEAR,
-    gaussian_curvature,
-    nodes_and_tropes,
-)
-from .params import ParamPoint, abc_from_config, cayley_residual, config_from_param, param_from_config
-from .sim import NoiseSpec, gen_noisy_tdoa, gen_noisy_toa
-from .tdoa import classify_tau, invert_tdoa
-from .toa2 import classify2, invert2
-from .toa3 import classify3, invert3, invert3_collinear
 
 _CONFIG_ERRORS = (
     errors.DuplicateReceiver,
@@ -102,6 +92,16 @@ def _range_pair(text: str) -> tuple:
     return lo, hi
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _load_config(path: str) -> SensorConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,6 +125,8 @@ def _cmd_localize_toa(args) -> int:
     T = args.toa
     rtol = args.tol
     if config.n == 2:
+        from .toa2 import classify2, invert2
+
         cls = classify2(config, T, rtol=rtol)
         if cls.verdict == "Outside":
             solutions = ()
@@ -138,6 +140,8 @@ def _cmd_localize_toa(args) -> int:
             "active": list(cls.active),
         }
     else:
+        from .toa3 import classify3, invert3, invert3_collinear
+
         rep = classify3(config, T, rtol=rtol)
         if rep.verdict != "Feasible":
             solutions = ()
@@ -157,6 +161,9 @@ def _cmd_localize_toa(args) -> int:
 
 
 def _cmd_localize_tdoa(args) -> int:
+    from .tdoa import classify_tau, invert_tdoa
+    from .toa3 import invert3_collinear
+
     config = _load_config(args.config)
     tau = args.tau
     region = classify_tau(config, tau, rtol=args.tol)
@@ -185,6 +192,8 @@ def _cmd_classify(args) -> int:
     if args.toa is not None:
         T = args.toa
         if config.n == 2:
+            from .toa2 import classify2
+
             cls = classify2(config, T, rtol=args.tol)
             payload = {
                 "kind": "toa-2",
@@ -194,6 +203,8 @@ def _cmd_classify(args) -> int:
                 "active": list(cls.active),
             }
         else:
+            from .toa3 import classify3
+
             rep = classify3(config, T, rtol=args.tol)
             payload = {
                 "kind": "toa-3-collinear" if config.is_collinear else "toa-3",
@@ -211,6 +222,8 @@ def _cmd_classify(args) -> int:
             if not config.is_collinear:
                 payload["quartic"] = rep.quartic
     else:
+        from .tdoa import classify_tau
+
         tau = args.tdoa
         region = classify_tau(config, tau, rtol=args.tol)
         payload = {
@@ -232,6 +245,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_surface_sample(args) -> int:
+    from .kummer import gaussian_curvature
+
     config = _load_config(args.config)
     lo, hi = args.range
     n = args.resolution
@@ -253,6 +268,8 @@ def _cmd_surface_sample(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .kummer import ARC_LABELS, HULL_COMPONENTS, Q3_FACETS, Q3_FACETS_COLLINEAR, nodes_and_tropes
+
     config = _load_config(args.config)
     if config.is_collinear:
         payload = {
@@ -294,6 +311,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from .params import ParamPoint, abc_from_config, cayley_residual, config_from_param, param_from_config
+
     if args.point is not None:
         vals = args.point
         if vals.shape[0] == 2:
@@ -326,6 +345,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import NoiseSpec, gen_noisy_tdoa, gen_noisy_toa
+
     config = _load_config(args.config)
     spec = NoiseSpec(sigma=args.sigma, bias=args.bias, seed=args.seed)
     x = args.source
@@ -354,13 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize-toa", help="invert a range vector")
     p.add_argument("--config", required=True, help="JSON file with a 'receivers' array")
     p.add_argument("--toa", required=True, type=_floats, help="comma-separated ranges")
-    p.add_argument("--tol", type=float, default=_RTOL, help="relative tolerance")
+    p.add_argument("--tol", type=_tolerance, default=_RTOL, help="relative tolerance")
     p.set_defaults(func=_cmd_localize_toa)
 
     p = sub.add_parser("localize-tdoa", help="invert a range-difference pair")
     p.add_argument("--config", required=True)
     p.add_argument("--tau", required=True, type=_floats, help="comma-separated differences")
-    p.add_argument("--tol", type=float, default=_RTOL)
+    p.add_argument("--tol", type=_tolerance, default=_RTOL)
     p.set_defaults(func=_cmd_localize_tdoa)
 
     p = sub.add_parser("classify", help="classify measurements without inverting")
@@ -368,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--toa", type=_floats)
     group.add_argument("--tdoa", type=_floats)
-    p.add_argument("--tol", type=float, default=_RTOL)
+    p.add_argument("--tol", type=_tolerance, default=_RTOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("surface-sample", help="CSV grid of ranges and curvature")

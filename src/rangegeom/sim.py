@@ -8,7 +8,6 @@ import numpy as np
 
 from .config import SensorConfig
 from .errors import InvalidParam
-from .tdoa import tau_map
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,8 @@ class NoiseSpec:
             raise InvalidParam(f"sigma must be finite and >= 0, got {self.sigma}")
         if not np.isfinite(self.bias):
             raise InvalidParam(f"bias must be finite, got {self.bias}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParam(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,5 +61,7 @@ def gen_noisy_toa(config: SensorConfig, x, spec: NoiseSpec, n: int = 1) -> Noisy
 
 def gen_noisy_tdoa(config: SensorConfig, x, spec: NoiseSpec, n: int = 1) -> NoisyBatch:
     """n noisy range-difference pairs for a source at x."""
+    from .tdoa import tau_map  # here, so TOA-only callers never load tdoa
+
     clean = np.asarray(tau_map(config, x), dtype=float).reshape(-1)
     return _batch(clean, spec, n)

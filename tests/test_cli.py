@@ -200,6 +200,22 @@ def test_exit_code_usage_errors():
     assert _run(["surface-sample", "--config", RIGHT, "--range=-1:2", "--resolution", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("name", ["localize_toa_feasible", "localize_tdoa_interior",
+                                  "classify_toa_exterior", "classify_tdoa_origin"])
+def test_exit_code_bad_tolerance(name, tol):
+    """--tol must be a finite float >= 0: -1, nan and inf would give wrong verdicts, exit 0."""
+    code, out = _run(CASES[name] + [f"--tol={tol}"])
+    assert code == 2 and out == ""
+
+
+def test_exit_code_negative_seed():
+    code, out = _run(["simulate", "--config", RIGHT, "--source", "0.3,0.4", "--sigma", "0.05",
+                      "--seed=-1"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InvalidParam"
+
+
 def test_exit_code_config_errors(tmp_path):
     code, out = _run(["localize-toa", "--config", str(tmp_path / "nope.json"), "--toa", "1,1,1"])
     assert code == 3

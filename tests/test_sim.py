@@ -8,12 +8,16 @@ import rangegeom as rg
 def test_noise_spec_validation():
     rg.NoiseSpec(sigma=0.0)
     rg.NoiseSpec(sigma=0.1, bias=-0.2, seed=7)
+    rg.NoiseSpec(sigma=0.1, seed=np.int64(3))
     with pytest.raises(rg.InvalidParam):
         rg.NoiseSpec(sigma=-0.1)
     with pytest.raises(rg.InvalidParam):
         rg.NoiseSpec(sigma=float("nan"))
     with pytest.raises(rg.InvalidParam):
         rg.NoiseSpec(sigma=0.1, bias=float("inf"))
+    for seed in (-1, 1.5, "7", None):  # InvalidParam (CLI exit 3), not numpy's ValueError
+        with pytest.raises(rg.InvalidParam):
+            rg.NoiseSpec(sigma=0.1, seed=seed)
 
 
 def test_zero_sigma_is_exact(right):
