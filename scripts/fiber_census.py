@@ -46,7 +46,17 @@ def parse_receivers(text: str):
 BLOCK = 512
 
 
+# the census's text for each fiber size tau_fibers returns
+FIBER_TEXT = {0: "0", 1: "1", 2: "2", math.inf: "inf"}
+
+
 def census(config, extent: float, resolution: int):
+    """Rows (tau1, tau2, label, fiber, solutions) of the grid, in row-major order, with the
+    label counts and the number of rows whose fiber size is not their solution count.
+
+    tau1 and tau2 are floats and the other three fields strings, as the CSV prints them;
+    solutions is "" on the rows without points and on every row of collinear receivers.
+    """
     lim = extent * config.d_max
     axis = np.linspace(-lim, lim, resolution)
     rows = []
@@ -55,17 +65,18 @@ def census(config, extent: float, resolution: int):
     for start in range(0, resolution * resolution, BLOCK):
         # grid points in row-major order: tau1 = axis[i], tau2 = axis[j]
         index = np.arange(start, min(start + BLOCK, resolution * resolution))
-        block = np.stack((axis[index // resolution], axis[index % resolution]), axis=1)
-        labels, fibers, points = rg.tau_fibers(config, block)
+        t1, t2 = axis[index // resolution], axis[index % resolution]
+        labels, fibers, points = rg.tau_fibers(config, np.stack((t1, t2), axis=1))
         counts.update(labels)
-        for k, ((t1, t2), label, fiber) in enumerate(zip(block.tolist(), labels, fibers)):
-            text = ""
-            if points is not None and fiber in (1, 2):
-                found = points[k]
-                if len(found) != fiber:
-                    mismatches += 1
-                text = ";".join("%.17g:%.17g" % p for p in found)
-            rows.append((t1, t2, label, "inf" if fiber == math.inf else str(fiber), text))
+        if points is None:
+            texts = [""] * len(labels)
+        else:
+            # a row of fiber 0 has the points (), so it is never a mismatch
+            mismatches += sum([len(found) != fiber for found, fiber in zip(points, fibers)])
+            texts = [";".join(["%.17g:%.17g" % p for p in found]) if found else ""
+                     for found in points]
+        rows.extend(zip(t1.tolist(), t2.tolist(), labels, map(FIBER_TEXT.__getitem__, fibers),
+                        texts))
     return rows, counts, mismatches
 
 

@@ -28,9 +28,11 @@ runs in row kernels over an (N, 2) array of tau (``_classify_rows``,
 per configuration (``SensorConfig._memo``).  The kernels return plain per-row
 decisions, not objects: labels, ids, fibers and lifts, and the accepted
 points of each row.  ``tau_fibers``, the batch entry, hands the labels,
-fibers and points on as plain tuples; it inverts only the rows it classifies
-with fiber 1 or 2 and gives the rows of fiber 0, which have no source, the
-points ().  The result objects (``TauRegion``,
+fibers and points on as plain tuples.  In general position it labels the rows
+more than rtol * d_max outside the hexagon P2 ``OutsideIm`` from their P2
+slacks alone (no source has a tau outside P2), hands only the other rows to
+the null-cone kernels, and inverts only the rows it classifies with fiber 1
+or 2; the rows of fiber 0 get the points ().  The result objects (``TauRegion``,
 ``TdoaCoeffs``, ``SolutionSet``) are made only for the public calls, by
 ``_regions``, ``_coeff_objects`` and ``_solution_sets``.  ``classify_tau``,
 ``invert_tdoa``, ``tdoa_coeffs`` and ``p2_membership`` are row 0 of a
@@ -263,15 +265,24 @@ def _line_constants(config: SensorConfig) -> tuple:
     return d31v, d32v, M, shift, w12, flip, bound
 
 
-def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Arrays a, b, c, u0, v_spatial, |v_spatial|^2 and the scale-free an = a / d_max^4 and
-    bn = b / d_max^3 of every row of an (N, 2) array of tau; InvalidParam beyond the bound
-    of _line_constants."""
-    d31v, d32v, M, shift, w12, flip, bound = config._memo(_line_constants)
+def _bounded_line_constants(config: SensorConfig, taus: np.ndarray) -> tuple:
+    """config._memo(_line_constants), with every row of an (N, 2) array of tau checked
+    against its bound: the one home of the null-cone input bound.  InvalidParam where d_max^4
+    underflows (first), or where max(|tau|, d_max) exceeds the bound."""
+    constants = config._memo(_line_constants)
+    bound = constants[-1]
     largest = float(np.abs(taus).max(initial=config.d_max))
     if largest > bound:
         raise InvalidParam(f"range differences too large for the null-cone quadratic: "
                            f"max(|tau|, d_max) = {largest:g} > {bound:g}")
+    return constants
+
+
+def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
+    """Arrays a, b, c, u0, v_spatial, |v_spatial|^2 and the scale-free an = a / d_max^4 and
+    bn = b / d_max^3 of every row of an (N, 2) array of tau; InvalidParam beyond the bound
+    of _line_constants."""
+    d31v, d32v, M, shift, w12, flip, _ = _bounded_line_constants(config, taus)
     # a stack of one-column systems: each row is the LAPACK solve of the
     # scalar call; one multi-column solve(M, rhs.T) rounds differently
     u0 = _solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]
@@ -480,22 +491,35 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
     bit; where it is 0, points[i] is () and the row is not inverted.  points
     is None for collinear receivers, where invert_tdoa raises.  No result
     object is built.
+
+    In general position a row more than rtol * d_max outside the hexagon P2
+    is OutsideIm with fiber 0 from its P2 slacks alone, the first rung of
+    _classify_rows; only the other rows reach the null-cone kernels.  The
+    input bound of _coeff_rows is checked on the whole array first.
     """
     _require_planar_triple(config)
     taus = _measurement_rows(taus, 2, "range differences")
     if config.is_collinear:
         labels, _, fibers, _ = _classify_collinear_rows(config, taus, rtol)
         return tuple(labels), tuple(fibers), None
-    co = _coeff_rows(config, taus)
-    labels, _, fibers, _ = _classify_rows(config, taus, rtol, co, _p2_rows(config, taus))
+    _bounded_line_constants(config, taus)
+    names, slack = _p2_slacks(config, taus)
+    inside = np.flatnonzero((slack >= -rtol * config.d_max).all(axis=1))
+    taus_in = taus.take(inside, axis=0)
+    co = _coeff_rows(config, taus_in)
+    labels_in, _, fibers_in, _ = _classify_rows(config, taus_in, rtol, co,
+                                                (names, slack.take(inside, axis=0).tolist()))
     # in general position every fiber is 0, 1 or 2
-    rows = [i for i, fiber in enumerate(fibers) if fiber]
-    x, kept = _invert_rows(config, taus.take(rows, axis=0), rtol,
+    rows = [k for k, fiber in enumerate(fibers_in) if fiber]
+    x, kept = _invert_rows(config, taus_in.take(rows, axis=0), rtol,
                            tuple(column.take(rows, axis=0) for column in co))
     xs = list(map(tuple, x.tolist()))
-    points = [()] * len(taus)
-    for i, found in zip(rows, kept):
-        points[i] = tuple([xs[k] for k in found])
+    labels, fibers, points = ["OutsideIm"] * len(taus), [0] * len(taus), [()] * len(taus)
+    inside = inside.tolist()
+    for i, label, fiber in zip(inside, labels_in, fibers_in):
+        labels[i], fibers[i] = label, fiber
+    for k, found in zip(rows, kept):
+        points[inside[k]] = tuple([xs[j] for j in found])
     return tuple(labels), tuple(fibers), tuple(points)
 
 
@@ -507,7 +531,9 @@ def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tupl
     Returns (labels, ids, fibers, lifts), lists with one entry per row; the
     lifts are all None here.  The tangency nearness and lens cone depths each
     run once over all rows, only when some row needs them; the label ladder
-    runs per row.
+    runs per row.  Its first rung, OutsideIm beyond -rtol * d_max on some P2
+    facet, is the one that tau_fibers applies before it calls this, so there
+    every row given here passes it.
     """
     d_max = config.d_max
     tol = rtol * d_max

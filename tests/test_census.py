@@ -42,6 +42,9 @@ def test_batched_census_matches_the_per_point_census(fiber_census, receivers):
     rows, counts, mismatches = fiber_census.census(config, 1.2, 41)
     want_rows, want_counts, want_mismatches = census_per_point(config, 1.2, 41)
     assert _csv(rows) == _csv(want_rows)
+    # as tuples too: "%s" prints a fiber 1 and a fiber "1" alike
+    assert rows == want_rows
+    assert {tuple(map(type, row)) for row in rows} == {(float, float, str, str, str)}
     assert counts == want_counts
     assert mismatches == want_mismatches
 

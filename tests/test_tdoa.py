@@ -541,11 +541,9 @@ def test_classify_invert_tau_rejects_other_shapes(scalene, pair, right3d):
                 batch(cfg, [[0.1, 0.2]])
 
 
-@pytest.mark.parametrize("receivers", _ROW_RECEIVERS)
-@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
-def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(receivers, rtol):
-    cfg = rg.validate_config(receivers)
-    taus = _probe_taus(cfg, seed=_probe_seed(receivers))
+def _assert_tau_fibers_are_classify_invert_tau(cfg, taus, rtol=1e-9):
+    """tau_fibers' labels and fibers are classify_invert_tau's; in general position its points
+    are the solutions' bit for bit where the fiber is 1 or 2, and () where it is 0."""
     labels, fibers, points = rg.tau_fibers(cfg, taus, rtol)
     regions, solutions = rg.classify_invert_tau(cfg, taus, rtol)
     assert type(labels) is tuple and type(fibers) is tuple
@@ -553,9 +551,8 @@ def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(rece
     assert [_bits(f) for f in fibers] == [_bits(region.fiber) for region in regions]
     if cfg.is_collinear:
         assert points is None and solutions is None
-        return
+        return fibers
     assert type(points) is tuple and len(points) == len(taus)
-    assert 0 in fibers
     for found, sol, fiber in zip(points, solutions, fibers):
         if fiber == 0:  # not inverted
             assert found == ()
@@ -564,6 +561,72 @@ def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(rece
         for pair, point in zip(found, sol.points):
             assert type(pair) is tuple and all(type(v) is float for v in pair)
             assert [v.hex() for v in pair] == [float(v).hex() for v in point]
+    return fibers
+
+
+@pytest.mark.parametrize("receivers", _ROW_RECEIVERS)
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_tau_fibers_are_the_labels_fibers_and_points_of_classify_invert_tau(receivers, rtol):
+    cfg = rg.validate_config(receivers)
+    taus = _probe_taus(cfg, seed=_probe_seed(receivers))
+    assert 0 in _assert_tau_fibers_are_classify_invert_tau(cfg, taus, rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_tau_fibers_p2_band_edges_agree_with_classify_tau(scalene, rtol):
+    """One ulp either side of slack = -rtol * d_max on each of the six facets of P2, bisected
+    along the facet's outward normal from three points of the facet: tau_fibers, which labels
+    the rows outside the band from their P2 slacks alone, gives classify_tau's label and
+    fiber, and classify_invert_tau's points where the fiber is 1 or 2."""
+    cfg = scalene
+    tol = rtol * cfg.d_max
+    names, normals, offsets = cfg._memo(tdoa._p2_table)
+    assert len(names) == 6
+    corners = np.concatenate([tdoa._vertex_images(cfg), -tdoa._vertex_images(cfg)])
+
+    def inside(tau):
+        return min(rg.classify_tau(cfg, tau, rtol).residuals.values()) >= -tol
+
+    edges = []
+    for k in range(6):
+        n = normals[:, k]
+        ends = corners[np.abs(corners @ n + offsets[k]) <= 1e-12 * cfg.d_max]
+        assert len(ends) == 2  # the facet's two corners
+        for s in (0.25, 0.5, 0.75):
+            on_facet = (1.0 - s) * ends[0] + s * ends[1]
+            for t in band_edge(lambda t: inside(on_facet - t * n), 0.0, 4.0 * tol):
+                edges.append(on_facet - t * n)
+    taus = np.array(edges)
+    labels, fibers, _ = rg.tau_fibers(cfg, taus, rtol)
+    for tau, label, fiber in zip(taus, labels, fibers):
+        region = rg.classify_tau(cfg, tau, rtol)
+        assert (label, _bits(fiber)) == (region.label, _bits(region.fiber))
+        assert rg.tau_fibers(cfg, [tau], rtol)[:2] == ((label,), (fiber,))
+    # the out-of-band side of every edge is OutsideIm; the in-band side reaches the ladder
+    assert set(labels[1::2]) == {"OutsideIm"}
+    _assert_tau_fibers_are_classify_invert_tau(cfg, taus, rtol)
+
+
+@pytest.mark.parametrize("receivers", _ROW_RECEIVERS[:4])
+def test_tau_fibers_on_blocks_outside_inside_and_across_p2(receivers):
+    """Blocks of fiber_census.py's 161^2 grid that lie entirely outside P2 (the first one:
+    there |tau1| >= 1.155 d_max > d31) and across its boundary (the centre one), and a block
+    entirely inside it: tau_fibers equals classify_invert_tau, with RuntimeWarnings as errors."""
+    cfg = rg.validate_config(receivers)
+    axis = np.linspace(-1.2 * cfg.d_max, 1.2 * cfg.d_max, 161)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    centre = len(grid) // 2 // 512 * 512
+    rng = np.random.default_rng(_probe_seed(receivers))
+    inside_p2 = rg.tau_map(cfg, rng.normal(size=(512, 2)) * cfg.d_max)
+    tol = 1e-9 * cfg.d_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for taus, outside in ((grid[:512], {True}), (grid[centre:centre + 512], {True, False}),
+                              (inside_p2, {False})):
+            slack = tdoa._p2_slacks(cfg, taus)[1]
+            assert set((slack.min(axis=1) < -tol).tolist()) == outside
+            fibers = _assert_tau_fibers_are_classify_invert_tau(cfg, taus)
+            assert any(fibers) == (False in outside)
 
 
 @pytest.mark.parametrize("receivers", [  # the receivers in general position of test_census.py
