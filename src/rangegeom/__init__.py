@@ -24,16 +24,17 @@ _EXPORTS = {
     "errors": ("AtReceiver", "DegenerateConfig", "DimensionMismatch", "DuplicateReceiver",
                "Infeasible", "InvalidParam", "NotANode", "NotCollinear", "NotOnBoundary",
                "RangeGeomError", "UnknownLabel"),
-    "kummer": ("ARC_LABELS", "HULL_COMPONENTS", "Q3_FACETS", "Q3_FACETS_COLLINEAR", "ConicArc",
-               "HomogeneousForm", "HullComponent", "Node", "NodesAndTropes", "Q3Report",
-               "TangentCone", "Trope", "collinear_degeneration_check", "conic_arc",
-               "gaussian_curvature", "homogeneous_form", "hull_boundary_classify",
-               "nodes_and_tropes", "q3_membership", "quartic_residual", "tangent_cone"),
+    "kummer": ("Q3_FACETS", "Q3_FACETS_COLLINEAR", "Q3Report", "q3_membership",
+               "quartic_residual"),
     "params": ("ParamPoint", "abc_from_config", "cayley_residual", "config_from_param",
                "param_from_config"),
     "sim": ("NoiseSpec", "NoisyBatch", "gen_noisy_tdoa", "gen_noisy_toa"),
     "spacetime": ("SpacetimeVec3", "SpacetimeVec4", "cross2", "hodge_cross", "lift",
                   "minkowski_inner", "triple_form"),
+    "surface": ("ARC_LABELS", "HULL_COMPONENTS", "ConicArc", "HomogeneousForm", "HullComponent",
+                "Node", "NodesAndTropes", "TangentCone", "Trope", "collinear_degeneration_check",
+                "conic_arc", "gaussian_curvature", "homogeneous_form", "hull_boundary_classify",
+                "nodes_and_tropes", "tangent_cone"),
     "tdoa": ("P2_FACETS", "TANGENCY_IDS", "P2Report", "TauRegion", "TdoaCoeffs",
              "classify_invert_tau", "classify_tau", "invert_tdoa", "p2_membership",
              "pi_fiber_line", "project_pi", "t_quadratic", "tangency_points", "tau_fibers",

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from . import errors
-from .config import _RTOL, _VERIFY_RTOL, SensorConfig, validate_config
+from .config import (_RTOL, _VERIFY_RTOL, SensorConfig, _measurement, _require_planar_triple,
+                     validate_config)
 
 _CONFIG_ERRORS = (
     errors.DuplicateReceiver,
@@ -161,19 +162,22 @@ def _cmd_localize_toa(args) -> int:
 
 
 def _cmd_localize_tdoa(args) -> int:
-    from .tdoa import classify_tau, invert_tdoa
+    from .tdoa import classify_invert_tau
     from .toa3 import invert3_collinear
 
     config = _load_config(args.config)
-    tau = args.tau
-    region = classify_tau(config, tau, rtol=args.tol)
+    # classify_tau's checks in its order, so a one-row batch fails with its messages
+    _require_planar_triple(config)
+    tau = _measurement(args.tau, 2, "range differences")
+    regions, inverted = classify_invert_tau(config, tau[None], rtol=args.tol)
+    region = regions[0]
     if config.is_collinear:
         if region.lift is not None and region.fiber not in (0, math.inf):
             solutions = invert3_collinear(config, region.lift, rtol=_VERIFY_RTOL).points
         else:
             solutions = ()
     elif region.fiber in (1, 2):
-        solutions = invert_tdoa(config, tau, rtol=args.tol).points
+        solutions = inverted[0].points
     else:
         solutions = ()
     payload = {
@@ -245,7 +249,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_surface_sample(args) -> int:
-    from .kummer import gaussian_curvature
+    from .surface import gaussian_curvature
 
     config = _load_config(args.config)
     lo, hi = args.range
@@ -268,7 +272,8 @@ def _cmd_surface_sample(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .kummer import ARC_LABELS, HULL_COMPONENTS, Q3_FACETS, Q3_FACETS_COLLINEAR, nodes_and_tropes
+    from .kummer import Q3_FACETS, Q3_FACETS_COLLINEAR
+    from .surface import ARC_LABELS, HULL_COMPONENTS, nodes_and_tropes
 
     config = _load_config(args.config)
     if config.is_collinear:

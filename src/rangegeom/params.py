@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .config import SensorConfig, validate_config
 from .errors import DimensionMismatch, InvalidParam
-from .kummer import _abc
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,16 @@ class ParamPoint:
 def cayley_residual(a: float, b: float, c: float) -> float:
     """Value of the Cayley cubic 2abc - a^2 - b^2 - c^2 + 1 (zero for triangles)."""
     return 2 * a * b * c - a * a - b * b - c * c + 1.0
+
+
+def _abc(config: SensorConfig) -> tuple:
+    """Cosine parameters of the triangle: a = cos(angle at m3),
+    b = -cos(angle at m2), c = cos(angle at m1); a config-only constant (config._memo)."""
+    _, _, _, p12, p13, p23 = config._gram
+    a = p23 / (config.d31 * config.d32)
+    b = p13 / (config.d21 * config.d32)
+    c = p12 / (config.d21 * config.d31)
+    return a, b, c
 
 
 def abc_from_config(config: SensorConfig) -> tuple:

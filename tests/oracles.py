@@ -280,7 +280,9 @@ def hull_fill(config, T, rtol: float):
     every active facet's fill.  Steps 1 and 2 (ideal edges, the quartic) are
     left to the caller.
     """
-    from rangegeom.kummer import _abc, _arc_table, _poly_eval
+    from rangegeom.kummer import _poly_eval
+    from rangegeom.params import _abc
+    from rangegeom.surface import _arc_table
 
     T = np.asarray(T, dtype=float)
     q3 = rg.q3_membership(config, T, rtol=rtol)
@@ -693,7 +695,7 @@ def exterior_point_by_hodge(config, T, i: int = 1):
 
 
 def circumcircle_by_receivers(config) -> tuple:
-    """kummer._circumcircle as it was: a 2x2 solve from the differences of |m|^2."""
+    """surface._circumcircle as it was: a 2x2 solve from the differences of |m|^2."""
     m1, m2, m3 = config.receivers
     A = 2.0 * np.stack([m2 - m1, m3 - m1])
     rhs = np.array([float(m2 @ m2 - m1 @ m1), float(m3 @ m3 - m1 @ m1)])

@@ -98,6 +98,23 @@ def test_classify_toa_evaluates_the_quartic_once(monkeypatch, name):
     assert len(calls) == (0 if "collinear" in name else 1)
 
 
+@pytest.mark.parametrize("name", ["localize_tdoa_interior", "localize_tdoa_collinear",
+                                  "localize_tdoa_vertex_ray"])
+def test_localize_tdoa_builds_the_null_cone_coefficients_once(monkeypatch, name):
+    """localize-tdoa classifies and inverts from one set of null-cone coefficients: one
+    _coeff_rows call on general receivers, none on collinear ones; the bytes are golden."""
+    real, calls = rg.tdoa._coeff_rows, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rg.tdoa, "_coeff_rows", counted)
+    code, out = _run(CASES[name])
+    assert code == 0 and out == _golden_path(name).read_text(encoding="utf-8")
+    assert len(calls) == (1 if name == "localize_tdoa_interior" else 0)  # the RIGHT config
+
+
 def test_golden_values_cross_checked(right):
     # goldens are regression anchors; re-derive their key numbers here
     payload = json.loads(_run(CASES["localize_toa_feasible"])[1])

@@ -3,6 +3,8 @@
 The loading checks run in fresh interpreters, since the test process has long
 loaded every submodule.
 """
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -65,7 +67,7 @@ print(json.dumps({
     "missing": [n for n in rg.__all__ if not hasattr(rg, n)],
     "submodules": {m: getattr(rg, m).__name__
                    for m in ("cli", "config", "errors", "kummer", "params", "sim", "spacetime",
-                             "tdoa", "toa2", "toa3", "toa3d")},
+                             "surface", "tdoa", "toa2", "toa3", "toa3d")},
     "unknown": unknown,
 }))
 """)
@@ -81,11 +83,38 @@ def test_a_public_name_is_its_submodule_attribute():
     assert rg.classify3 is rg.toa3.classify3 and rg.SensorConfig is rg.config.SensorConfig
 
 
-# Commands that must not load a module they never run: TOA, feature, parameter and
-# surface commands run no TDOA, simulation or 3-D code, and a TOA simulation no TDOA code.
-_UNUSED = {name: ("rangegeom.sim", "rangegeom.tdoa", "rangegeom.toa3d") for name in CASES
-           if name.startswith(("localize_toa", "classify_toa", "features", "params", "surface"))}
-_UNUSED["simulate_seeded"] = ("rangegeom.tdoa",)
+@pytest.mark.parametrize("module", sorted(rg._EXPORTS))
+def test_the_export_table_lists_each_public_definition_under_its_module(module):
+    """Every public function and class a submodule defines is listed under it in _EXPORTS,
+    and every name listed under a submodule is there, defined by it when a function or class."""
+    mod = importlib.import_module(f"rangegeom.{module}")
+    defined = {name for name, obj in vars(mod).items() if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__}
+    listed = rg._EXPORTS[module]
+    assert defined <= set(listed), sorted(defined - set(listed))
+    for name in listed:
+        obj = getattr(mod, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == mod.__name__, name
+
+
+# Commands that must not load a module they never run, by golden case prefix: only the
+# features and surface-sample commands run the surface geometry, and params not even the
+# quartic; TOA, feature, parameter and surface commands run no TDOA code; no command but
+# simulate runs the simulation, and none the 3-D solvers.
+_NOT_RUN = {
+    "localize_toa": ("sim", "surface", "tdoa", "toa3d"),
+    "classify_toa": ("sim", "surface", "tdoa", "toa3d"),
+    "localize_tdoa": ("sim", "surface", "toa3d"),
+    "classify_tdoa": ("sim", "surface", "toa3d"),
+    "features": ("sim", "tdoa", "toa3d"),
+    "surface": ("sim", "tdoa", "toa3d"),
+    "params": ("kummer", "sim", "surface", "tdoa", "toa3d"),
+    "simulate": ("surface", "tdoa"),
+}
+_UNUSED = {name: tuple(f"rangegeom.{m}" for m in modules) for name in CASES
+           for prefix, modules in _NOT_RUN.items() if name.startswith(prefix)}
 
 _COMMAND = f"""
 import contextlib, io, json, sys

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 
 import rangegeom as rg
-from rangegeom import kummer, tdoa, toa3, toa3d
+from rangegeom import kummer, params, surface, tdoa, toa3, toa3d
 
 from conftest import away_from_receivers, band_edge, collinear_triples, sources, triangles
 from oracles import circumcircle_by_receivers, exterior_point_by_hodge, numeric_jacobian
@@ -90,31 +90,31 @@ def test_config_constants_die_with_their_configuration(receivers):
         rg.invert3(cfg, T)
     rg.classify_tau(cfg, rg.tau_map(cfg, x))
     rg.abc_from_config(cfg)
-    built = {kummer._abc, kummer._node_images}
+    built = {params._abc, kummer._node_images}
     if cfg.is_collinear:
         rg.classify_tau(cfg, rg.tau_map(cfg, cfg.m(1)))
         built |= {kummer._collinear_facet_table}
         with pytest.raises(rg.DegenerateConfig):
             rg.nodes_and_tropes(cfg)
-        assert kummer._nodes_and_tropes not in cfg._constants
+        assert surface._nodes_and_tropes not in cfg._constants
     else:
         nat = rg.nodes_and_tropes(cfg)
         assert rg.nodes_and_tropes(cfg) is nat
         assert rg.tangent_cone(cfg, "f2++").node is nat.node("f2++")
-        built |= {kummer._nodes_and_tropes}
+        built |= {surface._nodes_and_tropes}
         rg.homogeneous_form(cfg)
         for label in rg.ARC_LABELS:
             rg.conic_arc(cfg, label).sample_sources(n=3)
         node = cfg._memo(kummer._node_images)[0]
         rg.hull_boundary_classify(cfg, node + 0.5 * cfg.d_max)  # an ideal edge
         rg.hull_boundary_classify(cfg, rg.conic_arc(cfg, "Gamma3").sample(n=3)[1])
-        built |= {kummer._facet_table, kummer._arc_table, kummer._circumcircle}
+        built |= {kummer._facet_table, surface._arc_table, surface._circumcircle}
     assert built <= set(cfg._constants)
     with pytest.raises(ValueError):
         cfg._memo(kummer._node_images)[...] = 0.0
     if not cfg.is_collinear:
         with pytest.raises(ValueError):
-            cfg._memo(kummer._circumcircle)[0][...] = 0.0
+            cfg._memo(surface._circumcircle)[0][...] = 0.0
         for node in nat.nodes:
             with pytest.raises(ValueError):
                 node.homogeneous[...] = 0.0
@@ -174,7 +174,7 @@ def test_foot_point_matches_the_replaced_solves():
         if cfg.is_collinear:
             continue
         tol = 1e-12 * cfg.d_max ** 3 / abs(rg.cross2(cfg.vec(2, 1), cfg.vec(3, 1)))
-        o, R = cfg._memo(kummer._circumcircle)
+        o, R = cfg._memo(surface._circumcircle)
         o_old, R_old = circumcircle_by_receivers(cfg)
         assert np.max(np.abs(o - o_old)) <= tol and abs(R - R_old) <= tol
         for _ in range(3):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rangegeom as rg
-from rangegeom import kummer, tdoa
+from rangegeom import kummer, surface, tdoa
 
 from oracles import (
     gamma_quadratics,
@@ -97,7 +97,7 @@ def test_general_slacks_match_the_written_out_expressions_bit_for_bit(receivers)
     assert _same_bits(slack, p2_slacks(cfg, taus))
 
     # hull_boundary_classify's circumcircle-fill quadratics, through the arc table
-    arcs = cfg._memo(kummer._arc_table)
+    arcs = cfg._memo(surface._arc_table)
     for T in Ts:
         want = gamma_quadratics(cfg, float(T[0]), float(T[1]))
         for name, value in want.items():
