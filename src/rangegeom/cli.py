@@ -16,8 +16,11 @@ Output is JSON (sorted keys) on stdout, CSV for surface-sample.  Exit codes:
 non-finite measurements),
 4 numerical/domain errors.
 
-Each subcommand imports the modules it runs inside its handler, so a process
-loads (and, without a bytecode cache, compiles) only what its command needs.
+``main`` alone loads the --config file, calls the command's handler, prints
+the payload it returns and maps exceptions to exit codes.  Each handler,
+``(args, config) -> payload`` (None for surface-sample, which writes its CSV),
+imports the modules it runs, so a process loads (and, without a bytecode
+cache, compiles) only what its command needs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 
@@ -47,18 +52,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -119,117 +117,74 @@ def _load_config(path: str) -> SensorConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, config) -> the payload main prints
 
-def _cmd_localize_toa(args) -> int:
-    config = _load_config(args.config)
-    T = args.toa
-    rtol = args.tol
+def _solutions(points) -> list:
+    return [list(map(float, p)) for p in points]
+
+
+def _q2_fields(cls) -> dict:
+    """The fields of a two-receiver classification that localize-toa and classify print."""
+    return {
+        "verdict": cls.verdict,
+        "fiber": cls.fiber,
+        "residuals": cls.residuals,
+        "active": list(cls.active),
+    }
+
+
+def _cmd_localize_toa(args, config) -> dict:
     if config.n == 2:
         from .toa2 import classify2, invert2
 
-        cls = classify2(config, T, rtol=rtol)
-        if cls.verdict == "Outside":
-            solutions = ()
-        else:
-            solutions = invert2(config, T, rtol=rtol)
-        payload = {
-            "verdict": cls.verdict,
-            "fiber": cls.fiber,
-            "solutions": [list(map(float, p)) for p in solutions],
-            "residuals": cls.residuals,
-            "active": list(cls.active),
-        }
-    else:
-        from .toa3 import classify3, invert3, invert3_collinear
+        cls = classify2(config, args.toa, rtol=args.tol)
+        points = () if cls.verdict == "Outside" else invert2(config, args.toa, rtol=args.tol)
+        return {**_q2_fields(cls), "solutions": _solutions(points)}
+    from .toa3 import classify3, invert3, invert3_collinear
 
-        rep = classify3(config, T, rtol=rtol)
-        if rep.verdict != "Feasible":
-            solutions = ()
-        elif config.is_collinear:
-            solutions = invert3_collinear(config, T, rtol=max(rtol, _VERIFY_RTOL)).points
-        else:
-            solutions = invert3(config, T, rtol=max(rtol, _VERIFY_RTOL)).points
-        payload = {
-            "verdict": rep.verdict,
-            "fiber": rep.fiber,
-            "reason": rep.reason,
-            "residual": rep.quartic_or_quadric_residual,
-            "solutions": [list(map(float, p)) for p in solutions],
-        }
-    _emit(payload)
-    return 0
+    rep = classify3(config, args.toa, rtol=args.tol)
+    points = ()
+    if rep.verdict == "Feasible":
+        invert = invert3_collinear if config.is_collinear else invert3
+        points = invert(config, args.toa, rtol=max(args.tol, _VERIFY_RTOL)).points
+    return {
+        "verdict": rep.verdict,
+        "fiber": rep.fiber,
+        "reason": rep.reason,
+        "residual": rep.quartic_or_quadric_residual,
+        "solutions": _solutions(points),
+    }
 
 
-def _cmd_localize_tdoa(args) -> int:
+def _cmd_localize_tdoa(args, config) -> dict:
     from .tdoa import classify_invert_tau
     from .toa3 import invert3_collinear
 
-    config = _load_config(args.config)
     # classify_tau's checks in its order, so a one-row batch fails with its messages
     _require_planar_triple(config)
     tau = _measurement(args.tau, 2, "range differences")
     regions, inverted = classify_invert_tau(config, tau[None], rtol=args.tol)
     region = regions[0]
+    points = ()
     if config.is_collinear:
         if region.lift is not None and region.fiber not in (0, math.inf):
-            solutions = invert3_collinear(config, region.lift, rtol=_VERIFY_RTOL).points
-        else:
-            solutions = ()
+            points = invert3_collinear(config, region.lift, rtol=_VERIFY_RTOL).points
     elif region.fiber in (1, 2):
-        solutions = inverted[0].points
-    else:
-        solutions = ()
-    payload = {
+        points = inverted[0].points
+    return {
         "label": region.label,
         "ids": list(region.ids),
         "fiber": region.fiber,
-        "solutions": [list(map(float, p)) for p in solutions],
+        "solutions": _solutions(points),
         "lift": region.lift,
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_classify(args) -> int:
-    config = _load_config(args.config)
-    if args.toa is not None:
-        T = args.toa
-        if config.n == 2:
-            from .toa2 import classify2
-
-            cls = classify2(config, T, rtol=args.tol)
-            payload = {
-                "kind": "toa-2",
-                "verdict": cls.verdict,
-                "fiber": cls.fiber,
-                "residuals": cls.residuals,
-                "active": list(cls.active),
-            }
-        else:
-            from .toa3 import classify3
-
-            rep = classify3(config, T, rtol=args.tol)
-            payload = {
-                "kind": "toa-3-collinear" if config.is_collinear else "toa-3",
-                "verdict": rep.verdict,
-                "fiber": rep.fiber,
-                "reason": rep.reason,
-                "in_octant": rep.in_octant,
-                "normalized_residual": rep.quartic_or_quadric_residual,
-                "q3": {
-                    "verdict": rep.q3.verdict,
-                    "active": list(rep.q3.active),
-                    "residuals": rep.q3.residuals,
-                },
-            }
-            if not config.is_collinear:
-                payload["quartic"] = rep.quartic
-    else:
+def _cmd_classify(args, config) -> dict:
+    if args.tdoa is not None:
         from .tdoa import classify_tau
 
-        tau = args.tdoa
-        region = classify_tau(config, tau, rtol=args.tol)
+        region = classify_tau(config, args.tdoa, rtol=args.tol)
         payload = {
             "kind": "tdoa",
             "label": region.label,
@@ -244,40 +199,49 @@ def _cmd_classify(args) -> int:
                 "b": region.coeffs.b,
                 "c": region.coeffs.c,
             }
-    _emit(payload)
-    return 0
+        return payload
+    if config.n == 2:
+        from .toa2 import classify2
+
+        return {"kind": "toa-2", **_q2_fields(classify2(config, args.toa, rtol=args.tol))}
+    from .toa3 import classify3
+
+    rep = classify3(config, args.toa, rtol=args.tol)
+    payload = {
+        "kind": "toa-3-collinear" if config.is_collinear else "toa-3",
+        "verdict": rep.verdict,
+        "fiber": rep.fiber,
+        "reason": rep.reason,
+        "in_octant": rep.in_octant,
+        "normalized_residual": rep.quartic_or_quadric_residual,
+        "q3": {
+            "verdict": rep.q3.verdict,
+            "active": list(rep.q3.active),
+            "residuals": rep.q3.residuals,
+        },
+    }
+    if not config.is_collinear:
+        payload["quartic"] = rep.quartic
+    return payload
 
 
-def _cmd_surface_sample(args) -> int:
+def _cmd_surface_sample(args, config) -> None:
     from .surface import gaussian_curvature
 
-    config = _load_config(args.config)
-    lo, hi = args.range
-    n = args.resolution
-    axis = np.linspace(lo, hi, n)
+    axis = np.linspace(*args.range, args.resolution)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    T = config.distances(pts)
-    K = gaussian_curvature(config, pts)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        out.write("x,y,T1,T2,T3,K\n")
-        for row in range(pts.shape[0]):
-            vals = (pts[row, 0], pts[row, 1], T[row, 0], T[row, 1], T[row, 2], K[row])
-            out.write(",".join("%.17g" % v for v in vals) + "\n")
-    finally:
-        if args.output is not None:
-            out.close()
-    return 0
+    rows = np.column_stack([pts, config.distances(pts), gaussian_curvature(config, pts)])
+    with (nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="utf-8")) as out:
+        np.savetxt(out, rows, fmt="%.17g", delimiter=",", header="x,y,T1,T2,T3,K", comments="")
 
 
-def _cmd_features(args) -> int:
-    from .kummer import Q3_FACETS, Q3_FACETS_COLLINEAR
-    from .surface import ARC_LABELS, HULL_COMPONENTS, nodes_and_tropes
-
-    config = _load_config(args.config)
+def _cmd_features(args, config) -> dict:
     if config.is_collinear:
-        payload = {
+        from .kummer import Q3_FACETS_COLLINEAR
+
+        return {
             "kind": "collinear",
             "q3_facets": list(Q3_FACETS_COLLINEAR),
             "arc_labels": [],
@@ -285,10 +249,11 @@ def _cmd_features(args) -> int:
             "nodes": None,
             "tropes": None,
         }
-        _emit(payload)
-        return 0
+    from .kummer import Q3_FACETS
+    from .surface import ARC_LABELS, HULL_COMPONENTS, nodes_and_tropes
+
     nt = nodes_and_tropes(config)
-    payload = {
+    return {
         "kind": "general",
         "nodes": {
             n.label: {
@@ -311,61 +276,38 @@ def _cmd_features(args) -> int:
         "q3_facets": list(Q3_FACETS),
         "hull_components": list(HULL_COMPONENTS),
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args, config) -> dict:
     from .params import ParamPoint, abc_from_config, cayley_residual, config_from_param, param_from_config
 
     if args.point is not None:
-        vals = args.point
-        if vals.shape[0] == 2:
-            p = ParamPoint(a=float(vals[0]), c=float(vals[1]))
-        elif vals.shape[0] == 3:
-            p = ParamPoint(a=float(vals[0]), c=float(vals[1]), scale=float(vals[2]))
-        else:
+        if len(args.point) not in (2, 3):
             raise errors.InvalidParam("--point expects a,c[,scale]")
-        config = config_from_param(p)
-        payload = {
-            "receivers": [list(map(float, config.m(i))) for i in (1, 2, 3)],
-            "abc": list(abc_from_config(config)),
-            "cayley_residual": cayley_residual(*abc_from_config(config)),
-        }
-        _emit(payload)
-        return 0
-    config = _load_config(args.config)
+        config = config_from_param(ParamPoint(*args.point.tolist()))
     a, b, c = abc_from_config(config)
     payload = {
         "abc": [a, b, c],
         "cayley_residual": cayley_residual(a, b, c),
     }
-    if config.is_collinear:
-        payload["param"] = None
+    if args.point is not None:
+        payload["receivers"] = [list(map(float, config.m(i))) for i in (1, 2, 3)]
     else:
-        p = param_from_config(config)
-        payload["param"] = {"a": p.a, "c": p.c, "scale": p.scale}
-    _emit(payload)
-    return 0
+        payload["param"] = None if config.is_collinear else asdict(param_from_config(config))
+    return payload
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, config) -> dict:
     from .sim import NoiseSpec, gen_noisy_tdoa, gen_noisy_toa
 
-    config = _load_config(args.config)
+    generate = gen_noisy_toa if args.kind == "toa" else gen_noisy_tdoa
     spec = NoiseSpec(sigma=args.sigma, bias=args.bias, seed=args.seed)
-    x = args.source
-    if args.kind == "toa":
-        batch = gen_noisy_toa(config, x, spec, n=args.n)
-    else:
-        batch = gen_noisy_tdoa(config, x, spec, n=args.n)
-    payload = {
+    batch = generate(config, args.source, spec, n=args.n)
+    return {
         "samples": batch.samples,
         "clean": batch.clean,
         "metadata": batch.metadata,
     }
-    _emit(payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,36 +318,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic geometry of range and range-difference localization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON file with a 'receivers' array")
 
-    p = sub.add_parser("localize-toa", help="invert a range vector")
-    p.add_argument("--config", required=True, help="JSON file with a 'receivers' array")
+    p = sub.add_parser("localize-toa", parents=[config], help="invert a range vector")
     p.add_argument("--toa", required=True, type=_floats, help="comma-separated ranges")
     p.add_argument("--tol", type=_tolerance, default=_RTOL, help="relative tolerance")
     p.set_defaults(func=_cmd_localize_toa)
 
-    p = sub.add_parser("localize-tdoa", help="invert a range-difference pair")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("localize-tdoa", parents=[config], help="invert a range-difference pair")
     p.add_argument("--tau", required=True, type=_floats, help="comma-separated differences")
     p.add_argument("--tol", type=_tolerance, default=_RTOL)
     p.set_defaults(func=_cmd_localize_tdoa)
 
-    p = sub.add_parser("classify", help="classify measurements without inverting")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("classify", parents=[config], help="classify measurements without inverting")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--toa", type=_floats)
     group.add_argument("--tdoa", type=_floats)
     p.add_argument("--tol", type=_tolerance, default=_RTOL)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("surface-sample", help="CSV grid of ranges and curvature")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("surface-sample", parents=[config], help="CSV grid of ranges and curvature")
     p.add_argument("--range", required=True, type=_range_pair, help="lo:hi grid extent")
     p.add_argument("--resolution", required=True, type=int, help="points per axis (>= 2)")
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_surface_sample)
 
-    p = sub.add_parser("features", help="nodes, tropes, arcs, facets of a configuration")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("features", parents=[config],
+                       help="nodes, tropes, arcs, facets of a configuration")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("params", help="triangle shape parameters")
@@ -414,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--point", type=_floats, help="a,c[,scale]")
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("simulate", help="noisy measurement batches")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("simulate", parents=[config], help="noisy measurement batches")
     p.add_argument("--source", required=True, type=_floats, help="source position x,y")
     p.add_argument("--sigma", required=True, type=float)
     p.add_argument("--bias", type=float, default=0.0)
@@ -437,14 +376,15 @@ def main(argv=None) -> int:
         print("rangegeom surface-sample: --resolution must be >= 2", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        config = None if args.config is None else _load_config(args.config)
+        payload = args.func(args, config)
+        if payload is not None:
+            _emit(payload)
+        return 0
     except _CONFIG_ERRORS as exc:
         _fail(exc)
         return 3
-    except errors.RangeGeomError as exc:
-        _fail(exc)
-        return 4
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _fail(exc)
         return 4
 

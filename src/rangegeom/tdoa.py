@@ -57,9 +57,9 @@ from .config import (
     _require_planar_triple,
     _solve,
 )
-from .errors import DegenerateConfig, InvalidParam, RangeGeomError
+from .errors import DegenerateConfig, InvalidParam
 from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
-                     _facet_verdict, _node_images, _quartic_terms, _slacks)
+                     _facet_verdict, _node_images, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
 from .toa3 import SolutionSet, _stewart, _stewart_gate
 
@@ -697,27 +697,15 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     Substituting T = (tau1 + t, tau2 + t, t) into the defining quartic leaves
     a quadratic A t^2 + B t + C: the two top coefficients vanish identically
     because the surface is ruled by the projection direction (1,1,1) at
-    infinity.  Roots t correspond to null-cone roots via t = -l * |v_time|.
+    infinity.  It is the null-cone quadratic a l^2 + 2b l + c of tdoa_coeffs in
+    l = -t / v_time, times 4 w12^2, where v_time = |w12| is twice the
+    triangle's area: (A, B, C) = (4a, -8 |w12| b, 4 w12^2 c).  InvalidParam
+    wherever _coeff_rows raises it.
     """
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("collinear receivers: the lift is linear, not quadratic")
     tau = _measurement(tau, 2, "range differences")
-    t1, t2 = float(tau[0]), float(tau[1])
-    coeffs = np.zeros(5)
-    shifts = (np.array([t1, 1.0]), np.array([t2, 1.0]), np.array([0.0, 1.0]))
-    for (e1, e2, e3), coeff in config._memo(_quartic_terms)[0].items():
-        poly = np.array([1.0])
-        for shift, e in zip(shifts, (e1, e2, e3)):
-            for _ in range(e):
-                poly = np.convolve(poly, shift)
-        coeffs[: poly.shape[0]] += coeff * poly
-    d_max = config.d_max
-    tau_inf = max(abs(t1), abs(t2))
-    if abs(coeffs[4]) > 1e-9 * d_max ** 2 or abs(coeffs[3]) > 1e-9 * d_max ** 2 * (
-        d_max + tau_inf
-    ):
-        raise RangeGeomError(
-            "lift of the quartic is not quadratic; inconsistent configuration"
-        )
-    return float(coeffs[2]), float(coeffs[1]), float(coeffs[0])
+    a, b, c = (float(k[0]) for k in _coeff_rows(config, tau[None])[:3])
+    w12 = config._memo(_line_constants)[4]
+    return 4.0 * a, -8.0 * abs(w12) * b, 4.0 * w12 * w12 * c

@@ -710,3 +710,42 @@ def reference_system_3d_by_cond(config) -> tuple:
     i, j, k, M, gj, gk = reference_system_by_cond(config)
     Q, R = np.linalg.qr(np.stack([config.vec(j, i), config.vec(k, i)], axis=1))
     return i, j, k, R.T, gj, gk, Q, plane_frame_by_vectors(config)[3]
+
+
+def t_quadratic_exact(config, tau) -> tuple:
+    """(A, B, C) of the defining quartic along the lift T = (tau1 + t, tau2 + t, t), exactly.
+
+    The quartic's coefficients are the dot products of the receiver sides in
+    Fractions of the float coordinates, and the substitution is expanded in t
+    term by term; the t^4 and t^3 coefficients come out exactly zero.
+    """
+    from fractions import Fraction  # here: the benchmark's census loads this module
+
+    m1, m2, m3 = ([Fraction(float(v)) for v in config.m(i)] for i in (1, 2, 3))
+
+    def side(p, q):
+        return [b - a for a, b in zip(p, q)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    d21v, d31v, d32v = side(m1, m2), side(m1, m3), side(m2, m3)
+    g21, g31, g32 = dot(d21v, d21v), dot(d31v, d31v), dot(d32v, d32v)
+    p12, p13, p23 = dot(d21v, d31v), dot(d21v, d32v), dot(d31v, d32v)
+    terms = {
+        (4, 0, 0): g32, (0, 4, 0): g31, (0, 0, 4): g21,
+        (2, 2, 0): -2 * p23, (2, 0, 2): 2 * p13, (0, 2, 2): -2 * p12,
+        (2, 0, 0): -2 * p12 * g32, (0, 2, 0): 2 * p13 * g31, (0, 0, 2): -2 * p23 * g21,
+        (0, 0, 0): g21 * g31 * g32,
+    }
+    lines = ((Fraction(float(tau[0])), 1), (Fraction(float(tau[1])), 1), (0, 1))  # c0 + c1 t
+    total = [Fraction(0)] * 5
+    for exponents, coeff in terms.items():
+        poly = [coeff]
+        for (c0, c1), e in zip(lines, exponents):
+            for _ in range(e):
+                poly = [c0 * a + c1 * b for a, b in zip(poly + [0], [0] + poly)]
+        total = [a + b for a, b in zip(total, poly + [0] * (5 - len(poly)))]
+    assert total[3] == total[4] == 0
+    return total[2], total[1], total[0]
+

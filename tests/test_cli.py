@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import rangegeom as rg
+from rangegeom.cli import _jsonable
 from rangegeom.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,6 +61,28 @@ CASES = {
 # fmt: on
 
 _CSV_CASES = {"surface_sample_grid"}
+
+# Branches the goldens above miss, with their exit codes, pinned in tests/golden/branches/.
+# They stay out of CASES, which the benchmark's CLI cold-start workload replays.
+# fmt: off
+BRANCHES = {
+    "classify_toa_pair": (0, [
+        "classify", "--config", PAIR, "--toa", "0.5,0.8062257748298549"]),
+    "localize_toa_pair_outside": (0, [
+        "localize-toa", "--config", PAIR, "--toa", "3,0.5"]),
+    "classify_tdoa_collinear_lift": (0, [
+        "classify", "--config", COLLINEAR, "--tdoa=0.05278640450004202,0.35901217932989693"]),
+    "localize_tdoa_outside_im": (0, [
+        "localize-tdoa", "--config", RIGHT, "--tau=0.9,-0.9"]),
+    "simulate_tdoa": (0, [
+        "simulate", "--config", RIGHT, "--source", "0.3,0.4", "--sigma", "0.05", "--seed", "7",
+        "-n", "2", "--kind", "tdoa"]),
+    "params_point_default_scale": (0, ["params", "--point", "0.5,0.25"]),
+    "params_collinear": (0, ["params", "--config", COLLINEAR]),
+    "params_point_one_value": (3, ["params", "--point", "0.5"]),
+    "params_point_out_of_range": (3, ["params", "--point", "1.5,0.2"]),
+}
+# fmt: on
 
 
 def _run(argv):
@@ -115,6 +138,12 @@ def test_localize_tdoa_builds_the_null_cone_coefficients_once(monkeypatch, name)
     assert len(calls) == (1 if name == "localize_tdoa_interior" else 0)  # the RIGHT config
 
 
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_branch_output(name):
+    code, argv = BRANCHES[name]
+    assert _run(argv) == (code, (GOLDEN / "branches" / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def test_golden_values_cross_checked(right):
     # goldens are regression anchors; re-derive their key numbers here
     payload = json.loads(_run(CASES["localize_toa_feasible"])[1])
@@ -144,6 +173,22 @@ def test_golden_values_cross_checked(right):
     pts = np.array(payload["solutions"])
     assert pts.shape == (2, 2)
     assert np.min(np.max(np.abs(pts - [0.3, 0.4]), axis=1)) <= 1e-6
+
+
+def test_jsonable_pins_containers_scalars_and_non_finite_floats():
+    """Keys become strings, tuples and arrays lists, NumPy scalars Python ones, and the
+    non-finite floats the strings "nan", "inf" and "-inf"; None passes through."""
+    obj = {
+        1: (np.float64(0.5), np.int64(-3), np.bool_(True), None),
+        (2, 3): {"floats": np.array([[1.5, -0.0], [np.inf, np.nan]]),
+                 "ints": np.array([1, -2], dtype=np.int64),
+                 "bools": np.array([True, False])},
+        "non_finite": [math.nan, math.inf, -math.inf, np.float64(-np.inf)],
+    }
+    assert json.dumps(_jsonable(obj), sort_keys=True) == (
+        '{"(2, 3)": {"bools": [true, false], "floats": [[1.5, -0.0], ["inf", "nan"]], '
+        '"ints": [1, -2]}, "1": [0.5, -3, true, null], '
+        '"non_finite": ["nan", "inf", "-inf", "-inf"]}')
 
 
 def test_fiber_inf_serialized_as_string():
@@ -316,5 +361,11 @@ if __name__ == "__main__":
         if exit_code != 0:
             raise SystemExit(f"{case_name}: exit {exit_code}")
         _golden_path(case_name).write_text(text, encoding="utf-8")
-    print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+    (GOLDEN / "branches").mkdir(exist_ok=True)
+    for case_name, (expected, case_argv) in BRANCHES.items():
+        exit_code, text = _run(case_argv)
+        if exit_code != expected:
+            raise SystemExit(f"{case_name}: exit {exit_code}, expected {expected}")
+        (GOLDEN / "branches" / f"{case_name}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(CASES) + len(BRANCHES)} golden files to {GOLDEN}")
 

@@ -100,15 +100,17 @@ def test_the_export_table_lists_each_public_definition_under_its_module(module):
 
 
 # Commands that must not load a module they never run, by golden case prefix: only the
-# features and surface-sample commands run the surface geometry, and params not even the
-# quartic; TOA, feature, parameter and surface commands run no TDOA code; no command but
-# simulate runs the simulation, and none the 3-D solvers.
+# features and surface-sample commands run the surface geometry, features on collinear
+# receivers not even that, and params not even the quartic; TOA, feature, parameter and
+# surface commands run no TDOA code; no command but simulate runs the simulation, and none
+# the 3-D solvers.
 _NOT_RUN = {
     "localize_toa": ("sim", "surface", "tdoa", "toa3d"),
     "classify_toa": ("sim", "surface", "tdoa", "toa3d"),
     "localize_tdoa": ("sim", "surface", "toa3d"),
     "classify_tdoa": ("sim", "surface", "toa3d"),
-    "features": ("sim", "tdoa", "toa3d"),
+    "features_right": ("sim", "tdoa", "toa3d"),
+    "features_collinear": ("params", "sim", "surface", "tdoa", "toa3d"),
     "surface": ("sim", "tdoa", "toa3d"),
     "params": ("kummer", "sim", "surface", "tdoa", "toa3d"),
     "simulate": ("surface", "tdoa"),

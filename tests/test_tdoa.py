@@ -3,6 +3,7 @@ import gc
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import rangegeom as rg
 from rangegeom import tdoa
 
 from conftest import away_from_receivers, band_edge, collinear_triples, sources, triangles
-from oracles import brute_fiber, tdoa_coeffs_per_call
+from oracles import brute_fiber, t_quadratic_exact, tdoa_coeffs_per_call
 
 
 def test_tau_map_pinned(right):
@@ -210,6 +211,23 @@ def test_t_quadratic_matches_lift(right):
             t_from = np.sort(-np.real(lam) * co.v_time)
             t_dir = np.sort(np.roots([A, B, C]).real)
             assert np.max(np.abs(t_from - t_dir)) <= 1e-10
+
+
+@pytest.mark.parametrize("h", [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_t_quadratic_matches_the_exact_lift(h):
+    """(A, B, C) within 1e-9 of the largest exact coefficient of the quartic expanded along the
+    lift, on triangles (0,0) (1,0) (x, h) down to nearly collinear ones, at the tau of sources
+    near the receivers and far from them."""
+    rng = np.random.default_rng(19)
+    for x in (0.4, 1.3, -0.3):
+        cfg = rg.validate_config([(0.0, 0.0), (1.0, 0.0), (x, h)])
+        sources = np.concatenate([rng.uniform(-3.0, 3.0, size=(30, 2)),
+                                  rng.uniform(-100.0, 100.0, size=(10, 2))])
+        for tau in rg.tau_map(cfg, sources):
+            exact = t_quadratic_exact(cfg, tau)
+            got = rg.t_quadratic(cfg, tau)
+            err = max(abs(Fraction(g) - e) for g, e in zip(got, exact))
+            assert err <= Fraction(1e-9) * max(map(abs, exact)), (tau, got, exact)
 
 
 @settings(max_examples=30)
