@@ -1,4 +1,4 @@
-"""Receiver configurations and their validation.
+"""Receiver configurations and their validation; every tolerance, and the gates deciding with them.
 
 A configuration is 2 or 3 receivers in the plane or in space.  Three-receiver
 configurations are classified as a general triangle or as a collinear triple;
@@ -32,9 +32,11 @@ _VERIFY_RTOL = 1e-7
 # Collinearity test: 2*area / (d21*d31) <= _COLLINEAR_RTOL  (i.e. sin of the
 # angle at receiver 1 vanishes to this relative precision).
 _COLLINEAR_RTOL = 1e-9
-# Receivers closer than this (relative to the largest pairwise distance)
-# are considered duplicates.
+# Two points closer than this (relative to d_max) coincide: duplicate receivers, a point at one.
 _DUPLICATE_RTOL = 1e-12
+_MERGE_RTOL = 1e-9  # invert_tdoa merges accepted points this close (relative to d_max)
+_NODE_RTOL = 1e-6  # tangent_cone's node match, relative to d_max or to a unit 4-vector
+_HULL_INVERT_RTOL = 1e-5  # invert3's tolerance when the hull inverts a surface point
 _FLOAT_MAX = sys.float_info.max
 # The longest side whose square and dot products are finite, less a margin for rounding.
 _SIDE_BOUND = 0.999999 * math.sqrt(_FLOAT_MAX)
@@ -173,6 +175,28 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     sides of a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular
     (where the wrapper raised LinAlgError, the gufunc warns and returns NaN)."""
     return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(M, b, signature="dd->d")
+
+
+def _sign(x: float, rtol: float) -> int:
+    """The sign of a scale-free x, 0 within rtol: the null-cone, surface and quadric zero test."""
+    return 0 if abs(x) <= rtol else 1 if x > 0.0 else -1
+
+
+_QUADRATIC_FACETS = frozenset(("Gamma1", "Gamma2", "Gamma3"))  # slacks of length^2
+
+
+def _facet_verdict(slacks, rtol: float, d_max: float) -> tuple:
+    """(active facets, verdict) of (facet, signed slack) pairs: Q2, Q3, P2 and the collinear
+    lift; each tolerance is rtol * d_max, or rtol * d_max^2 on the _QUADRATIC_FACETS."""
+    tol_lin = rtol * d_max
+    active, outside = [], False
+    for k, v in slacks:
+        tol = rtol * d_max ** 2 if k in _QUADRATIC_FACETS else tol_lin
+        if v < -tol:
+            outside = True
+        elif v <= tol:
+            active.append(k)
+    return tuple(active), "Outside" if outside else "OnFacet" if active else "Interior"
 
 
 def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:

@@ -27,8 +27,10 @@ from .config import (
     _FLOAT_MAX,
     _RTOL,
     SensorConfig,
+    _facet_verdict,
     _measurement,
     _require_planar_triple,
+    _sign,
 )
 from .errors import DegenerateConfig, DimensionMismatch, InvalidParam
 
@@ -170,10 +172,10 @@ def _scale_free(config: SensorConfig, value):
 
 def _quartic_gate(config: SensorConfig, T: np.ndarray, rtol: float) -> tuple:
     """(value, _scale_free(value), on): the quartic at the triple T, scale-free, and within
-    rtol of zero; the one on-surface test of classify3, classify3d_r3 and the hull."""
+    rtol of zero (config._sign); the on-surface test of classify3, classify3d_r3, the hull."""
     value = _quartic_value(config, T)
     residual = _scale_free(config, value)
-    return value, residual, abs(residual) <= rtol
+    return value, residual, _sign(residual, rtol) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +211,11 @@ def _facet_table(config: SensorConfig) -> tuple:
 
 
 def _collinear_facet_table(config: SensorConfig) -> tuple:
-    """The Q3_FACETS_COLLINEAR rows of _facet_rows on the canonical distances,
-    as four read-only (4,) column arrays; a config-only constant (config._memo)."""
+    """The Q3_FACETS_COLLINEAR rows of _facet_rows on the canonical distances;
+    a config-only constant (config._memo)."""
     d21, rho = config.kind.d21, config.kind.rho
     table = dict(zip(Q3_FACETS, _facet_rows(d21, rho * d21, (1.0 - rho) * d21)))
-    columns = tuple(np.array(col) for col in zip(*(table[f] for f in Q3_FACETS_COLLINEAR)))
-    for col in columns:
-        col.setflags(write=False)
-    return columns
+    return tuple(table[f] for f in Q3_FACETS_COLLINEAR)
 
 
 def _node_images(config: SensorConfig) -> np.ndarray:
@@ -266,26 +265,9 @@ def _q3_report(config: SensorConfig, T: list, rtol: float) -> Q3Report:
     """q3_membership at the floats T of a planar triple, already parsed (classify3's)."""
     if config.is_collinear:
         Tc = [T[k] for k in config.kind.order]
-        rows = zip(*(col.tolist() for col in config._memo(_collinear_facet_table)))
+        rows = config._memo(_collinear_facet_table)
         residuals = dict(zip(Q3_FACETS_COLLINEAR, _slacks(rows, *Tc)))
     else:
         residuals = _q3_residuals_general(config, *T)
     active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return Q3Report(residuals=residuals, verdict=verdict, active=active)
-
-
-_QUADRATIC_FACETS = frozenset(("Gamma1", "Gamma2", "Gamma3"))  # slacks of length^2
-
-
-def _facet_verdict(slacks, rtol: float, d_max: float) -> tuple:
-    """(active facets, verdict) of (facet, signed slack) pairs; each tolerance is
-    rtol * d_max, or rtol * d_max^2 on the _QUADRATIC_FACETS."""
-    tol_lin, tol_quad = rtol * d_max, rtol * d_max ** 2
-    active, outside = [], False
-    for k, v in slacks:
-        tol = tol_quad if k in _QUADRATIC_FACETS else tol_lin
-        if v < -tol:
-            outside = True
-        elif v <= tol:
-            active.append(k)
-    return tuple(active), "Outside" if outside else "OnFacet" if active else "Interior"

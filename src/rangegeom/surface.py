@@ -34,6 +34,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import (
+    _DUPLICATE_RTOL,
+    _HULL_INVERT_RTOL,
+    _NODE_RTOL,
     _RTOL,
     SensorConfig,
     _canonical_collinear,
@@ -438,7 +441,7 @@ def tangent_cone(config: SensorConfig, node) -> TangentCone:
         if v.shape[0] == 3:
             for cand in nat.nodes:
                 if cand.affine is not None and (
-                    np.linalg.norm(v - cand.affine) <= 1e-6 * config.d_max
+                    np.linalg.norm(v - cand.affine) <= _NODE_RTOL * config.d_max
                 ):
                     target = cand
                     break
@@ -446,7 +449,7 @@ def tangent_cone(config: SensorConfig, node) -> TangentCone:
             vn = v / np.linalg.norm(v)
             for cand in nat.nodes:
                 pn = cand.homogeneous / np.linalg.norm(cand.homogeneous)
-                if min(np.linalg.norm(vn - pn), np.linalg.norm(vn + pn)) <= 1e-6:
+                if min(np.linalg.norm(vn - pn), np.linalg.norm(vn + pn)) <= _NODE_RTOL:
                     target = cand
                     break
         else:
@@ -487,8 +490,7 @@ def gaussian_curvature(config: SensorConfig, x):
     den = (q1 * h1 ** 2 + q2 * h2 ** 2 + q3 * h3 ** 2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
-    tol = (_RTOL * config.d_max) ** 2
-    at_receiver = np.minimum(np.minimum(q1, q2), q3) <= tol * 1e-6
+    at_receiver = np.minimum(np.minimum(q1, q2), q3) <= (_DUPLICATE_RTOL * config.d_max) ** 2
     K = np.where(at_receiver, np.nan, K)
     if K.ndim == 0:
         return float(K)
@@ -551,8 +553,8 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
         raise NotOnBoundary("point lies outside the feasible polyhedron")
 
     # 2) on the quartic: positively curved surface regions V0..V3
-    if _quartic_gate(config, T, 1e-9)[2]:
-        sols = invert3(config, T, rtol=1e-5)
+    if _quartic_gate(config, T, _RTOL)[2]:
+        sols = invert3(config, T, rtol=_HULL_INVERT_RTOL)
         if sols.points:
             x = sols.points[0]
             m1, m2, m3 = config.receivers

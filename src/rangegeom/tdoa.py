@@ -48,18 +48,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    _DUPLICATE_RTOL,
     _FLOAT_MAX,
+    _MERGE_RTOL,
     _RTOL,
     _VERIFY_RTOL,
     SensorConfig,
+    _facet_verdict,
     _measurement,
     _measurement_rows,
     _require_planar_triple,
+    _sign,
     _solve,
 )
 from .errors import DegenerateConfig, InvalidParam
 from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
-                     _facet_verdict, _node_images, _slacks)
+                     _node_images, _slacks)
 from .kummer import q3_membership  # noqa: F401  a tdoa attribute the benchmark's tracer wraps
 from .toa3 import SolutionSet, _stewart, _stewart_gate
 
@@ -179,17 +183,16 @@ def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
     return names, taus @ normals + offsets
 
 
-def _p2_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """_p2_slacks with the slacks as one list of floats per row."""
-    names, slack = _p2_slacks(config, taus)
-    return names, slack.tolist()
+def _p2_inside(config: SensorConfig, slack: np.ndarray, rtol: float) -> np.ndarray:
+    """Per row of _p2_slacks' slacks, none below -rtol * d_max: the one P2 band gate."""
+    return (slack >= -rtol * config.d_max).all(axis=1)
 
 
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
-    names, rows = _p2_rows(config, tau[None])
-    residuals = dict(zip(names, rows[0]))
+    names, slack = _p2_slacks(config, tau[None])
+    residuals = dict(zip(names, slack[0].tolist()))
     active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return P2Report(residuals=residuals, verdict=verdict, active=active)
 
@@ -241,13 +244,13 @@ def _line_constants(config: SensorConfig) -> tuple:
     kernels' products stay below a quarter of the largest float: with kappa =
     d_max^2 / |w12|, tau_i^2 <= s^2, the roots' b*b + |a*c| <= 136 kappa^2 s^6,
     and the candidate points lie within 400 kappa^3 s^2 / d_max of every
-    receiver.  InvalidParam when d_max^4, the scale of a, underflows to 0.0.
-    Read it through config._memo(_line_constants).
+    receiver.  InvalidParam when d_max^4, the scale of a, is below the smallest
+    normal float.  Read it through config._memo(_line_constants).
     """
     # a product, not **: Python's float power raises OverflowError where the
     # bound below has to answer, and d_max^2 is finite with the squared sides
     d2 = config.d_max * config.d_max
-    if d2 * d2 == 0.0:
+    if d2 * d2 < np.finfo(float).smallest_normal:
         raise InvalidParam(f"receivers too close for the null-cone quadratic (d_max^4 "
                            f"underflows), d_max = {config.d_max:g}")
     M = config._sides[1:]
@@ -291,12 +294,6 @@ def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
     dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))
     a, b = dots[:, 0] - w12 * w12, dots[:, 1]
     return a, b, dots[:, 2], u0, v, dots[:, 3], a / config.d_max ** 4, b / config.d_max ** 3
-
-
-def _null_cone_sign(x: float, rtol: float) -> int:
-    """The sign of an or bn of _coeff_rows, 0 within rtol of zero (on the ellipse E or the
-    cubic C): the one null-cone gate of classify_tau's labels and invert_tdoa's roots."""
-    return 0 if abs(x) <= rtol else 1 if x > 0.0 else -1
 
 
 def tangency_points(config: SensorConfig) -> dict:
@@ -370,10 +367,10 @@ def invert_tdoa(config: SensorConfig, tau, rtol: float = _RTOL) -> SolutionSet:
 
 
 def _null_cone_roots(a: float, b: float, c: float, an: float, bn: float, rtol: float) -> list:
-    """Roots l of a*l^2 + 2b*l + c, by the stable formula, with the gates of invert_tdoa;
-    an and bn: the scale-free a and b of _coeff_rows."""
-    if _null_cone_sign(an, rtol) == 0:
-        return [-c / (2.0 * b)] if _null_cone_sign(bn, rtol) else []
+    """Roots l of a*l^2 + 2b*l + c, by the stable formula, with the gates of invert_tdoa; an
+    and bn: the scale-free a and b of _coeff_rows, whose config._sign classify_tau reads too."""
+    if _sign(an, rtol) == 0:
+        return [-c / (2.0 * b)] if _sign(bn, rtol) else []
     disc = b * b - a * c
     if abs(disc) <= rtol * (b * b + abs(a * c)):
         # tangency within tolerance: one double root
@@ -401,11 +398,16 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple 
     """
     a, b, c, u0, v, vv, an, bn = co if co is not None else _coeff_rows(config, taus)
     d_max = config.d_max
-    snap = 1e-12 * d_max
+    snap = _DUPLICATE_RTOL * d_max  # a root at the cone's vertex: a source at receiver 3
+    # solved in mu = l * 2^e (e the exponent of d_max), on a, b, c times 2^-4e, 2^-3e, 2^-2e:
+    # b*b and a*c no longer underflow, and powers of two keep the bits wherever nothing did
+    e = math.frexp(d_max)[1]
+    a, b, c = np.ldexp(a, -4 * e), np.ldexp(b, -3 * e), np.ldexp(c, -2 * e)
     rows, lams = [], []
     for i, (ai, bi, ci, ani, bni, vn) in enumerate(zip(
             a.tolist(), b.tolist(), c.tolist(), an.tolist(), bn.tolist(), np.sqrt(vv).tolist())):
-        for lam in _null_cone_roots(ai, bi, ci, ani, bni, rtol):
+        for mu in _null_cone_roots(ai, bi, ci, ani, bni, rtol):
+            lam = math.ldexp(mu, -e)
             if abs(lam) * vn <= snap:
                 lam = 0.0
             if not lam > 0.0:  # past-cone roots only
@@ -422,7 +424,7 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple 
         found = kept[i]
         # merge numerically identical roots
         if m <= _VERIFY_RTOL * d_max and not any(
-                np.linalg.norm(x[k] - x[j]) <= 1e-9 * d_max for j in found):
+                np.linalg.norm(x[k] - x[j]) <= _MERGE_RTOL * d_max for j in found):
             found.append(k)
     return x, kept
 
@@ -504,11 +506,11 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
         return tuple(labels), tuple(fibers), None
     _bounded_line_constants(config, taus)
     names, slack = _p2_slacks(config, taus)
-    inside = np.flatnonzero((slack >= -rtol * config.d_max).all(axis=1))
+    inside = np.flatnonzero(_p2_inside(config, slack, rtol))
     taus_in = taus.take(inside, axis=0)
     co = _coeff_rows(config, taus_in)
     labels_in, _, fibers_in, _ = _classify_rows(config, taus_in, rtol, co,
-                                                (names, slack.take(inside, axis=0).tolist()))
+                                                (names, slack.take(inside, axis=0)))
     # in general position every fiber is 0, 1 or 2
     rows = [k for k, fiber in enumerate(fibers_in) if fiber]
     x, kept = _invert_rows(config, taus_in.take(rows, axis=0), rtol,
@@ -527,33 +529,32 @@ def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tupl
                    p2: tuple) -> tuple:
     """The decisions of classify_tau for every row of an (N, 2) array of validated tau.
 
-    General position only; co and p2: the output of _coeff_rows and _p2_rows.
+    General position only; co and p2: the output of _coeff_rows and _p2_slacks.
     Returns (labels, ids, fibers, lifts), lists with one entry per row; the
-    lifts are all None here.  The tangency nearness and lens cone depths each
-    run once over all rows, only when some row needs them; the label ladder
-    runs per row.  Its first rung, OutsideIm beyond -rtol * d_max on some P2
-    facet, is the one that tau_fibers applies before it calls this, so there
-    every row given here passes it.
+    lifts are all None here.  The P2 band gate, the tangency nearness and the
+    lens cone depths each run once over all rows, the last two only when some
+    row needs them; the label ladder runs per row.  Its first rung, OutsideIm
+    where _p2_inside fails, is the one that tau_fibers applies before it calls
+    this, so there every row given here passes it.
     """
-    d_max = config.d_max
-    tol = rtol * d_max
+    tol = rtol * config.d_max
     names, slack = p2
-    outside = [min(row) < -tol for row in slack]
-    tangent = None if all(outside) else _near_rows(config._memo(_tangency_table), taus, tol)
+    inside = _p2_inside(config, slack, rtol).tolist()
+    tangent = _near_rows(config._memo(_tangency_table), taus, tol) if any(inside) else None
     corner = None
     an, bn = co[6].tolist(), co[7].tolist()
     labels, ids, fibers = [], [], []
-    for i, residuals in enumerate(slack):
+    for i, residuals in enumerate(slack.tolist()):
         ids_i, fiber = (), 1
-        if outside[i]:
+        if not inside[i]:
             label, fiber = "OutsideIm", 0
         elif (tid := _first(tangent[i])) is not None:
             label, ids_i, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
-        elif (sign_a := _null_cone_sign(an[i], rtol)) < 0:
+        elif (sign_a := _sign(an[i], rtol)) < 0:
             label = "EMinus"
         elif sign_a == 0:
             label, ids_i = "BoundaryArc", ("E",)
-        elif (sign_b := _null_cone_sign(bn[i], rtol)) > 0:
+        elif (sign_b := _sign(bn[i], rtol)) > 0:
             active = tuple(n for n, v in zip(names, residuals) if v <= tol)
             if active:
                 label, ids_i = "BoundaryArc", active
@@ -615,7 +616,8 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
                            f"lies beyond t = {_FLOAT_MAX / (4.0 * largest):g}")
     t_star = num / den
     lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
-    q3 = _slacks([config._memo(_collinear_facet_table)], *lift[:, order].T[:, :, None])[0]
+    columns = np.transpose(config._memo(_collinear_facet_table))  # (c0, c1, c2, c3), each (4,)
+    q3 = _slacks([columns], *lift[:, order].T[:, :, None])[0]
 
     labels, ids, fibers, lifts = [], [], [], []
     for (t1, t2), near, is_flat, c, low, lift_i, slack3 in zip(
@@ -671,16 +673,15 @@ def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = No
 
     co: the arrays of _coeff_rows when the caller has them.
     """
-    p2 = _p2_rows(config, taus)
+    names, slack = p2 = _p2_slacks(config, taus)
     if config.is_collinear:
         decisions, coeffs = _classify_collinear_rows(config, taus, rtol), (None,) * len(taus)
     else:
         co = co if co is not None else _coeff_rows(config, taus)
         decisions, coeffs = _classify_rows(config, taus, rtol, co, p2), _coeff_objects(config, co)
-    names = p2[0]
-    return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, slack)),
+    return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, row)),
                             coeffs=c, lift=None if lift is None else np.array(lift))
-                  for label, ids, fiber, lift, slack, c in zip(*decisions, p2[1], coeffs)])
+                  for label, ids, fiber, lift, row, c in zip(*decisions, slack.tolist(), coeffs)])
 
 
 def _solution_sets(x: np.ndarray, kept: list) -> tuple:

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, SensorConfig, TwoReceivers, _measurement
+from .config import _RTOL, SensorConfig, TwoReceivers, _facet_verdict, _measurement
 from .errors import DimensionMismatch, Infeasible
 
 # Facet identifiers, paired with slack expressions (slack >= 0 inside).
 Q2_FACETS = ("T1+T2=d21", "T1-T2=d21", "T2-T1=d21")
+_Q2_VERDICTS = {"Outside": ("Outside", 0), "OnFacet": ("Boundary", 1), "Interior": ("Interior", 2)}
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,12 @@ def classify_pair(T1: float, T2: float, d21: float, rtol: float = _RTOL) -> Q2Cl
     Shared by the planar two-receiver solver and by slice tests elsewhere
     (any two ranges plus the distance between their receivers form a Q2).
     """
-    tol = rtol * d21
     res = q2_residuals(T1, T2, d21)
-    if min(T1, T2) < -tol:
+    if min(T1, T2) < -rtol * d21:
         return Q2Class(verdict="Outside", residuals=res, active=(), fiber=0)
-    worst = min(res.values())
-    active = tuple(k for k in Q2_FACETS if abs(res[k]) <= tol)
-    if worst < -tol:
-        return Q2Class(verdict="Outside", residuals=res, active=active, fiber=0)
-    if active:
-        return Q2Class(verdict="Boundary", residuals=res, active=active, fiber=1)
-    return Q2Class(verdict="Interior", residuals=res, active=active, fiber=2)
+    active, verdict = _facet_verdict(res.items(), rtol, d21)
+    verdict, fiber = _Q2_VERDICTS[verdict]
+    return Q2Class(verdict=verdict, residuals=res, active=active, fiber=fiber)
 
 
 def classify2(config: SensorConfig, T, rtol: float = _RTOL) -> Q2Class:

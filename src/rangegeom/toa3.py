@@ -32,20 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    _DUPLICATE_RTOL,
     _RTOL,
     CollinearTriple,
     SensorConfig,
     _measurement,
     _norm,
     _require_planar_triple,
+    _sign,
     _solve,
 )
 from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, InvalidParam, NotCollinear
 from .kummer import _q3_report, _quartic_gate
 from .spacetime import SpacetimeVec3, _cross3
 from .toa2 import _mirror_pair, _two_sphere
-
-_AT_RECEIVER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def jacobian3(config: SensorConfig, x) -> JacobianReport:
     _require_planar_triple(config)
     x = np.asarray(x, dtype=float).reshape(-1)
     d = config.distances(x)
-    if np.min(d) <= _AT_RECEIVER_RTOL * config.d_max:
+    if np.min(d) <= _DUPLICATE_RTOL * config.d_max:
         raise AtReceiver(f"point coincides with receiver {int(np.argmin(d)) + 1}")
     rows = np.stack([(x - config.m(i)) / d[i - 1] for i in (1, 2, 3)])
     s = np.linalg.svd(rows, compute_uv=False)
@@ -267,10 +267,10 @@ def _canonical_stewart(kind: CollinearTriple, T: list) -> float:
 
 def _stewart_gate(config: SensorConfig, value: float, rtol: float) -> tuple:
     """(value / d_max^2, on): a Stewart quadric value made scale-free, and whether it lies
-    within rtol of zero; the one on-quadric test of classify3, the collinear inversions and
-    classify_tau's flat lifts."""
+    within rtol of zero (config._sign); the one on-quadric test of classify3, the collinear
+    inversions and classify_tau's flat lifts."""
     residual = value / config.d_max ** 2
-    return residual, abs(residual) <= rtol
+    return residual, _sign(residual, rtol) == 0
 
 
 def _collinear_fiber(config: SensorConfig, T: list, rtol: float):

@@ -1,11 +1,16 @@
 """Receiver configuration validation and derived geometry."""
+import math
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 import rangegeom as rg
 
-from conftest import collinear_triples, triangles
+from conftest import band_edge, collinear_triples, triangles
 
 
 def test_validate_right(right):
@@ -46,6 +51,30 @@ def test_collinear_reordering():
 def test_duplicate_receiver_rejected():
     with pytest.raises(rg.DuplicateReceiver):
         rg.validate_config([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_duplicate_receiver_band_edge(scale):
+    """One ulp either side of d32 = 1e-12 * d_max: receiver 3 moved off receiver 2 by the near
+    distance is a duplicate, by the far one a valid configuration."""
+    m1, m2 = np.array([0.2, -0.1]) * scale, np.array([1.3, 0.4]) * scale
+    u = np.array([0.6, 0.8])
+
+    def valid(e):
+        try:
+            rg.validate_config([m1, m2, m2 + e * u])
+        except rg.DuplicateReceiver as exc:
+            assert "receivers 2 and 3" in str(exc)
+            return False
+        return True
+
+    def coincide(e):
+        m3 = m2 + e * u
+        d = [math.sqrt(float(v @ v)) for v in (m2 - m1, m3 - m1, m3 - m2)]
+        return d[2] <= 1e-12 * max(d)
+
+    far, near = band_edge(valid, 1e-10 * scale, 0.0)
+    assert coincide(near) and not coincide(far)
 
 
 def test_dimension_mismatch_rejected():
@@ -150,3 +179,17 @@ def test_receivers_whose_squared_sides_overflow_are_invalid(receivers):
         cfg = rg.validate_config(pts)
         assert 1e154 <= cfg.d_max < 1.3e154
         assert all(np.isfinite(cfg._gram))
+
+
+def test_config_holds_every_tolerance_literal():
+    """No module of the package but config.py, the home of the tolerance policy, spells a float
+    literal with a negative exponent (a tolerance such as 1e-9): the others import its names."""
+    found = []
+    for path in sorted(Path(rg.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NUMBER and re.search(r"e-\d", tok.string, re.IGNORECASE):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []

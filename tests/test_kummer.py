@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 
 import rangegeom as rg
+from rangegeom import kummer
 
-from conftest import away_from_receivers, sources, triangles
+from conftest import away_from_receivers, band_edge, sources, triangles
 from oracles import (
+    circumcircle_by_receivers,
     degeneration_gap_by_squared_terms,
     homogeneous_evaluate,
     homogeneous_gradient,
@@ -422,6 +424,43 @@ def test_q3_contains_image(cfg, x):
     rep = rg.q3_membership(cfg, rg.forward3(cfg, x))
     assert rep.verdict in ("Interior", "OnFacet")
     assert min(rep.residuals.values()) >= -1e-12 * cfg.d_max ** 2
+
+
+def _arc_point(cfg):
+    """The midpoint of the circumcircle arc from m1 to m2 that misses m3: its image lies on
+    Gamma3 (Ptolemy's equality)."""
+    o, r = circumcircle_by_receivers(cfg)
+    m1, m2, m3 = cfg.receivers
+    u = 0.5 * (m1 + m2) - o
+    p = o + r * u / np.linalg.norm(u)
+    if rg.cross2(m2 - m1, p - m1) * rg.cross2(m2 - m1, m3 - m1) > 0.0:
+        p = o - r * u / np.linalg.norm(u)
+    return p
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_q3_band_edges_on_an_r_facet_and_a_gamma_facet(scale, rtol):
+    """One ulp either side of slack = -tol and slack = +tol, bisected along the facet's normal
+    from the image of a source on it: tol is rtol * d_max on the ray facet r30 (the source on
+    the segment m1 m2) and rtol * d_max^2 on Gamma3 (the source on the circumcircle arc)."""
+    cfg = rg.validate_config(np.array([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)]) * scale)
+    rows = dict(zip(rg.Q3_FACETS, cfg._memo(kummer._facet_table)))
+    m1, m2, _ = cfg.receivers
+    for facet, x, tol in (("r30", 0.4 * m1 + 0.6 * m2, rtol * cfg.d_max),
+                          ("Gamma3", _arc_point(cfg), rtol * cfg.d_max ** 2)):
+        n = np.array(rows[facet][1:])
+        n = n / float(n @ n)  # the slack grows by about t along T0 + t n
+        T0 = rg.forward3(cfg, x)
+        assert rg.q3_membership(cfg, T0, rtol).active == (facet,)
+        for far, beyond in ((-4.0 * tol, "Outside"), (4.0 * tol, "Interior")):
+            t_in, t_out = band_edge(
+                lambda t: facet in rg.q3_membership(cfg, T0 + t * n, rtol).active, 0.0, far)
+            inner = rg.q3_membership(cfg, T0 + t_in * n, rtol)
+            outer = rg.q3_membership(cfg, T0 + t_out * n, rtol)
+            assert (inner.verdict, inner.active) == ("OnFacet", (facet,))
+            assert (outer.verdict, outer.active) == (beyond, ())
+            assert -tol <= inner.residuals[facet] <= tol < abs(outer.residuals[facet])
 
 
 # ---------------------------------------------------------------------------

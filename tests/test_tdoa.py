@@ -685,6 +685,31 @@ def test_tdoa_entries_raise_where_d_max_4_underflows():
                 call(cfg, tau)
 
 
+@pytest.mark.parametrize("s", [1e-60, 1e-70, 1e-76, 1e-78, 1e-80])
+def test_tiny_receivers_recover_the_source_or_raise(s):
+    """On (0,0) (s,0) (0.3s,0.8s) with the tau of the source (0.2s, 0.3s), b*b and a*c of the
+    null-cone quadratic underflow from about s = 1e-60, where invert_tdoa returned Empty for an
+    EMinus point.  Down to s = 1e-76 every entry recovers the source; below about 1.2e-77,
+    where d_max^4 is no normal float, every entry raises.  RuntimeWarnings are errors."""
+    cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * s)
+    x = np.array([0.2, 0.3]) * s
+    tau = rg.tau_map(cfg, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if s < 1e-77:
+            for call in (rg.classify_tau, rg.invert_tdoa, lambda c, t: rg.tau_fibers(c, [t, -t])):
+                with pytest.raises(rg.InvalidParam, match=r"d_max\^4 underflows"):
+                    call(cfg, tau)
+            return
+        region = rg.classify_tau(cfg, tau)
+        (point,) = rg.invert_tdoa(cfg, tau).points
+        labels, fibers, points = rg.tau_fibers(cfg, [tau, -tau])
+    assert (region.label, region.fiber) == ("EMinus", 1)
+    assert np.max(np.abs(point - x)) <= 1e-9 * cfg.d_max
+    assert (labels[0], fibers[0]) == ("EMinus", 1)
+    assert points[0] == (tuple(point.tolist()),)
+
+
 def test_line_constants_are_read_only_and_die_with_their_configuration():
     cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
     lens_tau = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))

@@ -1,11 +1,13 @@
 """Two-receiver range model: forward map, feasible set, inversion."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 
 import rangegeom as rg
 
-from conftest import away_from_receivers, receiver_pairs, sources
+from conftest import away_from_receivers, band_edge, receiver_pairs, sources
 
 _RT = 1e-9
 
@@ -37,6 +39,57 @@ def test_classify_pair_scalar_api():
     cls = rg.classify_pair(1.0, 1.0, 1.0)
     assert cls.verdict == "Interior"
     assert rg.classify_pair(0.2, 0.5, 1.0).verdict == "Outside"
+
+
+def _q2_ladder(T1, T2, d21, rtol):
+    """(verdict, active, fiber) of classify_pair, written out: the octant first, then each Q2
+    slack against rtol * d21."""
+    tol = rtol * d21
+    res = rg.q2_residuals(T1, T2, d21)
+    if min(T1, T2) < -tol:
+        return "Outside", (), 0
+    active = tuple(k for k in rg.Q2_FACETS if -tol <= res[k] <= tol)
+    if min(res.values()) < -tol:
+        return "Outside", active, 0
+    return ("Boundary", active, 1) if active else ("Interior", active, 2)
+
+
+# per Q2 facet: a point on it, as fractions of d21, and the direction (dT1, dT2) along which
+# its slack grows by the step
+_Q2_EDGES = {
+    "T1+T2=d21": ((0.3, 0.7), (0.5, 0.5)),
+    "T1-T2=d21": ((1.3, 0.3), (-0.5, 0.5)),
+    "T2-T1=d21": ((0.3, 1.3), (0.5, -0.5)),
+}
+
+
+@pytest.mark.parametrize("d21", [1.0, 2.9e3])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-3])
+def test_classify_pair_band_edges(d21, rtol):
+    """One ulp either side of slack = -rtol * d21 and slack = +rtol * d21 on each Q2 facet, and
+    of the octant edge T1 = -rtol * d21 (at the corner (0, d21), where two facets meet it):
+    the verdict, active facets and fiber are the written-out ladder's on both sides."""
+    tol = rtol * d21
+
+    def cls(T1, T2):
+        got = rg.classify_pair(T1, T2, d21, rtol)
+        assert (got.verdict, got.active, got.fiber) == _q2_ladder(T1, T2, d21, rtol)
+        return got
+
+    for facet, ((p1, p2), (u1, u2)) in _Q2_EDGES.items():
+        def point(t):
+            return p1 * d21 + t * u1, p2 * d21 + t * u2
+
+        for far, beyond in ((-4.0 * tol, ("Outside", (), 0)), (4.0 * tol, ("Interior", (), 2))):
+            t_in, t_out = band_edge(lambda t: facet in cls(*point(t)).active, 0.0, far)
+            inner, outer = cls(*point(t_in)), cls(*point(t_out))
+            assert (inner.verdict, inner.active, inner.fiber) == ("Boundary", (facet,), 1)
+            assert (outer.verdict, outer.active, outer.fiber) == beyond
+
+    # the octant: T1 one ulp below -tol is Outside with no active facet, whatever its slacks
+    cls(-tol, d21)
+    outer = cls(math.nextafter(-tol, -math.inf), d21)
+    assert (outer.verdict, outer.active, outer.fiber) == ("Outside", (), 0)
 
 
 def test_invert_mirror_pair(pair):

@@ -275,6 +275,45 @@ def test_jacobian_at_receiver_raises(right):
         rg.jacobian3(right, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_jacobian_at_receiver_band_edge(scale):
+    """One ulp either side of distance = 1e-12 * d_max from receiver 1: jacobian3 answers on
+    the far side and raises AtReceiver on the near one."""
+    cfg = rg.validate_config(np.array([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)]) * scale)
+    m1, u = cfg.m(1), np.array([0.6, 0.8])
+
+    def answers(e):
+        try:
+            rg.jacobian3(cfg, m1 + e * u)
+        except rg.AtReceiver:
+            return False
+        return True
+
+    far, near = band_edge(answers, 1e-10 * cfg.d_max, 0.0)
+    assert cfg.distances(m1 + far * u).min() > 1e-12 * cfg.d_max
+    assert cfg.distances(m1 + near * u).min() <= 1e-12 * cfg.d_max
+
+
+@pytest.mark.parametrize("receivers", [[(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)],
+                                       [(0.0, 0.0), (40.0, 0.0), (12.0, 0.0)]])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-3])
+def test_classify3_octant_band_edge(receivers, rtol):
+    """One ulp either side of T1 = -rtol * d_max: classify3 reports in_octant on the near side
+    and rejects the triple as "not in first octant" on the far one."""
+    cfg = rg.validate_config(receivers)
+    tol = rtol * cfg.d_max
+    _, T2, T3 = rg.forward3(cfg, 0.5 * (cfg.m(1) + cfg.m(3))).tolist()
+
+    def report(t):
+        return rg.classify3(cfg, (t, T2, T3), rtol)
+
+    near, far = band_edge(lambda t: report(t).in_octant, 0.0, -4.0 * tol)
+    assert near >= -tol > far
+    assert report(near).reason != "not in first octant"
+    out = report(far)
+    assert (out.verdict, out.fiber, out.reason) == ("Infeasible", 0, "not in first octant")
+
+
 def test_classify_feasible(right):
     rep = rg.classify3(right, rg.forward3(right, (0.3, 0.4)))
     assert rep.verdict == "Feasible"

@@ -198,3 +198,19 @@ def test_quartic_gate_band_edges_agree_with_classify3():
         for t in band_edge(on_surface, T3, far * T3):
             report = rg.classify3(cfg, (T1, T2, t), rtol)
             assert on_surface(t) == (report.reason != "not on range surface")
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-3])
+def test_classify3d_r3_octant_band_edge(rtol):
+    """One ulp either side of T1 = -rtol * d_max near the receiver-1 node (0, d21, d31), which
+    lies on the surface: classify3d_r3 says OnSurface on the near side and Outside beyond."""
+    cfg = rg.validate_config([(0.2, -0.1, 0.0), (1.3, 0.4, 0.0), (0.5, 1.1, 0.0)])
+    tol = rtol * cfg.d_max
+
+    def verdict(t):
+        return rg.classify3d_r3(cfg, (t, cfg.d21, cfg.d31), rtol).verdict
+
+    near, far = band_edge(lambda t: verdict(t) != "Outside", 0.0, -4.0 * tol)
+    assert near >= -tol > far
+    assert verdict(near) == "OnSurface"
+    assert rg.classify3d_r3(cfg, (far, cfg.d21, cfg.d31), rtol).fiber == 0

@@ -113,7 +113,7 @@ def test_collinear_slacks_match_the_written_out_expressions_bit_for_bit(receiver
     Ts = _triples(cfg, rng)
     # the array kernel behind classify_tau's collinear rows
     want = q3_residuals_collinear(cfg.kind, Ts[:, order])
-    got = kummer._slacks([cfg._memo(kummer._collinear_facet_table)],
+    got = kummer._slacks([np.transpose(cfg._memo(kummer._collinear_facet_table))],
                          *Ts[:, order].T[:, :, None])[0]
     assert _same_bits(got, np.stack(list(want.values()), axis=1))
     # the scalar q3_membership
