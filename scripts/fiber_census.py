@@ -9,9 +9,10 @@ tuples and builds no result objects.  Only the rows classified with fiber
 1 or 2 are inverted, so the check catches a wrong source count there, not a
 source at a fiber-0 point; that direction is held by
 tests/test_tdoa.py::test_no_fiber_0_row_of_the_census_grid_has_a_source,
-which inverts every row of a 41^2 grid.  Writes a labeled CSV plus a JSON
-summary, and a region map PNG when matplotlib is installed.  Exits with
-status 1 when any sample's fiber size disagrees with its solution count.
+which runs invert_tdoa on every fiber-0 row of a 41^2 grid.  Writes a
+labeled CSV plus a JSON summary, and a region map PNG when matplotlib is
+installed.  Exits with status 1 when any sample's fiber size disagrees with
+its solution count.
 
 Example:
 

@@ -23,21 +23,16 @@ degenerates to a linear equation in t, with ray fibers of infinite size at
 the endpoint images.
 
 For fixed receivers every quantity above is elementwise in tau, so the work
-runs in row kernels over an (N, 2) array of tau (``_classify_rows``,
-``_invert_rows``, ``_coeff_rows``), with the config-only constants built once
-per configuration (``SensorConfig._memo``).  The kernels return plain per-row
-decisions, not objects: labels, ids, fibers and lifts, and the accepted
-points of each row.  ``tau_fibers``, the batch entry, hands the labels,
-fibers and points on as plain tuples.  In general position it labels the rows
-more than rtol * d_max outside the hexagon P2 ``OutsideIm`` from their P2
-slacks alone (no source has a tau outside P2), hands only the other rows to
-the null-cone kernels, and inverts only the rows it classifies with fiber 1
-or 2; the rows of fiber 0 get the points ().  The result objects (``TauRegion``,
-``TdoaCoeffs``, ``SolutionSet``) are made only for the public calls, by
-``_regions``, ``_coeff_objects`` and ``_solution_sets``.  ``classify_tau``,
-``invert_tdoa``, ``tdoa_coeffs`` and ``p2_membership`` are row 0 of a
-one-row call to the kernels; ``classify_invert_tau`` classifies and inverts
-a whole array in one pass and builds every row's objects.
+runs in row kernels over an (N, 2) array of tau, with the config-only
+constants built once per configuration (``SensorConfig._memo``).  In general
+position one pipeline, ``_tau_rows``, composes them.  Stage 1 labels the rows
+more than rtol * d_max outside the hexagon P2 ``OutsideIm`` with fiber 0 from
+their P2 slacks alone (no source has a tau outside P2) and hands only the
+other rows to ``_classify_rows``; stage 2 runs ``_invert_rows`` on the rows of
+fiber 1 or 2 only.  The entries are its edges: ``tau_fibers`` returns both
+stages as plain tuples, and ``classify_invert_tau`` (both stages) and
+``classify_tau`` (stage 1) get the result objects from ``_regions``.
+``invert_tdoa``, ``tdoa_coeffs`` and ``t_quadratic`` are one-row kernel calls.
 """
 
 from __future__ import annotations
@@ -463,99 +458,104 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     """
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
-    return _regions(config, tau[None], rtol)[0]
+    return _regions(config, tau[None], rtol)[0][0]
 
 
 def classify_invert_tau(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
-    """Classify and invert every row of an (N, 2) array of range differences.
+    """Classify every row of an (N, 2) array of range differences; invert the rows of fiber 1 or 2.
 
-    Returns (regions, solutions): regions[i] equals classify_tau(config,
-    taus[i], rtol) and solutions[i] equals invert_tdoa(config, taus[i],
-    rtol).  solutions is None for collinear receivers, where invert_tdoa
-    raises.  The null-cone coefficients are built once for both.
+    Returns (regions, solutions): regions[i] equals classify_tau(config, taus[i], rtol), and
+    solutions[i] equals invert_tdoa(config, taus[i], rtol) where regions[i].fiber is 1 or 2, an
+    empty SolutionSet (the row is not inverted) where it is 0.  solutions is None for collinear
+    receivers, where invert_tdoa raises.  The null-cone coefficients are built once for both.
     """
     _require_planar_triple(config)
     taus = _measurement_rows(taus, 2, "range differences")
-    if config.is_collinear:
-        return _regions(config, taus, rtol), None
-    co = _coeff_rows(config, taus)
-    return (_regions(config, taus, rtol, co),
-            _solution_sets(*_invert_rows(config, taus, rtol, co)))
+    regions, inverted = _regions(config, taus, rtol, invert=True)
+    return regions, None if inverted is None else _solution_sets(*inverted)
 
 
 def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
     """Region labels, fiber sizes and source points of every row of an (N, 2) array of tau.
 
-    Returns (labels, fibers, points), plain tuples with one entry per row:
-    labels[i] and fibers[i] are the label and fiber of classify_tau(config,
-    taus[i], rtol).  Where fibers[i] is 1 or 2, points[i] holds the points of
-    invert_tdoa(config, taus[i], rtol) as (x, y) pairs of floats, bit for
-    bit; where it is 0, points[i] is () and the row is not inverted.  points
-    is None for collinear receivers, where invert_tdoa raises.  No result
-    object is built.
-
-    In general position a row more than rtol * d_max outside the hexagon P2
-    is OutsideIm with fiber 0 from its P2 slacks alone, the first rung of
-    _classify_rows; only the other rows reach the null-cone kernels.  The
-    input bound of _coeff_rows is checked on the whole array first.
+    Returns (labels, fibers, points), plain tuples with one entry per row: labels[i] and fibers[i]
+    are those of classify_tau(config, taus[i], rtol); points[i] holds the points of
+    invert_tdoa(config, taus[i], rtol) as (x, y) float pairs, bit for bit, where fibers[i] is 1
+    or 2, and is () where it is 0.  points is None for collinear receivers, where invert_tdoa
+    raises.  No result object is built.
     """
     _require_planar_triple(config)
     taus = _measurement_rows(taus, 2, "range differences")
     if config.is_collinear:
         labels, _, fibers, _ = _classify_collinear_rows(config, taus, rtol)
         return tuple(labels), tuple(fibers), None
-    _bounded_line_constants(config, taus)
-    names, slack = _p2_slacks(config, taus)
-    inside = np.flatnonzero(_p2_inside(config, slack, rtol))
-    taus_in = taus.take(inside, axis=0)
-    co = _coeff_rows(config, taus_in)
-    labels_in, _, fibers_in, _ = _classify_rows(config, taus_in, rtol, co,
-                                                (names, slack.take(inside, axis=0)))
-    # in general position every fiber is 0, 1 or 2
-    rows = [k for k, fiber in enumerate(fibers_in) if fiber]
-    x, kept = _invert_rows(config, taus_in.take(rows, axis=0), rtol,
-                           tuple(column.take(rows, axis=0) for column in co))
+    _, _, decided, (x, found) = _tau_rows(config, taus, rtol, invert=True)
     xs = list(map(tuple, x.tolist()))
-    labels, fibers, points = ["OutsideIm"] * len(taus), [0] * len(taus), [()] * len(taus)
-    inside = inside.tolist()
-    for i, label, fiber in zip(inside, labels_in, fibers_in):
-        labels[i], fibers[i] = label, fiber
-    for k, found in zip(rows, kept):
-        points[inside[k]] = tuple([xs[j] for j in found])
-    return tuple(labels), tuple(fibers), tuple(points)
+    return (tuple([row[0] for row in decided]), tuple([row[2] for row in decided]),
+            tuple([tuple([xs[j] for j in f]) if f else () for f in found]))
 
 
-def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple,
-                   p2: tuple) -> tuple:
-    """The decisions of classify_tau for every row of an (N, 2) array of validated tau.
+def _rows_of(arrays: tuple, rows: list, n: int) -> tuple:
+    """The given rows of each array, or the arrays themselves when rows are all n of them."""
+    return arrays if len(rows) == n else tuple([a.take(rows, axis=0) for a in arrays])
 
-    General position only; co and p2: the output of _coeff_rows and _p2_slacks.
-    Returns (labels, ids, fibers, lifts), lists with one entry per row; the
-    lifts are all None here.  The P2 band gate, the tangency nearness and the
-    lens cone depths each run once over all rows, the last two only when some
-    row needs them; the label ladder runs per row.  Its first rung, OutsideIm
-    where _p2_inside fails, is the one that tau_fibers applies before it calls
-    this, so there every row given here passes it.
+
+def _tau_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = None,
+              invert: bool = False) -> tuple:
+    """The TDOA pipeline for every row of an (N, 2) array of validated tau (general position).
+
+    Stage 1 checks the null-cone input bound on the whole array (_coeff_rows did if co, its all-row
+    arrays, is given) and computes the P2 slacks; a row outside the P2 band is OutsideIm with fiber
+    0 from its slacks alone, and only the other rows get coefficient rows (co's, or computed) and
+    _classify_rows.  Stage 2, with invert, runs _invert_rows on the rows of fiber 1 or 2 only (in
+    general position every fiber is 0, 1 or 2).  Returns (names, slack, decided, inverted):
+    decided[i] is row i's (label, ids, fiber); inverted is None without invert, else (x, found),
+    _invert_rows' points and per row the indices in x of its own (() if not inverted).
     """
-    tol = rtol * config.d_max
-    names, slack = p2
-    inside = _p2_inside(config, slack, rtol).tolist()
-    tangent = _near_rows(config._memo(_tangency_table), taus, tol) if any(inside) else None
-    corner = None
+    n = len(taus)
+    if co is None:
+        _bounded_line_constants(config, taus)
+    names, slack = _p2_slacks(config, taus)
+    inside = _p2_inside(config, slack, rtol).nonzero()[0].tolist()
+    decided, x, found = [("OutsideIm", (), 0)] * n, np.empty((0, 2)), [()] * n
+    if inside:
+        taus_in, slack_in = _rows_of((taus, slack), inside, n)
+        co_in = _coeff_rows(config, taus_in) if co is None else _rows_of(co, inside, n)
+        decided_in = _classify_rows(config, taus_in, rtol, co_in, names, slack_in)
+        if len(inside) == n:  # no scatter on the one-row path
+            decided = decided_in
+        else:
+            for i, row in zip(inside, decided_in):
+                decided[i] = row
+        if invert:
+            rows = [k for k, (_, _, fiber) in enumerate(decided_in) if fiber]
+            taus_inv, *co_inv = _rows_of((taus_in, *co_in), rows, len(inside))
+            x, kept = _invert_rows(config, taus_inv, rtol, tuple(co_inv))
+            for k, points in zip(rows, kept):
+                found[inside[k]] = points
+    return names, slack, decided, (x, found) if invert else None
+
+
+def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple, names: tuple,
+                   slack: np.ndarray) -> tuple:
+    """classify_tau's (label, ids, fiber) of each row that passed _tau_rows' band gate, in a list.
+
+    co, names and slack: their arrays of _coeff_rows and their P2 facet names and slacks.  The
+    tangency nearness runs once over all rows, the lens cone depths once when some row needs them.
+    """
+    tangent = _near_rows(config._memo(_tangency_table), taus, rtol * config.d_max)
+    corner, decided = None, []
     an, bn = co[6].tolist(), co[7].tolist()
-    labels, ids, fibers = [], [], []
-    for i, residuals in enumerate(slack.tolist()):
+    for i, near in enumerate(tangent):
         ids_i, fiber = (), 1
-        if not inside[i]:
-            label, fiber = "OutsideIm", 0
-        elif (tid := _first(tangent[i])) is not None:
+        if (tid := _first(near)) is not None:
             label, ids_i, fiber = "TangencyPoint", (TANGENCY_IDS[tid],), 0
         elif (sign_a := _sign(an[i], rtol)) < 0:
             label = "EMinus"
         elif sign_a == 0:
             label, ids_i = "BoundaryArc", ("E",)
         elif (sign_b := _sign(bn[i], rtol)) > 0:
-            active = tuple(n for n, v in zip(names, residuals) if v <= tol)
+            active, _ = _facet_verdict(zip(names, slack[i].tolist()), rtol, config.d_max)
             if active:
                 label, ids_i = "BoundaryArc", active
             else:
@@ -565,10 +565,8 @@ def _classify_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tupl
             label, ids_i = "BoundaryArc", ("C",)
         else:
             label, fiber = "OutsideIm", 0
-        labels.append(label)
-        ids.append(ids_i)
-        fibers.append(fiber)
-    return labels, ids, fibers, [None] * len(labels)
+        decided.append((label, ids_i, fiber))
+    return decided
 
 
 def _lens_corners(config: SensorConfig, taus: np.ndarray) -> list:
@@ -668,20 +666,21 @@ def _coeff_objects(config: SensorConfig, co: tuple) -> list:
             for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]
 
 
-def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = None) -> tuple:
-    """One TauRegion per row of an (N, 2) array of validated tau, from the kernels' decisions.
-
-    co: the arrays of _coeff_rows when the caller has them.
-    """
-    names, slack = p2 = _p2_slacks(config, taus)
+def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, invert: bool = False) -> tuple:
+    """One TauRegion per row of an (N, 2) array of validated tau, and with invert _tau_rows' (x,
+    found) in general position (else None).  _coeff_rows runs on every row, for the TdoaCoeffs."""
     if config.is_collinear:
-        decisions, coeffs = _classify_collinear_rows(config, taus, rtol), (None,) * len(taus)
+        names, slack = _p2_slacks(config, taus)
+        labels, ids, fibers, lifts = _classify_collinear_rows(config, taus, rtol)
+        decided, coeffs, inverted = zip(labels, ids, fibers), (None,) * len(taus), None
     else:
-        co = co if co is not None else _coeff_rows(config, taus)
-        decisions, coeffs = _classify_rows(config, taus, rtol, co, p2), _coeff_objects(config, co)
+        co = _coeff_rows(config, taus)
+        names, slack, decided, inverted = _tau_rows(config, taus, rtol, co, invert)
+        coeffs, lifts = _coeff_objects(config, co), (None,) * len(taus)
     return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, row)),
                             coeffs=c, lift=None if lift is None else np.array(lift))
-                  for label, ids, fiber, lift, row, c in zip(*decisions, slack.tolist(), coeffs)])
+                  for (label, ids, fiber), lift, row, c in zip(decided, lifts, slack.tolist(),
+                                                               coeffs)]), inverted
 
 
 def _solution_sets(x: np.ndarray, kept: list) -> tuple:

@@ -121,21 +121,28 @@ def test_classify_toa_evaluates_the_quartic_once(monkeypatch, name):
     assert len(calls) == (0 if "collinear" in name else 1)
 
 
-@pytest.mark.parametrize("name", ["localize_tdoa_interior", "localize_tdoa_collinear",
-                                  "localize_tdoa_vertex_ray"])
-def test_localize_tdoa_builds_the_null_cone_coefficients_once(monkeypatch, name):
+@pytest.mark.parametrize("name, coeff_calls, inversions", [
+    ("localize_tdoa_interior", 1, 1), ("localize_tdoa_outside_im", 1, 0),
+    ("localize_tdoa_collinear", 0, 0), ("localize_tdoa_vertex_ray", 0, 0)])
+def test_localize_tdoa_builds_the_null_cone_coefficients_once(monkeypatch, name, coeff_calls,
+                                                              inversions):
     """localize-tdoa classifies and inverts from one set of null-cone coefficients: one
-    _coeff_rows call on general receivers, none on collinear ones; the bytes are golden."""
-    real, calls = rg.tdoa._coeff_rows, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(rg.tdoa, "_coeff_rows", counted)
-    code, out = _run(CASES[name])
-    assert code == 0 and out == _golden_path(name).read_text(encoding="utf-8")
-    assert len(calls) == (1 if name == "localize_tdoa_interior" else 0)  # the RIGHT config
+    _coeff_rows call on general receivers, none on collinear ones.  It inverts only a tau of
+    fiber 1 or 2, not the OutsideIm one of the branch golden.  The bytes are golden."""
+    calls = {"_coeff_rows": [], "_invert_rows": []}
+    for kernel, real in [(kernel, getattr(rg.tdoa, kernel)) for kernel in calls]:
+        def counted(*args, real=real, kernel=kernel):
+            calls[kernel].append(args)
+            return real(*args)
+        monkeypatch.setattr(rg.tdoa, kernel, counted)
+    if name in CASES:
+        code, out = _run(CASES[name])
+        golden = _golden_path(name)
+    else:
+        code, out = _run(BRANCHES[name][1])
+        golden = GOLDEN / "branches" / f"{name}.json"
+    assert code == 0 and out == golden.read_text(encoding="utf-8")
+    assert (len(calls["_coeff_rows"]), len(calls["_invert_rows"])) == (coeff_calls, inversions)
 
 
 @pytest.mark.parametrize("name", sorted(BRANCHES))

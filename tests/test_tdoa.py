@@ -427,6 +427,31 @@ def test_classify_invert_tau_empty_and_single_row(scalene, collinear_mid):
     assert _bits(sol.points) == _bits(rg.invert_tdoa(scalene, tau).points)
 
 
+@pytest.mark.parametrize("batch", [rg.classify_invert_tau, rg.tau_fibers])
+def test_batch_entries_classify_only_rows_inside_p2_and_invert_only_fibers_1_and_2(
+        monkeypatch, scalene, batch):
+    """The pipeline hands _classify_rows only the rows inside the P2 band and _invert_rows only
+    the rows of fiber 1 or 2; classify_invert_tau's other rows get an empty SolutionSet."""
+    taus = _probe_taus(scalene, seed=7)
+    seen = {"_classify_rows": [], "_invert_rows": []}
+    for name, real in [(name, getattr(tdoa, name)) for name in seen]:
+        def counted(config, rows, *args, real=real, name=name):
+            seen[name].extend(rows.tolist())
+            return real(config, rows, *args)
+        monkeypatch.setattr(tdoa, name, counted)
+    out = batch(scalene, taus)
+    monkeypatch.undo()
+    regions = [rg.classify_tau(scalene, tau) for tau in taus]
+    tol = 1e-9 * scalene.d_max
+    assert seen["_classify_rows"] == [tau.tolist() for tau, region in zip(taus, regions)
+                                      if min(region.residuals.values()) >= -tol]
+    assert seen["_invert_rows"] == [tau.tolist() for tau, region in zip(taus, regions)
+                                    if region.fiber in (1, 2)]
+    assert {region.fiber for region in regions} == {0, 1, 2}
+    if batch is rg.classify_invert_tau:
+        assert all(sol.points == () for region, sol in zip(regions, out[1]) if region.fiber == 0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, bad):
     for cfg in (scalene, collinear_mid):
@@ -595,7 +620,9 @@ def test_tau_fibers_p2_band_edges_agree_with_classify_tau(scalene, rtol):
     """One ulp either side of slack = -rtol * d_max on each of the six facets of P2, bisected
     along the facet's outward normal from three points of the facet: tau_fibers, which labels
     the rows outside the band from their P2 slacks alone, gives classify_tau's label and
-    fiber, and classify_invert_tau's points where the fiber is 1 or 2."""
+    fiber, and classify_invert_tau's points where the fiber is 1 or 2.  And one ulp either
+    side of the inner band edge, slack = +rtol * d_max, on the lens side of each facet (between
+    its tangency point and its corner R^i): BoundaryArc on the facet within it, U_i beyond."""
     cfg = scalene
     tol = rtol * cfg.d_max
     names, normals, offsets = cfg._memo(tdoa._p2_table)
@@ -623,6 +650,25 @@ def test_tau_fibers_p2_band_edges_agree_with_classify_tau(scalene, rtol):
     # the out-of-band side of every edge is OutsideIm; the in-band side reaches the ladder
     assert set(labels[1::2]) == {"OutsideIm"}
     _assert_tau_fibers_are_classify_invert_tau(cfg, taus, rtol)
+
+    for k in range(6):
+        n = normals[:, k]
+        on = lambda points: points[np.abs(points @ n + offsets[k]) <= 1e-12 * cfg.d_max]
+        (corner,), (touch,) = on(tdoa._vertex_images(cfg)), on(cfg._memo(tdoa._tangency_table))
+        inner = []
+        for s in (0.25, 0.5, 0.75):
+            on_facet = (1.0 - s) * touch + s * corner
+            slack = lambda t: rg.classify_tau(cfg, on_facet + t * n, rtol).residuals[names[k]]
+            edge = band_edge(lambda t: slack(t) <= tol, 0.0, 4.0 * tol)
+            inner.extend(on_facet + t * n for t in edge)
+        labels, fibers, _ = rg.tau_fibers(cfg, np.array(inner), rtol)
+        for tau, label, fiber in zip(inner, labels, fibers):
+            region = rg.classify_tau(cfg, tau, rtol)
+            assert (label, fiber) == (region.label, region.fiber)
+        assert [rg.classify_tau(cfg, tau, rtol).ids for tau in inner[::2]] == [(names[k],)] * 3
+        assert labels[::2] == ("BoundaryArc",) * 3 and fibers == (1, 2) * 3
+        assert len(set(labels[1::2])) == 1 and labels[1].startswith("U_")
+        _assert_tau_fibers_are_classify_invert_tau(cfg, np.array(inner), rtol)
 
 
 @pytest.mark.parametrize("receivers", _ROW_RECEIVERS[:4])
@@ -658,15 +704,15 @@ def test_tau_fibers_on_blocks_outside_inside_and_across_p2(receivers):
     [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-6)],
 ])
 def test_no_fiber_0_row_of_the_census_grid_has_a_source(receivers):
-    """tau_fibers inverts only the rows of fiber 1 or 2, so it cannot show a source at a
-    fiber-0 point.  classify_invert_tau still inverts every row: on fiber_census.py's 41^2
-    grid no row of fiber 0 has a point."""
+    """tau_fibers and classify_invert_tau invert only the rows of fiber 1 or 2, so they cannot
+    show a source at a fiber-0 point.  invert_tdoa does not classify: on fiber_census.py's
+    41^2 grid it finds no point at any row of fiber 0."""
     cfg = rg.validate_config(receivers)
     axis = np.linspace(-1.2 * cfg.d_max, 1.2 * cfg.d_max, 41)
     taus = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    regions, solutions = rg.classify_invert_tau(cfg, taus)
-    fiber_0 = [(region.label, sol.points) for region, sol in zip(regions, solutions)
-               if region.fiber == 0]
+    regions, _ = rg.classify_invert_tau(cfg, taus)
+    fiber_0 = [(region.label, rg.invert_tdoa(cfg, tau).points)
+               for tau, region in zip(taus, regions) if region.fiber == 0]
     assert fiber_0
     assert [(label, points) for label, points in fiber_0 if points] == []
 
@@ -708,6 +754,21 @@ def test_tiny_receivers_recover_the_source_or_raise(s):
     assert np.max(np.abs(point - x)) <= 1e-9 * cfg.d_max
     assert (labels[0], fibers[0]) == ("EMinus", 1)
     assert points[0] == (tuple(point.tolist()),)
+
+
+@pytest.mark.xfail(strict=True, reason="the lens cones of this triangle have w = 0.0; the "
+                   "well-conditioned TDOA line of ROADMAP item 2 should mend it")
+def test_h_1e_9_triangle_fiber_is_the_number_of_points():
+    """validate_config accepts (0,0) (1,0) (0.4,1e-9) as a GeneralTriangle, but every w of
+    _lens_table is 0.0 there.  Near the tau of the source (-1.3017, 0.2838) classify_tau warns
+    "divide by zero" in _lens_corners and answers U_1 with fiber 2; invert_tdoa finds no point."""
+    cfg = rg.validate_config([(0.0, 0.0), (1.0, 0.0), (0.4, 1e-9)])
+    tau = np.array([-0.3929241, 0.59392668])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fiber = rg.classify_tau(cfg, tau).fiber
+        points = rg.invert_tdoa(cfg, tau).points
+    assert fiber == len(points)
 
 
 def test_line_constants_are_read_only_and_die_with_their_configuration():
