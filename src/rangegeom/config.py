@@ -1,5 +1,11 @@
 """Receiver configurations and their validation; every tolerance, and the gates deciding with them.
 
+The range map is homogeneous, so each configuration gets one scale 2^k, with
+d_max * 2^-k in [1, 2]: the kernels that raise lengths to powers above two,
+and the inversions' squares, work on the *unit geometry*, sides and
+measurements times 2^-k (_to_unit), and scale points and raw values back
+(_from_unit).  A power of two scales exactly, so answers keep their bits.
+
 A configuration is 2 or 3 receivers in the plane or in space.  Three-receiver
 configurations are classified as a general triangle or as a collinear triple;
 collinear triples get a *canonical relabeling*: the middle receiver becomes
@@ -40,6 +46,20 @@ _HULL_INVERT_RTOL = 1e-5  # invert3's tolerance when the hull inverts a surface 
 _FLOAT_MAX = sys.float_info.max
 # The longest side whose square and dot products are finite, less a margin for rounding.
 _SIDE_BOUND = 0.999999 * math.sqrt(_FLOAT_MAX)
+# The shortest side whose square is a normal float (2^-511).
+_SIDE_FLOOR = math.sqrt(sys.float_info.min)
+# Each kernel's input bound B on |T| / d_max.  In the unit geometry d = d_max is in [1, 2],
+# sides are at most d and measurements at most 2B.  Quartic: its coefficients are at most
+# d^2, so its degree-4 part is at most 9 d^2 (2B)^4 < _FLOAT_MAX / 30, and the rest far less.
+_QUARTIC_BOUND = 1e76
+# Null-cone line: with kappa = d^2 / |w12| (w12 twice the area) and s = max(|tau|, d) <= 2B,
+# b*b + |a*c| <= 136 kappa^2 s^6 and the sources lie within 400 kappa^3 s^2 / d of every
+# receiver.  The thinnest accepted triangle (sine _COLLINEAR_RTOL, a side _DUPLICATE_RTOL * d)
+# has kappa < 2e21: b*b + |a*c| < 4e286, squared distances < 2e294, sources * 2^k < 1e301.
+_LINE_BOUND = 1e40
+# Collinear lift and Stewart quadric: with tau and the lift (tau1 + t, tau2 + t, t) within
+# B, the quadric's squares stay below 16 B^2 and the facet slacks below 3e151.
+_LIFT_BOUND = 1e150
 
 
 @dataclass(frozen=True)
@@ -79,12 +99,14 @@ class SensorConfig:
     d21, d31, d32   : pairwise distances |m_j - m_i| (d31 = d32 = None for
                       two receivers), d_max the largest
     _receiver_stack : the receivers as one read-only (n, dimension) array
+    _k, _unit       : the scale's exponent, of the longest side (math.frexp),
+                      and 2^-k, which takes a length to the unit geometry
     _sides          : read-only rows m2 - m1, m3 - m1, m3 - m2 (only m2 - m1
-                      for two receivers)
+                      for two receivers) of the unit geometry, times 2^-k
     _gram           : (g21, g31, g32, p12, p13, p23), the NumPy dot products
-                      of the sides: g21 = |m2 - m1|^2, ..., p12 = (m2 - m1) .
-                      (m3 - m1), p13 = (m2 - m1) . (m3 - m2), p23 = (m3 - m1) .
-                      (m3 - m2); (g21,) for two receivers
+                      of the unit sides: g21 = |m2 - m1|^2, ..., p12 = (m2 -
+                      m1) . (m3 - m1), p13 = (m2 - m1) . (m3 - m2), p23 = (m3 -
+                      m1) . (m3 - m2); (g21,) for two receivers
 
     The config-only builders behind _memo read these values instead of
     re-deriving them from the receivers.
@@ -98,6 +120,8 @@ class SensorConfig:
     d32: object
     d_max: float
     _receiver_stack: np.ndarray = field(repr=False)
+    _k: int = field(repr=False)
+    _unit: float = field(repr=False)
     _sides: np.ndarray = field(repr=False)
     _gram: tuple = field(repr=False)
     # the memo behind _memo: builder function -> value
@@ -137,11 +161,12 @@ class SensorConfig:
         For constants that depend only on the receivers (quartic
         coefficients, invert3's reference system, tangency points).  The memo
         is a plain field, so it dies with the configuration.  Builders read
-        the fields validate_config set (distances, _sides, _gram, the
-        receiver stack), not config.vec or config.m.  build must return an
-        immutable or read-only value that holds no reference to the
-        configuration.  Two threads may both build a missing value; builders
-        are pure, so either result serves.  Builders never return None.
+        the fields validate_config set (distances, the receiver stack, and
+        _sides and _gram of the unit geometry), not config.vec or config.m.
+        build must return an immutable or read-only value that holds no
+        reference to the configuration.  Two threads may both build a missing
+        value; builders are pure, so either result serves.  Builders never
+        return None.
         """
         value = self._constants.get(build)
         if value is None:
@@ -159,9 +184,33 @@ class SensorConfig:
             raise DimensionMismatch(
                 f"point has dimension {x.shape[-1]}, receivers have {self.dimension}"
             )
-        diff = x[..., None, :] - self._receiver_stack
-        # np.linalg.norm(diff, axis=-1) without its argument handling
-        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        diff = (x[..., None, :] - self._receiver_stack) * self._unit
+        # np.linalg.norm(diff, axis=-1) without its argument handling, on the unit geometry
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1)) / self._unit
+
+
+def _to_unit(config: SensorConfig, v, bound: float, what: str):
+    """Measurements v (floats or an array) times 2^-k; InvalidParam beyond bound * d_max."""
+    few = v if isinstance(v, list) else v.ravel().tolist() if v.size < 16 else None  # cheaper
+    largest = float(np.abs(v).max()) if few is None else max(map(abs, few)) if few else 0.0
+    if largest > bound * config.d_max:
+        raise InvalidParam(f"{what}: |{largest:g}| > {bound:g} d_max")
+    unit = config._unit
+    return v if unit == 1.0 else [x * unit for x in v] if few is v else v * unit
+
+
+def _from_unit(config: SensorConfig, value, degree: int = 1):
+    """A float or array of the unit geometry of length degree `degree` in the caller's units,
+    times 2^(degree k): correctly rounded, +-inf or 0.0 outside the float range, silently."""
+    if not config._k:
+        return value
+    if isinstance(value, float):
+        try:
+            return math.ldexp(value, degree * config._k)
+        except OverflowError:
+            return math.copysign(math.inf, value)
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, degree * config._k)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -273,11 +322,11 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
     """Validate receiver positions and build a :class:`SensorConfig`.
 
     Raises DimensionMismatch for wrong counts/coordinate lengths, DuplicateReceiver
-    for coincident receivers and InvalidParam for sides too long to square
-    (_SIDE_BOUND).  Three-receiver configurations are classified as
-    GeneralTriangle or CollinearTriple (canonical order and rho recorded, see
-    module docstring).  The pairwise sides, their dot products and distances
-    are computed here once and kept in the configuration (see SensorConfig).
+    for coincident receivers and InvalidParam for sides whose squares are not
+    normal floats (_SIDE_FLOOR, _SIDE_BOUND).  Three-receiver configurations
+    are classified as GeneralTriangle or CollinearTriple (canonical order and
+    rho recorded, see module docstring).  The scale, the pairwise sides, their
+    dot products and distances are computed here once (see SensorConfig).
     """
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in receivers]
     if len(pts) not in (2, 3):
@@ -302,6 +351,10 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
     longest = max(math.hypot(*row) for row in side_rows)
     if not longest <= _SIDE_BOUND:  # the squares below would overflow
         raise InvalidParam(f"receivers too far apart: a side of {longest:g} > {_SIDE_BOUND:g}")
+    # the one scale (finite on sides below the floor, rejected below); the rest is unit geometry
+    k = math.frexp(max(longest, _SIDE_FLOOR))[1] - 1
+    unit = math.ldexp(1.0, -k)
+    side_rows = [[c * unit for c in row] for row in side_rows]
     sides = np.array(side_rows)
     sides.setflags(write=False)
     if n == 2:
@@ -310,22 +363,22 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
         # one stack of (1, k) @ (k, 1) products, each the dot of a 1-D u @ v bit for bit
         left, right = sides.take(_GRAM_LEFT, axis=0), sides.take(_GRAM_RIGHT, axis=0)
         gram = tuple((left[:, None, :] @ right[:, :, None]).ravel().tolist())
-    dists = [math.sqrt(g) for g in gram[:n]]
+    dists = [math.sqrt(g) / unit for g in gram[:n]]
     d_max = max(dists)
     for (i, j), d in zip(_PAIRS, dists):
         if d <= _DUPLICATE_RTOL * d_max:
             raise DuplicateReceiver(f"receivers {i + 1} and {j + 1} coincide (d = {d:g})")
+    if min(dists) < _SIDE_FLOOR:  # its square, and squared ranges near it, are subnormal
+        i, j = _PAIRS[dists.index(min(dists))]
+        raise InvalidParam(f"receivers {i + 1} and {j + 1} too close: a side of {min(dists):g}")
 
     if n == 2:
         kind = TwoReceivers()
         dists += [None, None]
     else:
-        v21, v31 = side_rows[:2]
-        if dim == 2:
-            area2 = abs(v21[0] * v31[1] - v21[1] * v31[0])
-        else:
-            area2 = math.hypot(*_cross3(v21, v31))  # no squares to underflow on tiny triangles
-        if area2 / (dists[0] * dists[1]) <= _COLLINEAR_RTOL:
+        u, v = side_rows[:2]  # m2 - m1 and m3 - m1
+        area2 = abs(u[0] * v[1] - u[1] * v[0]) if dim == 2 else math.hypot(*_cross3(u, v))
+        if area2 / (dists[0] * dists[1] * unit * unit) <= _COLLINEAR_RTOL:
             kind = _canonical_collinear(stack, gram, dists)
             assert kind is not None  # exactly collinear points have a middle
         else:
@@ -333,4 +386,5 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
 
     d21, d31, d32 = dists
     return SensorConfig(receivers=tuple(stack), dimension=dim, kind=kind, d21=d21, d31=d31,
-                        d32=d32, d_max=d_max, _receiver_stack=stack, _sides=sides, _gram=gram)
+                        d32=d32, d_max=d_max, _receiver_stack=stack, _k=k, _unit=unit,
+                        _sides=sides, _gram=gram)

@@ -7,7 +7,7 @@ of it; the surface geometry itself is in rangegeom.surface:
 
 * quartic_residual - the defining polynomial, raw or divided by d_max^6;
   _quartic_gate is the one on-surface test (classify3, classify3d_r3, the
-  hull);
+  hull), evaluated on the unit geometry of config.py;
 * q3_membership - the feasible polyhedron (facets = the 12 labeled tropes);
   its planes are one table per configuration (_facet_rows), rows (c0..c3)
   with slack c0 + c1 T1 + c2 T2 + c3 T3 >= 0 on the feasible side, also the
@@ -17,22 +17,23 @@ of it; the surface geometry itself is in rangegeom.surface:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .config import (
-    _FLOAT_MAX,
+    _QUARTIC_BOUND,
     _RTOL,
     SensorConfig,
     _facet_verdict,
+    _from_unit,
     _measurement,
     _require_planar_triple,
     _sign,
+    _to_unit,
 )
-from .errors import DegenerateConfig, DimensionMismatch, InvalidParam
+from .errors import DegenerateConfig, DimensionMismatch
 
 Q3_FACETS = (
     "r30", "r3-", "r3+",
@@ -95,19 +96,15 @@ class _Powers(dict):
         return power
 
 
-def _quartic_terms(config: SensorConfig) -> tuple:
-    """Coefficients of the defining quartic (no general-position gate), and its input bound.
+def _quartic_terms(config: SensorConfig) -> MappingProxyType:
+    """Coefficients of the defining quartic of the unit geometry (no general-position gate).
 
-    (terms, bound), a config-only constant: read it through
-    config._memo(_quartic_terms).  The coefficients come from validate_config's
-    dot products (config._gram), not from norms squared, which keeps them exact
-    on exactly-representable receiver coordinates.  bound is the largest
-    max |T_i| at which every power and every partial sum of the quartic stays
-    finite: each of the degree-4 and degree-2 parts is at most a quarter of
-    the largest float there (_quartic_value rejects triples beyond it).
-    """
+    A config-only constant: read it through config._memo(_quartic_terms).  The
+    coefficients come from validate_config's dot products (config._gram), not
+    from norms squared, which keeps them exact on exactly-representable receiver
+    coordinates."""
     g21, g31, g32, p12, p13, p23 = config._gram
-    terms = MappingProxyType({
+    return MappingProxyType({
         (4, 0, 0): g32,
         (0, 4, 0): g31,
         (0, 0, 4): g21,
@@ -119,27 +116,13 @@ def _quartic_terms(config: SensorConfig) -> tuple:
         (0, 0, 2): -2.0 * p23 * g21,
         (0, 0, 0): g21 * g31 * g32,
     })
-    degree4 = g32 + g31 + g21 + 2.0 * (abs(p23) + abs(p13) + abs(p12))
-    degree2 = 2.0 * (abs(p12) * g32 + abs(p13) * g31 + abs(p23) * g21)
-    bound = min(_FLOAT_MAX ** 0.25, _part_bound(degree4, 4), _part_bound(degree2, 2))
-    return terms, bound
-
-
-def _part_bound(coefficients: float, degree: int) -> float:
-    """Largest max |T_i| at which a degree-`degree` part, |coefficients| summed, stays below
-    a quarter of the largest float; no bound when the sum underflowed to 0.0 (tiny receivers)."""
-    if coefficients == 0.0:
-        return math.inf
-    return (0.25 * _FLOAT_MAX / coefficients) ** (1.0 / degree)
 
 
 def _quartic_value(config: SensorConfig, T: np.ndarray):
-    """The defining quartic at range triple(s) T; raises InvalidParam beyond its input bound."""
-    terms, bound = config._memo(_quartic_terms)
-    largest = max(map(abs, T.tolist())) if T.ndim == 1 else np.abs(T).max(initial=0.0)
-    if largest > bound:
-        raise InvalidParam(f"ranges too large for the quartic (|T| > {bound:g}), got |T| = {largest:g}")
-    return _poly_eval(terms, T)
+    """The quartic of the unit geometry at range triple(s) T times 2^-k; InvalidParam where
+    some |T_i| exceeds _QUARTIC_BOUND * d_max."""
+    T = _to_unit(config, T, _QUARTIC_BOUND, "ranges too large for the quartic")
+    return _poly_eval(config._memo(_quartic_terms), T)
 
 
 def quartic_residual(config: SensorConfig, T, normalized: bool = False):
@@ -147,35 +130,28 @@ def quartic_residual(config: SensorConfig, T, normalized: bool = False):
 
     Zero exactly on the range surface.  With normalized=True the value is
     divided by d_max^6, making it scale-free (the polynomial has total length
-    degree six).  Raises DegenerateConfig for collinear receivers, and
-    InvalidParam for ranges so large that the quartic overflows or, when
-    normalized, receivers so close that d_max^6 underflows.
+    degree six); the raw value is +-inf or 0.0 outside the float range.  Raises
+    DegenerateConfig for collinear receivers, and InvalidParam for ranges
+    beyond _QUARTIC_BOUND * d_max.
     """
     _require_general(config)
     T = np.asarray(T, dtype=float)
     if T.shape[-1] != 3:
         raise DimensionMismatch("expected range triples with last axis 3")
     val = _quartic_value(config, T)
-    if normalized:
-        val = _scale_free(config, val)
-    return val
+    return _scale_free(config, val) if normalized else _from_unit(config, val, 6)
 
 
 def _scale_free(config: SensorConfig, value):
-    """A quartic value divided by d_max^6; InvalidParam when d_max^6 underflows to 0.0."""
-    scale = config.d_max ** 6
-    if scale == 0.0:
-        raise InvalidParam(f"receivers too close for the quartic (d_max^6 underflows), "
-                           f"d_max = {config.d_max:g}")
-    return value / scale
+    """A quartic value of the unit geometry divided by the unit geometry's d_max^6."""
+    return value / (config.d_max * config._unit) ** 6
 
 
 def _quartic_gate(config: SensorConfig, T: np.ndarray, rtol: float) -> tuple:
-    """(value, _scale_free(value), on): the quartic at the triple T, scale-free, and within
-    rtol of zero (config._sign); the on-surface test of classify3, classify3d_r3, the hull."""
-    value = _quartic_value(config, T)
-    residual = _scale_free(config, value)
-    return value, residual, _sign(residual, rtol) == 0
+    """(value, _scale_free, on): the quartic at the triple T, scale-free, and within rtol of
+    zero (config._sign); the on-surface test of classify3, classify3d_r3, the hull."""
+    residual = _scale_free(config, value := _quartic_value(config, T))
+    return _from_unit(config, value, 6), residual, _sign(residual, rtol) == 0
 
 
 # ---------------------------------------------------------------------------

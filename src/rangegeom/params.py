@@ -55,10 +55,8 @@ def _abc(config: SensorConfig) -> tuple:
     """Cosine parameters of the triangle: a = cos(angle at m3),
     b = -cos(angle at m2), c = cos(angle at m1); a config-only constant (config._memo)."""
     _, _, _, p12, p13, p23 = config._gram
-    a = p23 / (config.d31 * config.d32)
-    b = p13 / (config.d21 * config.d32)
-    c = p12 / (config.d21 * config.d31)
-    return a, b, c
+    d21, d31, d32 = (d * config._unit for d in (config.d21, config.d31, config.d32))  # as _gram
+    return p23 / (d31 * d32), p13 / (d21 * d32), p12 / (d21 * d31)
 
 
 def abc_from_config(config: SensorConfig) -> tuple:

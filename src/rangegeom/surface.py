@@ -40,6 +40,7 @@ from .config import (
     _RTOL,
     SensorConfig,
     _canonical_collinear,
+    _from_unit,
     _measurement,
     _norm,
     _require_planar_triple,
@@ -341,7 +342,7 @@ def _circumcircle(config: SensorConfig) -> tuple:
 
     o, u, _ = _foot(config, [0.0, 0.0, 0.0])
     o.setflags(write=False)
-    return o, _norm(u)
+    return o, _from_unit(config, _norm(u * config._unit))
 
 
 def _arc_table(config: SensorConfig) -> MappingProxyType:
@@ -467,9 +468,9 @@ def tangent_cone(config: SensorConfig, node) -> TangentCone:
 # curvature of the image surface
 
 def _areas_and_squares(config: SensorConfig, x) -> tuple:
-    """((h1, h2, h3), (q1, q2, q3)) at source(s) x (..., 2): h_i is twice the signed
-    area of (x, m_j, m_k) in cyclic order, q_i the squared range |x - m_i|^2."""
-    d1, d2, d3 = (x - config.m(i) for i in (1, 2, 3))
+    """((h1, h2, h3), (q1, q2, q3)) at source(s) x (..., 2), unit geometry: h_i is twice the
+    signed area of (x, m_j, m_k) in cyclic order, q_i the squared range |x - m_i|^2."""
+    d1, d2, d3 = ((x - config.m(i)) * config._unit for i in (1, 2, 3))
     return ((_cross2(d2, d3), _cross2(d3, d1), _cross2(d1, d2)),
             tuple(np.sum(d * d, axis=-1) for d in (d1, d2, d3)))
 
@@ -479,7 +480,7 @@ def gaussian_curvature(config: SensorConfig, x):
 
     Vanishes exactly on the receiver lines and the circumcircle (whose images
     are the 12 conic arcs) and is undefined at the receivers themselves
-    (NaN there: the image has a node).  Scales as 1/length^2.
+    (NaN there: the image has a node).  Scales as 1/length^2 (unit geometry).
     """
     _require_general(config)
     x = np.asarray(x, dtype=float)
@@ -490,8 +491,9 @@ def gaussian_curvature(config: SensorConfig, x):
     den = (q1 * h1 ** 2 + q2 * h2 ** 2 + q3 * h3 ** 2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
-    at_receiver = np.minimum(np.minimum(q1, q2), q3) <= (_DUPLICATE_RTOL * config.d_max) ** 2
-    K = np.where(at_receiver, np.nan, K)
+    at_receiver = np.minimum(np.minimum(q1, q2), q3) <= (_DUPLICATE_RTOL * config.d_max
+                                                          * config._unit) ** 2
+    K = _from_unit(config, np.where(at_receiver, np.nan, K), -2)
     if K.ndim == 0:
         return float(K)
     return K
@@ -557,14 +559,14 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
         sols = invert3(config, T, rtol=_HULL_INVERT_RTOL)
         if sols.points:
             x = sols.points[0]
-            m1, m2, m3 = config.receivers
-            sgn = math.copysign(1.0, float(_cross2(m2 - m1, m3 - m1)))
+            unit_d_max = d_max * config._unit  # the degree-4 circumcircle test: unit geometry
+            sgn = math.copysign(1.0, float(_cross2(*config._sides[:2])))
             h, q = _areas_and_squares(config, x)
             h = np.array(h) * sgn
             circ = float(q[0] * h[0] + q[1] * h[1] + q[2] * h[2])
-            circ_tol = rtol * d_max ** 4
-            neg = [i for i in range(3) if h[i] < -tol_quad]
-            details = {"source": x, "h": h, "circumcircle": circ}
+            circ_tol = rtol * unit_d_max ** 4
+            neg = [i for i in range(3) if h[i] < -rtol * unit_d_max ** 2]
+            details = {"source": x, "h": h, "circumcircle": circ}  # of the unit geometry
             if not neg and circ >= -circ_tol:
                 return HullComponent(name="V0", in_hull=True, details=details)
             if len(neg) == 1 and circ <= circ_tol:
@@ -603,7 +605,7 @@ def collinear_degeneration_check(
     for collinear receivers, and small of order (offset/d21)^2 for nearly
     collinear ones.  Raises NotCollinear when no middle receiver exists.
     """
-    from .toa3 import _canonical_stewart
+    from .toa3 import _stewart
 
     _require_planar_triple(config)
     # the dot test tolerates nearly collinear receivers, which config.kind does not
@@ -613,8 +615,9 @@ def collinear_degeneration_check(
         raise NotCollinear(
             "no middle receiver (all angles acute); configuration is far from collinear"
         )
-    d21 = kind.d21
-    T = np.random.default_rng(seed).uniform(0.0, box * d21, size=(n, 3))
-    s = np.array([_canonical_stewart(kind, row) for row in T.tolist()])
-    gap = _poly_eval(config._memo(_quartic_terms)[0], T) - d21 * d21 * s * s
+    unit = config._unit  # the quartic's coefficients are of the unit geometry
+    d21 = kind.d21 * unit
+    T = np.random.default_rng(seed).uniform(0.0, box * kind.d21, size=(n, 3)) * unit
+    s = np.array([_stewart(kind.rho, d21, *(row[k] for k in kind.order)) for row in T.tolist()])
+    gap = _poly_eval(config._memo(_quartic_terms), T) - d21 * d21 * s * s
     return float(_scale_free(config, np.max(np.abs(gap))))

@@ -23,16 +23,15 @@ degenerates to a linear equation in t, with ray fibers of infinite size at
 the endpoint images.
 
 For fixed receivers every quantity above is elementwise in tau, so the work
-runs in row kernels over an (N, 2) array of tau, with the config-only
-constants built once per configuration (``SensorConfig._memo``).  In general
-position one pipeline, ``_tau_rows``, composes them.  Stage 1 labels the rows
-more than rtol * d_max outside the hexagon P2 ``OutsideIm`` with fiber 0 from
-their P2 slacks alone (no source has a tau outside P2) and hands only the
-other rows to ``_classify_rows``; stage 2 runs ``_invert_rows`` on the rows of
-fiber 1 or 2 only.  The entries are its edges: ``tau_fibers`` returns both
-stages as plain tuples, and ``classify_invert_tau`` (both stages) and
-``classify_tau`` (stage 1) get the result objects from ``_regions``.
-``invert_tdoa``, ``tdoa_coeffs`` and ``t_quadratic`` are one-row kernel calls.
+runs in row kernels over an (N, 2) array of tau, with config-only constants
+(``SensorConfig._memo``), composed in general position by one pipeline,
+``_tau_rows``: stage 1 labels the rows outside the hexagon P2 ``OutsideIm``
+from their P2 slacks alone and classifies the others (``_classify_rows``);
+stage 2 inverts the rows of fiber 1 or 2 (``_invert_rows``).  ``tau_fibers``
+returns both as plain tuples; ``classify_invert_tau`` and ``classify_tau`` get
+result objects from ``_regions``.  The null-cone line and the collinear lift
+work on the unit geometry of config.py; points, lifts and coefficients are
+scaled back.
 """
 
 from __future__ import annotations
@@ -44,17 +43,20 @@ import numpy as np
 
 from .config import (
     _DUPLICATE_RTOL,
-    _FLOAT_MAX,
+    _LIFT_BOUND,
+    _LINE_BOUND,
     _MERGE_RTOL,
     _RTOL,
     _VERIFY_RTOL,
     SensorConfig,
     _facet_verdict,
+    _from_unit,
     _measurement,
     _measurement_rows,
     _require_planar_triple,
     _sign,
     _solve,
+    _to_unit,
 )
 from .errors import DegenerateConfig, InvalidParam
 from .kummer import (Q3_FACETS, Q3_FACETS_COLLINEAR, _collinear_facet_table, _facet_rows,
@@ -77,10 +79,6 @@ TANGENCY_IDS = ("T1+", "T1-", "T2+", "T2-", "T3+", "T3-")
 _LENS_CONES = {1: ("T2-", "T3-"), 2: ("T1-", "T3+"), 3: ("T1+", "T2+")}
 # the same cones as rows of the tangency table: the rows of the p's, then of the q's
 _LENS_ROWS = tuple(tuple(TANGENCY_IDS.index(t) for t in ends) for ends in zip(*_LENS_CONES.values()))
-
-# Largest max(|tau|, d_max) of the collinear lift: within it the Stewart value, the
-# lift's slope and the facet slacks of a lift t <= _FLOAT_MAX / (4 max(|tau|, d_max)) are finite.
-_COLLINEAR_BOUND = math.sqrt(_FLOAT_MAX) / 4.0
 
 
 def tau_map(config: SensorConfig, x) -> np.ndarray:
@@ -178,11 +176,6 @@ def _p2_slacks(config: SensorConfig, taus: np.ndarray) -> tuple:
     return names, taus @ normals + offsets
 
 
-def _p2_inside(config: SensorConfig, slack: np.ndarray, rtol: float) -> np.ndarray:
-    """Per row of _p2_slacks' slacks, none below -rtol * d_max: the one P2 band gate."""
-    return (slack >= -rtol * config.d_max).all(axis=1)
-
-
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     _require_planar_triple(config)
     tau = _measurement(tau, 2, "range differences")
@@ -225,62 +218,39 @@ def _require_general(config: SensorConfig) -> None:
 def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
     _require_general(config)
     tau = _measurement(tau, 2, "range differences")
-    return _coeff_objects(config, _coeff_rows(config, tau[None]))[0]
+    return _coeff_objects(config, _coeff_rows(config, _line_taus(config, tau[None])))[0]
 
 
 def _line_constants(config: SensorConfig) -> tuple:
-    """The null-cone line's config-only constants, read-only.
+    """The null-cone line's config-only constants of the unit geometry, read-only.
 
-    (d31v, d32v, M, shift, w12, flip, bound): d31v = m3 - m1 and d32v = m3 - m2
-    are the rows of M (validate_config's last two sides), the 2x2 system for
-    the base point u0; shift = (d31^2, d32^2); w12 = cross2(d31v, d32v) is
-    twice the signed area; flip = (s, -s) with s = -sign(w12) orients
-    v_spatial.  bound is the largest s = max(|tau_i|, d_max) at which the row
-    kernels' products stay below a quarter of the largest float: with kappa =
-    d_max^2 / |w12|, tau_i^2 <= s^2, the roots' b*b + |a*c| <= 136 kappa^2 s^6,
-    and the candidate points lie within 400 kappa^3 s^2 / d_max of every
-    receiver.  InvalidParam when d_max^4, the scale of a, is below the smallest
-    normal float.  Read it through config._memo(_line_constants).
+    (d31v, d32v, M, shift, w12, flip): d31v = m3 - m1 and d32v = m3 - m2 are
+    the rows of M (validate_config's last two sides), the 2x2 system for the
+    base point u0; shift = (d31^2, d32^2); w12 = cross2(d31v, d32v) is twice the
+    signed area; flip = (s, -s) with s = -sign(w12) orients v_spatial.  Read it
+    through config._memo(_line_constants).
     """
-    # a product, not **: Python's float power raises OverflowError where the
-    # bound below has to answer, and d_max^2 is finite with the squared sides
-    d2 = config.d_max * config.d_max
-    if d2 * d2 < np.finfo(float).smallest_normal:
-        raise InvalidParam(f"receivers too close for the null-cone quadratic (d_max^4 "
-                           f"underflows), d_max = {config.d_max:g}")
     M = config._sides[1:]
     d31v, d32v = M
     (x31, y31), (x32, y32) = M.tolist()
     w12 = x31 * y32 - y31 * x32
     s = -math.copysign(1.0, w12)
-    shift = np.array([config.d31 * config.d31, config.d32 * config.d32])
+    shift = (np.array([config.d31, config.d32]) * config._unit) ** 2
     flip = np.array([s, -s])
     shift.setflags(write=False)
     flip.setflags(write=False)
-    kappa = config.d_max ** 2 / abs(w12)
-    bound = min(math.sqrt(0.25 * _FLOAT_MAX), (_FLOAT_MAX / 544.0) ** (1 / 6) / kappa ** (1 / 3),
-                math.sqrt(math.sqrt(_FLOAT_MAX / 8.0) * config.d_max / (400.0 * kappa ** 3)))
-    return d31v, d32v, M, shift, w12, flip, bound
+    return d31v, d32v, M, shift, w12, flip
 
 
-def _bounded_line_constants(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """config._memo(_line_constants), with every row of an (N, 2) array of tau checked
-    against its bound: the one home of the null-cone input bound.  InvalidParam where d_max^4
-    underflows (first), or where max(|tau|, d_max) exceeds the bound."""
-    constants = config._memo(_line_constants)
-    bound = constants[-1]
-    largest = float(np.abs(taus).max(initial=config.d_max))
-    if largest > bound:
-        raise InvalidParam(f"range differences too large for the null-cone quadratic: "
-                           f"max(|tau|, d_max) = {largest:g} > {bound:g}")
-    return constants
+def _line_taus(config: SensorConfig, taus: np.ndarray) -> np.ndarray:
+    """The null-cone line's input: taus times 2^-k, InvalidParam beyond _LINE_BOUND * d_max."""
+    return _to_unit(config, taus, _LINE_BOUND, "tau too large for the null-cone quadratic")
 
 
 def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
-    """Arrays a, b, c, u0, v_spatial, |v_spatial|^2 and the scale-free an = a / d_max^4 and
-    bn = b / d_max^3 of every row of an (N, 2) array of tau; InvalidParam beyond the bound
-    of _line_constants."""
-    d31v, d32v, M, shift, w12, flip, _ = _bounded_line_constants(config, taus)
+    """Arrays a, b, c, u0, v_spatial, |v_spatial|^2 of the unit geometry and the scale-free an =
+    a / d_max^4 and bn = b / d_max^3 of every row of an (N, 2) array of _line_taus."""
+    d31v, d32v, M, shift, w12, flip = config._memo(_line_constants)
     # a stack of one-column systems: each row is the LAPACK solve of the
     # scalar call; one multi-column solve(M, rhs.T) rounds differently
     u0 = _solve(M, (0.5 * (taus * taus - shift))[:, :, None])[:, :, 0]
@@ -288,7 +258,8 @@ def _coeff_rows(config: SensorConfig, taus: np.ndarray) -> tuple:
     v = q[:, ::-1] * flip
     dots = _rowdots((q, q), (u0, v), (u0, u0), (v, v))
     a, b = dots[:, 0] - w12 * w12, dots[:, 1]
-    return a, b, dots[:, 2], u0, v, dots[:, 3], a / config.d_max ** 4, b / config.d_max ** 3
+    d = config.d_max * config._unit
+    return a, b, dots[:, 2], u0, v, dots[:, 3], a / d ** 4, b / d ** 3
 
 
 def tangency_points(config: SensorConfig) -> dict:
@@ -309,16 +280,17 @@ def _tangency_table(config: SensorConfig) -> np.ndarray:
 
     T_i^+ = (d31v . u, d32v . u) for the unit side u = (m3 - m2) / d32,
     (m3 - m1) / d31, (m2 - m1) / d21 (validate_config's sides, reversed), and
-    T_i^- = -T_i^+.  A config-only constant: read it through
-    config._memo(_tangency_table).
+    T_i^- = -T_i^+, scaled back from the unit geometry.  A config-only
+    constant: read it through config._memo(_tangency_table).
     """
     d21v, d31v, d32v = config._sides.tolist()
-    units = [[c / norm for c in side] for side, norm in
+    unit = config._unit
+    units = [[c / (norm * unit) for c in side] for side, norm in
              ((d32v, config.d32), (d31v, config.d31), (d21v, config.d21))]
     # each (1, 2) @ (2, 1) product of the stack is the dot of a 1-D d31v @ u, bit for bit
     left = np.array((d31v + d32v) * 3).reshape(6, 1, 2)
     right = np.array([c for u in units for c in u + u]).reshape(6, 2, 1)
-    a1, b1, a2, b2, a3, b3 = (left @ right).ravel().tolist()
+    a1, b1, a2, b2, a3, b3 = ((left @ right).ravel() / unit).tolist()
     table = np.array([a1, b1, -a1, -b1, a2, b2, -a2, -b2, a3, b3, -a3, -b3]).reshape(6, 2)
     table.setflags(write=False)
     return table
@@ -387,22 +359,16 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple 
 
     Returns (x, kept): the candidate points as the rows of an (K, 2) array,
     and per row of taus the list of the indices in x of its accepted points.
-    The roots are chosen per row; the candidate points and their forward-map
-    check run once over all rows.  co: the arrays of _coeff_rows when the
-    caller has them.
+    The roots are chosen per row (unit geometry); the candidate points and their
+    forward-map check run once over all rows.  co: _coeff_rows' arrays, if at hand.
     """
-    a, b, c, u0, v, vv, an, bn = co if co is not None else _coeff_rows(config, taus)
-    d_max = config.d_max
-    snap = _DUPLICATE_RTOL * d_max  # a root at the cone's vertex: a source at receiver 3
-    # solved in mu = l * 2^e (e the exponent of d_max), on a, b, c times 2^-4e, 2^-3e, 2^-2e:
-    # b*b and a*c no longer underflow, and powers of two keep the bits wherever nothing did
-    e = math.frexp(d_max)[1]
-    a, b, c = np.ldexp(a, -4 * e), np.ldexp(b, -3 * e), np.ldexp(c, -2 * e)
+    a, b, c, u0, v, vv, an, bn = co or _coeff_rows(config, _line_taus(config, taus))
+    d_max, unit = config.d_max, config._unit
+    snap = _DUPLICATE_RTOL * d_max * unit  # a root at the cone's vertex: a source at receiver 3
     rows, lams = [], []
     for i, (ai, bi, ci, ani, bni, vn) in enumerate(zip(
             a.tolist(), b.tolist(), c.tolist(), an.tolist(), bn.tolist(), np.sqrt(vv).tolist())):
-        for mu in _null_cone_roots(ai, bi, ci, ani, bni, rtol):
-            lam = math.ldexp(mu, -e)
+        for lam in _null_cone_roots(ai, bi, ci, ani, bni, rtol):
             if abs(lam) * vn <= snap:
                 lam = 0.0
             if not lam > 0.0:  # past-cone roots only
@@ -411,8 +377,9 @@ def _invert_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple 
     kept = [[] for _ in range(len(taus))]
     if not rows:
         return np.empty((0, 2)), kept
-    x = (config.receivers[2] + u0.take(rows, axis=0)
-         + np.array(lams)[:, None] * v.take(rows, axis=0))
+    # back to the caller's units: within _LINE_BOUND neither term overflows
+    x = (config.receivers[2] + u0.take(rows, axis=0) / unit
+         + np.array(lams)[:, None] * v.take(rows, axis=0) / unit)
     miss = np.abs(tau_map(config, x) - taus.take(rows, axis=0))
     miss = np.maximum(miss[:, 0], miss[:, 1]).tolist()
     for k, (i, m) in enumerate(zip(rows, miss)):
@@ -504,23 +471,21 @@ def _tau_rows(config: SensorConfig, taus: np.ndarray, rtol: float, co: tuple = N
               invert: bool = False) -> tuple:
     """The TDOA pipeline for every row of an (N, 2) array of validated tau (general position).
 
-    Stage 1 checks the null-cone input bound on the whole array (_coeff_rows did if co, its all-row
-    arrays, is given) and computes the P2 slacks; a row outside the P2 band is OutsideIm with fiber
-    0 from its slacks alone, and only the other rows get coefficient rows (co's, or computed) and
-    _classify_rows.  Stage 2, with invert, runs _invert_rows on the rows of fiber 1 or 2 only (in
-    general position every fiber is 0, 1 or 2).  Returns (names, slack, decided, inverted):
-    decided[i] is row i's (label, ids, fiber); inverted is None without invert, else (x, found),
-    _invert_rows' points and per row the indices in x of its own (() if not inverted).
+    Stage 1 checks the input bound (_line_taus, unless co, _coeff_rows' all-row arrays, is
+    given) and computes the P2 slacks; a row outside the P2 band is OutsideIm with fiber 0 from
+    them alone, and only the other rows get coefficient rows and _classify_rows.  Stage 2, with
+    invert, runs _invert_rows on the rows of fiber 1 or 2 only.  Returns (names, slack, decided,
+    inverted): decided[i] is row i's (label, ids, fiber); inverted is None without invert, else
+    (x, found), _invert_rows' points and per row the indices in x of its own (() if none).
     """
     n = len(taus)
-    if co is None:
-        _bounded_line_constants(config, taus)
+    taus_u = _line_taus(config, taus) if co is None else taus  # the block's one bound check
     names, slack = _p2_slacks(config, taus)
-    inside = _p2_inside(config, slack, rtol).nonzero()[0].tolist()
+    inside = (slack >= -rtol * config.d_max).all(axis=1).nonzero()[0].tolist()  # the P2 band
     decided, x, found = [("OutsideIm", (), 0)] * n, np.empty((0, 2)), [()] * n
     if inside:
-        taus_in, slack_in = _rows_of((taus, slack), inside, n)
-        co_in = _coeff_rows(config, taus_in) if co is None else _rows_of(co, inside, n)
+        taus_in, slack_in, taus_u = _rows_of((taus, slack, taus_u), inside, n)
+        co_in = _coeff_rows(config, taus_u) if co is None else _rows_of(co, inside, n)
         decided_in = _classify_rows(config, taus_in, rtol, co_in, names, slack_in)
         if len(inside) == n:  # no scatter on the one-row path
             decided = decided_in
@@ -586,41 +551,37 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
     """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic.
 
     Each lift is None or the lifted triple (tau1 + t, tau2 + t, t) as a list
-    of floats.  InvalidParam beyond _COLLINEAR_BOUND, or for a lift t farther
-    than _FLOAT_MAX / (4 max(|tau|, d_max)).
+    of floats, solved on the unit geometry.  InvalidParam where some |tau|, or
+    a lift t, exceeds _LIFT_BOUND * d_max.
     """
-    kind = config.kind
-    d_max = config.d_max
-    largest = float(np.abs(taus).max(initial=d_max))
-    if largest > _COLLINEAR_BOUND:
-        raise InvalidParam(f"range differences too large for the collinear lift: "
-                           f"max(|tau|, d_max) = {largest:g} > {_COLLINEAR_BOUND:g}")
-    tol_lin = rtol * d_max
-    vertex = _near_rows(config._memo(_vertex_images), taus, tol_lin)
+    kind, d_max, unit = config.kind, config.d_max, config._unit
+    taus_u = _to_unit(config, taus, _LIFT_BOUND, "tau too large for the collinear lift")
+    vertex = _near_rows(config._memo(_vertex_images), taus, rtol * d_max)
 
     # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
-    # in t: c_lin + a_lin * t (canonical labels)
+    # in t: c_lin + a_lin * t (canonical labels, unit geometry)
+    d, d21, rho = d_max * unit, kind.d21 * unit, kind.rho
     order = list(kind.order)
-    qv = np.concatenate((taus, np.zeros((len(taus), 1))), axis=1)[:, order]
-    rho = kind.rho
+    qv = np.concatenate((taus_u, np.zeros((len(taus), 1))), axis=1)[:, order]
     a_lin = 2.0 * ((1.0 - rho) * qv[:, 0] + rho * qv[:, 1] - qv[:, 2])
-    c_lin = np.array([_stewart(kind, *row) for row in qv.tolist()], dtype=float)
-    flat = np.abs(a_lin) <= tol_lin
+    c_lin = np.array([_stewart(rho, d21, *row) for row in qv.tolist()], dtype=float)
+    flat = np.abs(a_lin) <= (tol_lin := rtol * d)
     # a flat row's lift is discarded: t = 0 there keeps its slacks finite
     num, den = np.where(flat, 0.0, -c_lin), np.where(flat, 1.0, a_lin)
-    # |t| = |num / den| against _FLOAT_MAX / (4 largest), compared without overflow
-    if np.any(np.abs(num) * (4.0 * largest / _FLOAT_MAX) > np.abs(den)):
-        raise InvalidParam(f"range differences too large for the collinear lift: a lift "
-                           f"lies beyond t = {_FLOAT_MAX / (4.0 * largest):g}")
+    if np.any(np.abs(num) > _LIFT_BOUND * d * np.abs(den)):  # |t| = |num / den|, no overflow
+        raise InvalidParam(f"range differences too large for the collinear lift: a lift lies "
+                           f"beyond t = {_LIFT_BOUND:g} d_max")
     t_star = num / den
-    lift = np.concatenate((taus + t_star[:, None], t_star[:, None]), axis=1)
+    lift = np.concatenate((taus_u + t_star[:, None], t_star[:, None]), axis=1)
     columns = np.transpose(config._memo(_collinear_facet_table))  # (c0, c1, c2, c3), each (4,)
+    columns[0] *= unit  # to the unit geometry: the offsets and the Gamma3 row are lengths
+    columns[1:, Q3_FACETS_COLLINEAR.index("Gamma3")] *= unit
     q3 = _slacks([columns], *lift[:, order].T[:, :, None])[0]
 
     labels, ids, fibers, lifts = [], [], [], []
     for (t1, t2), near, is_flat, c, low, lift_i, slack3 in zip(
             taus.tolist(), vertex, flat.tolist(), c_lin.tolist(), lift.min(axis=1).tolist(),
-            lift.tolist(), q3.tolist()):
+            (lift / unit).tolist(), q3.tolist()):
         ids_i, fiber = (), 0
         if (row := _first(near)) is not None:
             # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
@@ -641,7 +602,7 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
         elif low < -tol_lin:
             label = "OutsideIm"
         else:
-            active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d_max)
+            active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d)
             if verdict == "Outside":
                 label = "OutsideIm"
             elif active:
@@ -659,11 +620,13 @@ def _classify_collinear_rows(config: SensorConfig, taus: np.ndarray, rtol: float
 # result objects, for the public calls only
 
 def _coeff_objects(config: SensorConfig, co: tuple) -> list:
-    """One TdoaCoeffs per row of the arrays of _coeff_rows."""
+    """One TdoaCoeffs per row of the arrays of _coeff_rows, in the caller's units."""
     a, b, c, u0, v = co[:5]
-    v_time = abs(config._memo(_line_constants)[4])
-    return [TdoaCoeffs(a=ai, b=bi, c=ci, u0=ui, v_spatial=vi, v_time=v_time)
-            for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(), u0, v)]
+    v_time = _from_unit(config, abs(config._memo(_line_constants)[4]), 2)
+    return [TdoaCoeffs(a=_from_unit(config, ai, 4), b=_from_unit(config, bi, 3),
+                       c=_from_unit(config, ci, 2), u0=ui, v_spatial=vi, v_time=v_time)
+            for ai, bi, ci, ui, vi in zip(a.tolist(), b.tolist(), c.tolist(),
+                                          u0 / config._unit, _from_unit(config, v, 2))]
 
 
 def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, invert: bool = False) -> tuple:
@@ -674,7 +637,7 @@ def _regions(config: SensorConfig, taus: np.ndarray, rtol: float, invert: bool =
         labels, ids, fibers, lifts = _classify_collinear_rows(config, taus, rtol)
         decided, coeffs, inverted = zip(labels, ids, fibers), (None,) * len(taus), None
     else:
-        co = _coeff_rows(config, taus)
+        co = _coeff_rows(config, _line_taus(config, taus))
         names, slack, decided, inverted = _tau_rows(config, taus, rtol, co, invert)
         coeffs, lifts = _coeff_objects(config, co), (None,) * len(taus)
     return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, row)),
@@ -699,13 +662,15 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     because the surface is ruled by the projection direction (1,1,1) at
     infinity.  It is the null-cone quadratic a l^2 + 2b l + c of tdoa_coeffs in
     l = -t / v_time, times 4 w12^2, where v_time = |w12| is twice the
-    triangle's area: (A, B, C) = (4a, -8 |w12| b, 4 w12^2 c).  InvalidParam
-    wherever _coeff_rows raises it.
+    triangle's area: (A, B, C) = (4a, -8 |w12| b, 4 w12^2 c), those of the unit
+    geometry times 2^4k, 2^5k, 2^6k (+-inf or 0.0 outside the float range).
+    InvalidParam beyond _LINE_BOUND * d_max.
     """
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("collinear receivers: the lift is linear, not quadratic")
     tau = _measurement(tau, 2, "range differences")
-    a, b, c = (float(k[0]) for k in _coeff_rows(config, tau[None])[:3])
+    a, b, c = (float(k[0]) for k in _coeff_rows(config, _line_taus(config, tau[None]))[:3])
     w12 = config._memo(_line_constants)[4]
-    return 4.0 * a, -8.0 * abs(w12) * b, 4.0 * w12 * w12 * c
+    unit_abc = (4.0 * a, -8.0 * abs(w12) * b, 4.0 * w12 * w12 * c)
+    return tuple(_from_unit(config, value, degree) for value, degree in zip(unit_abc, (4, 5, 6)))

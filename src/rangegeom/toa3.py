@@ -21,7 +21,7 @@ powers of the quartic (kummer._poly_eval: NumPy's power loop for T ** e,
 e > 2, rounds differently from libm pow) and _foot's 2x2 solve (LAPACK's
 LU through config._solve, np.linalg.solve's gufunc without its wrapper; a
 closed form matches it only with fused multiply-adds, which Python floats
-lack).  Points are returned as NumPy arrays.
+lack).  Points are NumPy arrays; squares are taken on the unit geometry (config.py).
 """
 
 from __future__ import annotations
@@ -33,16 +33,19 @@ import numpy as np
 
 from .config import (
     _DUPLICATE_RTOL,
+    _LIFT_BOUND,
     _RTOL,
     CollinearTriple,
     SensorConfig,
+    _from_unit,
     _measurement,
     _norm,
     _require_planar_triple,
     _sign,
     _solve,
+    _to_unit,
 )
-from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, InvalidParam, NotCollinear
+from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, NotCollinear
 from .kummer import _q3_report, _quartic_gate
 from .spacetime import SpacetimeVec3, _cross3
 from .toa2 import _mirror_pair, _two_sphere
@@ -158,15 +161,17 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
 
 
 def _foot(config: SensorConfig, T: list) -> tuple:
-    """(x, u, T_i): the foot point x = m_i + u of the floats T on the receiver plane.
+    """(x, u, T_i): the foot point x = m_i + u of the floats T, and T_i of the unit geometry.
 
     u solves (m_j - m_i) . u = (|m_j - m_i|^2 + T_i^2 - T_j^2) / 2, and likewise
     for k, at the reference i of _reference_system; in space u = Q w, with R^T w
     the same right-hand side.  A spatial source's height is left to the caller.
     """
     i, j, k, M, gj, gk, Q, _ = config._memo(_reference_system)
-    Ti, Tj, Tk = T[i - 1], T[j - 1], T[k - 1]
-    u = _solve(M, np.array([0.5 * (gj + Ti * Ti - Tj * Tj), 0.5 * (gk + Ti * Ti - Tk * Tk)]))
+    unit = config._unit
+    Ti, Tj, Tk = T[i - 1] * unit, T[j - 1] * unit, T[k - 1] * unit
+    half = 0.5 / unit  # the right-hand side times 2^k scales u back (floats overflow silently)
+    u = _solve(M, np.array([(gj + Ti * Ti - Tj * Tj) * half, (gk + Ti * Ti - Tk * Tk) * half]))
     if Q is not None:
         u = Q @ u
     return config.receivers[i - 1] + u, u, Ti
@@ -175,8 +180,8 @@ def _foot(config: SensorConfig, T: list) -> tuple:
 def _reference_system(config: SensorConfig) -> tuple:
     """_foot's system at the best-conditioned reference receiver, a config-only constant.
 
-    (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2, Q, n), arrays read-only: in the
-    plane M has rows m_j - m_i and m_k - m_i, and Q = n = None; in space Q R is
+    (i, j, k, M, |m_j - m_i|^2, |m_k - m_i|^2, Q, n) of the unit geometry, arrays
+    read-only: in the plane M has rows m_j - m_i and m_k - m_i, and Q = n = None; in space Q R is
     the QR factorization of those sides as columns, M = R^T, and n the unit
     normal along (m2 - m1) x (m3 - m1).  Read it through
     config._memo(_reference_system).
@@ -196,7 +201,7 @@ def _reference_system(config: SensorConfig) -> tuple:
     opposite = (g32, g31, g21)
     i, j, k, gj, gk = candidates[opposite.index(max(opposite))]
     stack = config._receiver_stack
-    M = stack.take((j - 1, k - 1), axis=0) - stack[i - 1]
+    M = (stack.take((j - 1, k - 1), axis=0) - stack[i - 1]) * config._unit
     Q = n = None
     if config.dimension == 3:
         Q, R = np.linalg.qr(M.T)
@@ -213,10 +218,11 @@ def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tup
     """The points (at least one) whose ranges match the floats T within rtol * d_max.
 
     Each range is the square root of the squared coordinate differences summed
-    left to right: config.distances bit for bit, as numpy sums fewer than
-    eight terms in order.
+    left to right, on the unit geometry: config.distances bit for bit, as
+    numpy sums fewer than eight terms in order.
     """
-    tol = rtol * config.d_max
+    unit = config._unit
+    tol = rtol * config.d_max * unit
     receivers = config._receiver_stack.tolist()
     keep = []
     for x in points:
@@ -224,9 +230,9 @@ def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tup
         for m, t in zip(receivers, T):
             s = 0.0
             for a, b in zip(xs, m):
-                d = a - b
+                d = (a - b) * unit
                 s += d * d
-            if not abs(math.sqrt(s) - t) <= tol:  # a NaN range misses too
+            if not abs(math.sqrt(s) - t * unit) <= tol:  # a NaN range misses too
                 break
         else:
             keep.append(x)
@@ -238,45 +244,41 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
 
     Zero exactly on the cone swept by the range map; the sign is positive
     off the receiver line's reach (endpoint-weighted mean square exceeding
-    the middle range square).
+    the middle range square).  InvalidParam beyond _LIFT_BOUND * d_max.
     """
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("quadric residual is defined for collinear triples only")
-    return _canonical_stewart(config.kind, _measurement(T, 3).tolist())
+    return _from_unit(config, _canonical_stewart(config, _measurement(T, 3).tolist()), 2)
 
 
-def _stewart(kind: CollinearTriple, T1: float, T2: float, T3: float) -> float:
-    """The Stewart quadric at one canonical triple of Python floats.
+def _stewart(rho: float, d21: float, T1: float, T2: float, T3: float) -> float:
+    """The Stewart quadric of endpoints d21 apart, ratio rho, at one canonical float triple.
 
     The squares go through the C library's pow, as ``float ** 2`` computes
     them; NumPy's array square (x * x) differs from it in the last bit on
-    about one value in 1300, so batch callers evaluate this per row.  A square
-    past the float range raises InvalidParam, as a non-finite range does.
+    about one value in 1300, so batch callers evaluate this per row.
     """
-    rho, d21 = kind.rho, kind.d21
-    try:
-        return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
-    except OverflowError:
-        raise InvalidParam(f"ranges too large to square, got {[T1, T2, T3]}") from None
+    return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
 
 
-def _canonical_stewart(kind: CollinearTriple, T: list) -> float:
-    """_stewart at the floats T, given in the original receiver order."""
-    return _stewart(kind, *(T[k] for k in kind.order))
+def _canonical_stewart(config: SensorConfig, T: list) -> float:
+    """_stewart of the unit geometry at the floats T in the original receiver order (_to_unit)."""
+    kind, T = config.kind, _to_unit(config, T, _LIFT_BOUND, "ranges too large for the quadric")
+    return _stewart(kind.rho, kind.d21 * config._unit, *(T[k] for k in kind.order))
 
 
 def _stewart_gate(config: SensorConfig, value: float, rtol: float) -> tuple:
-    """(value / d_max^2, on): a Stewart quadric value made scale-free, and whether it lies
-    within rtol of zero (config._sign); the one on-quadric test of classify3, the collinear
-    inversions and classify_tau's flat lifts."""
-    residual = value / config.d_max ** 2
+    """(value / d_max^2, on): a Stewart quadric value of the unit geometry made scale-free,
+    and whether it lies within rtol of zero (config._sign); the one on-quadric test of
+    classify3, the collinear inversions and classify_tau's flat lifts."""
+    residual = value / (config.d_max * config._unit) ** 2
     return residual, _sign(residual, rtol) == 0
 
 
 def _collinear_fiber(config: SensorConfig, T: list, rtol: float):
     """Stewart gate, then _two_sphere on the canonical endpoints (None if off the quadric)."""
     kind = config.kind
-    if not _stewart_gate(config, _canonical_stewart(kind, T), rtol)[1]:
+    if not _stewart_gate(config, _canonical_stewart(config, T), rtol)[1]:
         return None
     i1, i2, _ = kind.order
     e1, e2 = config.receivers[i1], config.receivers[i2]
@@ -322,7 +324,7 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
 
     if config.is_collinear:
         quartic = None
-        residual, on_surface = _stewart_gate(config, _canonical_stewart(config.kind, Ts), rtol)
+        residual, on_surface = _stewart_gate(config, _canonical_stewart(config, Ts), rtol)
         fiber_interior = 2
     else:
         quartic, residual, on_surface = _quartic_gate(config, T, rtol)

@@ -7,7 +7,7 @@ the same quartic that cuts the range surface in the planar problem (its sign
 tells the two-point / one-point / empty fiber apart).  Three collinear
 receivers again give circles around the receiver line.
 The mirror pair is x +- h n: toa3._foot's point x on the receiver plane, and
-the height h = sqrt(T_i^2 - |x - m_i|^2) along the unit normal n.
+the height h = sqrt(T_i^2 - |x - m_i|^2) along the unit normal n (unit geometry).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _measurement
+from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _from_unit, _measurement
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
 from .kummer import _quartic_gate
 from .spacetime import _cross3
@@ -172,7 +172,8 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
     if report.verdict == "OnSurface":
         return SolutionSet3D(points=(x,))
     n = config._memo(_reference_system)[7]
-    h = math.sqrt(max(Ti * Ti - float(u @ u), 0.0))
+    u = u * config._unit
+    h = _from_unit(config, math.sqrt(max(Ti * Ti - float(u @ u), 0.0)))
     return SolutionSet3D(points=(x + h * n, x - h * n))
 
 

@@ -430,7 +430,7 @@ def degeneration_gap_by_squared_terms(config, n: int = 512, seed: int = 0, box: 
     original receiver order before it is evaluated.  Returns the gap and the
     largest |d21^2 sigma^2| / d_max^6 over the samples, the scale of its rounding.
     """
-    from rangegeom.kummer import _poly_eval, _quartic_terms
+    from rangegeom.kummer import _poly_eval
 
     order, rho, d21 = canonical_collinear_by_points(config.receivers)
     terms = {
@@ -449,7 +449,7 @@ def degeneration_gap_by_squared_terms(config, n: int = 512, seed: int = 0, box: 
     rng = np.random.default_rng(seed)
     T = rng.uniform(0.0, box * d21, size=(n, 3))
     square = _poly_eval(sigma_sq, T)
-    gap = _poly_eval(config._memo(_quartic_terms)[0], T) - square
+    gap = _poly_eval(quartic_terms_by_vectors(config), T) - square
     return (float(np.max(np.abs(gap)) / config.d_max ** 6),
             float(np.max(np.abs(square)) / config.d_max ** 6))
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -325,22 +326,59 @@ def test_exit_code_non_finite_measurement(argv):
     assert json.loads(out)["error"]["type"] == "InvalidParam"
 
 
-@pytest.mark.parametrize("receivers", [
-    # d_max^4 underflows to 0.0; unguarded, classify answered U_3 (fiber 2) with no solution
-    "[[0,0],[1e-82,0],[3e-83,8e-83]]",
-    # d_max (about 1e78) is past the overflow bound; d_max^4 would overflow a float
-    "[[0,0],[1e78,0],[3e77,8e77]]",
-    # collinear, past the lift's bound (about 3.4e153); unbounded, the lift's slacks overflowed
-    "[[0,0],[1e154,0],[3e153,0]]",
-])
-def test_exit_code_receivers_out_of_the_null_cone_range(tmp_path, receivers):
-    config = tmp_path / "receivers.json"
-    config.write_text(f'{{"receivers": {receivers}}}', encoding="utf-8")
-    for argv in (["classify", "--config", str(config), "--tdoa=1e-83,2e-83"],
-                 ["localize-tdoa", "--config", str(config), "--tau=1e-83,2e-83"]):
-        code, out = _run(argv)
-        assert code == 3
-        assert json.loads(out)["error"]["type"] == "InvalidParam"
+# the golden cases the scale test replays on receivers and measurements times 2^k
+_SCALED_CASES = ("localize_toa_feasible", "localize_tdoa_interior", "classify_toa_exterior",
+                 "classify_tdoa_origin", "localize_tdoa_collinear", "localize_tdoa_vertex_ray",
+                 "classify_toa_collinear", "classify_tdoa_collinear_lift")
+# the length degree of the numbers under a key: points, lifts and facet slacks are lengths,
+# the Gamma slacks and c areas, b and a their cubes and fourth powers, the quartic a sixth
+# power; residual and normalized_residual are scale-free
+_DEGREES = {"solutions": 1, "lift": 1, "residual": 0, "normalized_residual": 0, "quartic": 6,
+            "a": 4, "b": 3, "c": 2, "Gamma1": 2, "Gamma2": 2, "Gamma3": 2}
+
+
+def _times(value, k: int, degree: int = 1):
+    """A golden payload's numbers times 2^(degree k), correctly rounded (inf past the float
+    range, as the CLI prints it); ints, strings and booleans as they are."""
+    if isinstance(value, dict):
+        return {key: _times(v, k, _DEGREES.get(key, degree)) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_times(v, k, degree) for v in value]
+    if not isinstance(value, float):
+        return value
+    try:
+        return _jsonable(float(Fraction(value) * Fraction(2) ** (degree * k)))
+    except OverflowError:
+        return _jsonable(math.copysign(math.inf, value))
+
+
+@pytest.mark.parametrize("k", [-300, 300])
+@pytest.mark.parametrize("name", _SCALED_CASES)
+def test_golden_cases_at_scale(tmp_path, name, k):
+    """The golden TOA and TDOA cases on right.json and collinear.json receivers, and their
+    measurements, times 2^k: exit 0, the golden points, lifts and slacks times 2^k exactly,
+    the raw coefficients correctly rounded (the quartic reads "inf" at 2^300), and the same
+    scale-free residuals, verdicts, labels and fibers.  At 2^-300 the null-cone quadratic's
+    d_max^4 underflowed, at 2^300 it overflowed, and both exited 3."""
+    golden = json.loads((GOLDEN / "branches" / (name + ".json")
+                         if name in BRANCHES else _golden_path(name)).read_text(encoding="utf-8"))
+    argv = list(BRANCHES[name][1] if name in BRANCHES else CASES[name])
+    config = Path(argv[argv.index("--config") + 1])
+    receivers = json.loads(config.read_text(encoding="utf-8"))["receivers"]
+    scaled = tmp_path / config.name
+    scaled.write_text(json.dumps({"receivers": _times(receivers, k)}), encoding="utf-8")
+    argv[argv.index("--config") + 1] = str(scaled)
+    for i, arg in enumerate(argv):
+        flag, sep, values = arg.partition("=")
+        if flag in ("--toa", "--tau", "--tdoa"):
+            if not sep:
+                flag, values = None, argv[i + 1]
+                i += 1
+            values = ",".join(repr(_times(float(v), k)) for v in values.split(","))
+            argv[i] = values if flag is None else f"{flag}={values}"
+    code, out = _run(argv)
+    assert code == 0, out
+    assert json.loads(out) == _times(golden, k)
 
 
 def test_infeasible_is_not_an_error():

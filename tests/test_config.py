@@ -2,6 +2,7 @@
 import math
 import re
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,21 @@ def test_receivers_whose_squared_sides_overflow_are_invalid(receivers):
         cfg = rg.validate_config(pts)
         assert 1e154 <= cfg.d_max < 1.3e154
         assert all(np.isfinite(cfg._gram))
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-162, 1e-165])
+def test_receivers_whose_squared_sides_are_subnormal_are_invalid(s):
+    """On (0,0) (s,0) (0.3s,0.8s) the squared sides are subnormal floats: at s = 1e-160 d_max
+    read 1.062980776890594e-160 for 1.063014581273465e-160, and at 1e-162 distinct receivers
+    raised DuplicateReceiver (d = 0).  They raise InvalidParam naming the shortest side, with
+    RuntimeWarnings as errors; at s = 1e-150 the distances are those of s = 1 times s."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.InvalidParam, match=r"receivers 1 and 3 too close: a side of 8\.544e"):
+            rg.validate_config([(0.0, 0.0), (s, 0.0), (0.3 * s, 0.8 * s)])
+        cfg = rg.validate_config([(0.0, 0.0), (1e-150, 0.0), (3e-151, 8e-151)])
+    assert abs(cfg.d_max / 1.063014581273465e-150 - 1.0) <= 1e-15
+    assert abs(cfg.d31 / 8.54400374531753e-151 - 1.0) <= 1e-15
 
 
 def test_config_holds_every_tolerance_literal():

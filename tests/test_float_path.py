@@ -7,6 +7,7 @@ float kernels swapped for the array versions kept verbatim in
 tests/oracles.py.  The two must agree in every float, signed zeros included.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -140,9 +141,12 @@ def test_classify3_octant_residual_and_facets_match_the_array_expressions(cfg):
             rep = rg.classify3(cfg, T, rtol=rtol)
             assert rep.in_octant is bool(np.min(T) >= -rtol * cfg.d_max)
         if cfg.is_collinear:
-            stewart = toa3._stewart(cfg.kind, *T[order].tolist())
-            assert _bits(rg.collinear_quadric_residual(cfg, T)) == _bits(stewart)
-            assert _bits(rep.quartic_or_quadric_residual) == _bits(stewart / cfg.d_max ** 2)
+            # the quadric of the unit geometry, lengths times 2^-k, scaled back by 2^2k
+            unit = math.ldexp(1.0, -cfg._k)
+            stewart = toa3._stewart(cfg.kind.rho, cfg.kind.d21 * unit, *(T[order] * unit).tolist())
+            assert _bits(rg.collinear_quadric_residual(cfg, T)) == \
+                _bits(math.ldexp(stewart, 2 * cfg._k))
+            assert _bits(rep.quartic_or_quadric_residual) == _bits(stewart / (cfg.d_max * unit) ** 2)
             want = {k: float(v) for k, v in q3_residuals_collinear(cfg.kind, T[order]).items()}
         else:
             want = q3_residuals_general(cfg, *T.tolist())

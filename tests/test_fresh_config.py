@@ -64,8 +64,13 @@ def _receiver_sets(scale: float) -> list:
     return out
 
 
+# the builders whose constants are those of the unit geometry: the receivers times 2^-k
+_UNIT_BUILDERS = (kummer._quartic_terms, toa3._reference_system, tdoa._line_constants)
+
+
 def _memo_values(cfg) -> list:
-    """(name, memo value, old builder's value) of every memo a fresh query of cfg can build."""
+    """(name, memo value, old builder's value) of every memo a fresh query of cfg can build;
+    the unit geometry's builders are held to the old ones on the receivers times 2^-k."""
     if cfg.n == 2:
         return []
     pairs = []
@@ -82,17 +87,16 @@ def _memo_values(cfg) -> list:
                       (tdoa._line_constants, line_constants_by_receivers),
                       (tdoa._tangency_table, tangency_table_by_vectors),
                       (tdoa._lens_table, lens_table_by_arrays)]
+    unit = rg.validate_config(np.ldexp(cfg._receiver_stack, -cfg._k))
     out = []
     for build, old in pairs:
         value = cfg._memo(build)
         if build is kummer._quartic_terms:
-            value = dict(value[0])  # the terms; the input bound is new
-        if build is tdoa._line_constants:
-            value = value[:-1]  # the input bound is new
+            value = dict(value)
         if build is toa3._reference_system and cfg.dimension == 2:
             assert value[6:] == (None, None)  # no frame in the plane
             value = value[:6]
-        out.append((build.__name__, value, old(cfg)))
+        out.append((build.__name__, value, old(unit if build in _UNIT_BUILDERS else cfg)))
     return out
 
 

@@ -85,21 +85,28 @@ def _triangle_and_triples(height, scale, seed):
     return cfg, pts, T
 
 
+def _unit_quartic(cfg, T):
+    """The per-term quartic of the unit geometry at T times 2^-k: its terms (the memo's) and its
+    value, which the entries scale back by 2^6k."""
+    terms = dict(rg.kummer._quartic_terms(cfg))
+    return terms, poly_eval_per_term(terms, np.ldexp(T, -cfg._k))
+
+
 @pytest.mark.parametrize("height", [1.0, 1e-2, 1e-4, 1e-6])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_quartic_residual_bit_exact_against_per_term_loop(height, scale):
     cfg, _, T = _triangle_and_triples(height, scale, seed=int(-math.log10(height)) * 7 + 3)
     assert not cfg.is_collinear
-    terms = dict(rg.kummer._quartic_terms(cfg)[0])
-    norm = cfg.d_max ** 6
+    norm = math.ldexp(cfg.d_max, -cfg._k) ** 6
     for t in T:
-        ref = poly_eval_per_term(terms, t)
-        assert rg.quartic_residual(cfg, t) == float(ref)
+        ref = _unit_quartic(cfg, t)[1]
+        assert rg.quartic_residual(cfg, t) == math.ldexp(float(ref), 6 * cfg._k)
         assert rg.quartic_residual(cfg, t, normalized=True) == float(ref / norm)
-    ref = poly_eval_per_term(terms, T)
-    assert np.array_equal(rg.quartic_residual(cfg, T), ref)
+    ref = _unit_quartic(cfg, T)[1]
+    assert np.array_equal(rg.quartic_residual(cfg, T), np.ldexp(ref, 6 * cfg._k))
     assert np.array_equal(rg.quartic_residual(cfg, T, normalized=True), ref / norm)
-    assert np.array_equal(rg.quartic_residual(cfg, T.reshape(8, 10, 3)), ref.reshape(8, 10))
+    assert np.array_equal(rg.quartic_residual(cfg, T.reshape(8, 10, 3)),
+                          np.ldexp(ref, 6 * cfg._k).reshape(8, 10))
 
 
 @pytest.mark.parametrize("height", [1.0, 1e-3, 1e-6])
@@ -107,64 +114,65 @@ def test_quartic_residual_bit_exact_against_per_term_loop(height, scale):
 def test_classify3d_quartic_bit_exact_against_per_term_loop(height, scale):
     _, pts, _ = _triangle_and_triples(height, scale, seed=11)
     cfg = rg.validate_config(np.c_[pts, np.array([0.0, 0.1, 0.25]) * scale])
-    terms = dict(rg.kummer._quartic_terms(cfg)[0])
     rng = np.random.default_rng(5)
     xs = np.append(pts.mean(axis=0), 0.0) + rng.normal(size=(60, 3)) * scale
     T = rg.forward3d(cfg, xs)
     T[30:] += rng.normal(size=(30, 3)) * 1e-4 * scale
     for t in T:
-        assert rg.classify3d_r3(cfg, t).quartic == float(poly_eval_per_term(terms, t))
+        ref = float(_unit_quartic(cfg, t)[1])
+        assert rg.classify3d_r3(cfg, t).quartic == math.ldexp(ref, 6 * cfg._k)
 
 
 def test_quartic_terms_are_read_only(scalene):
-    terms = rg.kummer._quartic_terms(scalene)[0]
+    terms = rg.kummer._quartic_terms(scalene)
     with pytest.raises(TypeError):
         terms[(0, 0, 0)] = 0.0
 
 
-def test_quartic_input_bound_rejects_what_would_overflow(right, right3d):
-    """On the right triangle the bound is ~4.9e76: 1e76 answers from the quartic, while
-    1e77 (where the residual is NaN) and 1e78 (where T**4 overflows) raise InvalidParam."""
-    terms = dict(rg.kummer._quartic_terms(right)[0])
-    T = np.full(3, 1e76)
-    quartic = float(poly_eval_per_term(terms, T))
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_quartic_input_bound_is_a_multiple_of_d_max(right, k):
+    """The quartic's one input bound is |T| <= _QUARTIC_BOUND * d_max (1e76 d_max): on the
+    right triangle (d_max = sqrt 2) scaled by 2^k, 1e76 * 2^k answers from the quartic, while
+    1e77 * 2^k and 1e78 * 2^k raise InvalidParam, with RuntimeWarnings as errors."""
+    cfg = rg.validate_config(np.ldexp(np.array(right.receivers), k))
+    cfg3d = rg.validate_config(np.ldexp(np.c_[np.array(right.receivers), np.zeros(3)], k))
+    T = np.full(3, math.ldexp(1e76, k))
+    quartic = float(_unit_quartic(right, np.full(3, 1e76))[1])
     assert math.isfinite(quartic)
-    report = rg.classify3(right, T)
+    report = rg.classify3(cfg, T)
     assert report.quartic_or_quadric_residual == quartic / right.d_max ** 6
     assert report.verdict == "Infeasible"
-    assert rg.classify3d_r3(right3d, T).quartic == quartic
-    assert np.array_equal(rg.quartic_residual(right, np.stack([T, -T])),
-                          poly_eval_per_term(terms, np.stack([T, -T])))
+    assert rg.classify3d_r3(cfg3d, T).normalized == quartic / right.d_max ** 6
     for big in (1e77, 1e78):
-        for call in (lambda T: rg.classify3(right, T), lambda T: rg.classify3d_r3(right3d, T),
-                     lambda T: rg.invert3d_r3(right3d, T), lambda T: rg.quartic_residual(right, T),
-                     lambda T: rg.quartic_residual(right, np.stack([T, T / big]))):
-            for T in (np.full(3, big), np.array([1.0, -big, 1.0])):
-                with pytest.raises(rg.InvalidParam):
+        big = math.ldexp(big, k)
+        for call in (lambda T: rg.classify3(cfg, T), lambda T: rg.classify3d_r3(cfg3d, T),
+                     lambda T: rg.invert3d_r3(cfg3d, T), lambda T: rg.quartic_residual(cfg, T),
+                     lambda T: rg.quartic_residual(cfg, np.stack([T, T / big]))):
+            for T in (np.full(3, big), np.array([cfg.d_max, -big, cfg.d_max])):
+                with pytest.raises(rg.InvalidParam, match="too large for the quartic"):
                     call(T)
 
 
-@pytest.mark.parametrize("side", [1e-52, 1e-60, 1e-82])
-def test_tiny_receivers_answer_or_raise_invalid_param(side):
-    """Where the quartic's coefficient sums underflow to 0.0 the input bound drops that part,
-    and where d_max^6 underflows every scale-free quartic call raises InvalidParam."""
-    cfg = rg.validate_config([(0.0, 0.0), (side, 0.0), (0.6 * side, 0.7 * side)])
+@pytest.mark.parametrize("side", [1e-52, 1e-60, 1e-82, 1e-150])
+def test_tiny_receivers_answer(side):
+    """Receivers down to the side floor (about 1.5e-154) answer every quartic call, the
+    scale-free ones as at side 1: d_max^6, which underflows below about 1e-54, is never
+    formed.  The spatial triangle's normal, whose squared length underflowed below about
+    1e-77, is that of the unit geometry."""
+    base = np.array([(0.0, 0.0), (1.0, 0.0), (0.6, 0.7)])
+    cfg, cfg1 = rg.validate_config(base * side), rg.validate_config(base)
     line = rg.validate_config([(0.0, 0.0), (side, 0.0), (3.0 * side, 0.0)])
+    cfg3d = rg.validate_config(np.c_[base, np.zeros(3)] * side)
     T = cfg.distances(np.array([0.3 * side, 0.4 * side]))
-    assert 0.0 < rg.kummer._quartic_terms(cfg)[1] < math.inf
-    assert math.isfinite(rg.quartic_residual(cfg, T))
-    calls = [lambda: rg.classify3(cfg, T), lambda: rg.quartic_residual(cfg, T, normalized=True),
-             lambda: rg.collinear_degeneration_check(line)]
-    if side >= 1e-60:  # below ~1e-82 validate_config's 3-D area test underflows
-        cfg3d = rg.validate_config([(0.0, 0.0, 0.0), (side, 0.0, 0.0),
-                                    (0.6 * side, 0.7 * side, 0.0)])
-        calls += [lambda: rg.classify3d_r3(cfg3d, T), lambda: rg.invert3d_r3(cfg3d, T)]
-    for call in calls:
-        if cfg.d_max ** 6 > 0.0:
-            call()
-        else:
-            with pytest.raises(rg.InvalidParam):
-                call()
+    T1 = cfg1.distances(np.array([0.3, 0.4]))
+    assert rg.classify3(cfg, T).verdict == "Feasible"
+    assert abs(rg.quartic_residual(cfg, T, normalized=True)) <= 1e-12
+    assert abs(rg.quartic_residual(cfg, T, normalized=True)
+               - rg.quartic_residual(cfg1, T1, normalized=True)) <= 1e-12
+    assert rg.collinear_degeneration_check(line) <= 1e-12
+    assert rg.classify3d_r3(cfg3d, T).verdict == "OnSurface"
+    (x,) = rg.invert3d_r3(cfg3d, T).points
+    assert np.max(np.abs(x - np.array([0.3, 0.4, 0.0]) * side)) <= 1e-9 * side
 
 
 # ---------------------------------------------------------------------------

@@ -462,67 +462,62 @@ def test_classify_invert_tau_rejects_a_non_finite_row(scalene, collinear_mid, ba
                 batch(cfg, [[0.1, 0.2], [bad, 0.1]])
 
 
-def test_tdoa_input_bound_rejects_what_would_overflow(right):
-    """On the right triangle the bound is ~6.6e50.  At it every entry answers, with the
-    null-cone quadratic's products finite and RuntimeWarnings as errors; just beyond it, at
-    1e78 (where u0 . u0 overflowed) and at 1e155 (where tau^2 did) every entry raises, and
-    so it does on receivers scaled by 1e78."""
-    bound = right._memo(tdoa._line_constants)[-1]
-    assert 6e50 < bound < 7e50
-    calls = (rg.classify_tau, rg.invert_tdoa, rg.tdoa_coeffs,
-             lambda cfg, tau: rg.classify_invert_tau(cfg, [(0.1, 0.2), tau]),
-             lambda cfg, tau: rg.tau_fibers(cfg, [tau, (0.1, 0.2)]))
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_tdoa_input_bound_is_a_multiple_of_d_max(right, k):
+    """The null-cone line's one input bound is |tau| <= _LINE_BOUND * d_max (1e40 d_max).  On
+    the right triangle scaled by 2^k every entry answers at it, with RuntimeWarnings as
+    errors, and just beyond it and at 1e78 * 2^k every entry raises."""
+    cfg = rg.validate_config(np.ldexp(np.array(right.receivers), k))
+    bound = 1e40 * cfg.d_max
+    inside = np.array([0.1, 0.2]) * cfg.d_max
+    calls = (rg.classify_tau, rg.invert_tdoa, rg.tdoa_coeffs, rg.t_quadratic,
+             lambda cfg, tau: rg.classify_invert_tau(cfg, [inside, tau]),
+             lambda cfg, tau: rg.tau_fibers(cfg, [tau, inside]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for tau in ((bound, -bound), (bound, bound), (-bound, 0.3)):
-            assert rg.classify_tau(right, tau).label == "OutsideIm"
-            assert rg.invert_tdoa(right, tau).kind == "Empty"
-            co = rg.tdoa_coeffs(right, tau)
-            assert math.isfinite(co.b * co.b + abs(co.a * co.c))
+        for tau in ((bound, -bound), (bound, bound), (-bound, 0.3 * cfg.d_max)):
+            assert rg.classify_tau(cfg, tau).label == "OutsideIm"
+            assert rg.invert_tdoa(cfg, tau).kind == "Empty"
             for call in calls:
-                call(right, tau)
-    for big in (math.nextafter(bound, math.inf), 1e78, 1e155):
-        for tau in ((big, -big), (0.3, -big)):
-            for call in calls:
-                with pytest.raises(rg.InvalidParam):
-                    call(right, tau)
-    # receivers beyond the bound, with d_max^4 (about 1e312) past the largest float
-    huge = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * 1e78)
-    for call in calls:
-        with pytest.raises(rg.InvalidParam, match="too large"):
-            call(huge, (0.1, 0.2))
+                call(cfg, tau)
+        for big in (math.nextafter(bound, math.inf), math.ldexp(1e78, k)):
+            for tau in ((big, -big), (0.3 * cfg.d_max, -big)):
+                for call in calls:
+                    with pytest.raises(rg.InvalidParam, match="too large for the null-cone"):
+                        call(cfg, tau)
 
 
 def test_tdoa_input_bound_holds_on_scaled_and_thin_triangles():
     """At the bound, in seeded directions, on triangles of heights 1 to 1e-9 and scales
-    1e-30 to 1e30, the kernels' products stay finite and no RuntimeWarning is raised."""
+    1e-150 to 1e150, the kernels' products stay finite and no RuntimeWarning is raised."""
     rng = np.random.default_rng(43)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(40):
-            scale = 10.0 ** rng.uniform(-30.0, 30.0)
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
             apex = (rng.uniform(-0.5, 1.5), 10.0 ** rng.uniform(-9.0, 0.0))
             cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), apex]) * scale)
-            bound = cfg._memo(tdoa._line_constants)[-1]
+            bound = 1e40 * cfg.d_max
             for _ in range(10):
                 tau = rng.normal(size=2)
                 tau = np.clip(tau * (bound / np.abs(tau).max()), -bound, bound)
-                co = rg.tdoa_coeffs(cfg, tau)
-                assert math.isfinite(co.b * co.b + abs(co.a * co.c))
-                rg.tau_fibers(cfg, [tau, -tau])
+                co = tdoa._coeff_rows(cfg, tdoa._line_taus(cfg, np.array([tau, -tau])))
+                assert all(np.isfinite(col).all() for col in co)
+                rg.classify_invert_tau(cfg, [tau, -tau])
+                assert all(np.isfinite(p).all() for p in rg.invert_tdoa(cfg, tau).points)
 
 
 def test_collinear_lift_input_bound():
     """On (0,0) (s,0) (0.3s,0) and its near-collinear (0.3s, 1e-10 s) apex, tau = (0.1, 0.2)
     is OutsideIm at s = 1e60, 1e100 and 1e150 with RuntimeWarnings as errors; at 1e150 the
-    discarded lift of that flat row had overflowed its facet slacks.  Past the bound
-    (receivers or tau), and for a lift beyond the float range's reach, every entry raises."""
+    discarded lift of that flat row had overflowed its facet slacks.  Past _LIFT_BOUND * d_max
+    (1e150 d_max), for tau or for a lift t (a slope within rtol = 0 of flat), every entry
+    raises."""
     def collinear(s, apex=(0.3, 0.0)):
         return rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), apex]) * s)
 
     calls = (rg.classify_tau, lambda cfg, tau: rg.classify_invert_tau(cfg, [(0.1, 0.2), tau]),
              lambda cfg, tau: rg.tau_fibers(cfg, [tau, (0.1, 0.2)]))
-    bound = tdoa._COLLINEAR_BOUND
     rng = np.random.default_rng(44)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -532,17 +527,20 @@ def test_collinear_lift_input_bound():
                 assert cfg.is_collinear
                 assert rg.classify_tau(cfg, (0.1, 0.2)).label == "OutsideIm"
                 assert rg.tau_fibers(cfg, [(0.1, 0.2)])[0] == ("OutsideIm",)
-        for cfg, tau in ((collinear(1e154), (0.1, 0.2)), (collinear(1.0), (4e153, 0.1)),
-                         (collinear(1.0), (math.nextafter(bound, math.inf), -0.5)),
-                         (collinear(1e150), (3e141, 0.0))):  # its lift t is about 5e157
+        for cfg, tau in ((collinear(1.0), (1.1e150, 0.1)), (collinear(1e-150), (1.1e0, 0.0)),
+                         (collinear(1e150), (math.nextafter(1e300, math.inf), -0.5))):
             for call in calls:
                 with pytest.raises(rg.InvalidParam, match="collinear lift"):
                     call(cfg, tau)
+        # its lift t is about 1.5e199 d_max: flat within the default rtol, not within 0
+        assert rg.classify_tau(collinear(1.0), (1e-200, 0.0)).label in ("VertexRay", "OutsideIm")
+        with pytest.raises(rg.InvalidParam, match="a lift lies beyond"):
+            rg.classify_tau(collinear(1.0), (1e-200, 0.0), rtol=0.0)
         # within the bound every row answers or raises InvalidParam, and nothing overflows
         for _ in range(40):
-            cfg = collinear(10.0 ** rng.uniform(-30.0, 153.0), (rng.uniform(0.05, 0.95), 0.0))
+            cfg = collinear(10.0 ** rng.uniform(-150.0, 153.0), (rng.uniform(0.05, 0.95), 0.0))
             tau = rng.normal(size=2)
-            for big in (bound, cfg.d_max, 1e-3 * cfg.d_max):
+            for big in (1e150 * cfg.d_max, cfg.d_max, 1e-3 * cfg.d_max):
                 try:
                     rg.tau_fibers(cfg, [tau * (big / np.abs(tau).max()), -tau * cfg.d_max])
                 except rg.InvalidParam as exc:
@@ -555,7 +553,7 @@ def test_e_gate_band_edges_agree_with_the_linear_root_branch():
     invert_tdoa takes the linear root -c / 2b."""
     cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
     assert math.frexp(cfg.d_max)[0] != 0.5  # d_max is not a power of two
-    d31v, d32v, _, _, w12, _, _ = cfg._memo(tdoa._line_constants)
+    d31v, d32v, _, _, w12, _ = cfg._memo(tdoa._line_constants)
     rtol = 1e-9
 
     def on_e(tau):
@@ -563,7 +561,8 @@ def test_e_gate_band_edges_agree_with_the_linear_root_branch():
         return region.label == "BoundaryArc" and region.ids == ("E",)
 
     def linear_root(tau):
-        a, b, c, _, _, _, an, bn = (col[0] for col in tdoa._coeff_rows(cfg, np.array([tau])))
+        co = tdoa._coeff_rows(cfg, tdoa._line_taus(cfg, np.array([tau])))
+        a, b, c, _, _, _, an, bn = (col[0] for col in co)
         return tdoa._null_cone_roots(a, b, c, an, bn, rtol) == [-c / (2.0 * b)]
 
     for theta in np.linspace(0.3, 0.3 + 2.0 * math.pi, 7, endpoint=False):
@@ -717,36 +716,18 @@ def test_no_fiber_0_row_of_the_census_grid_has_a_source(receivers):
     assert [(label, points) for label, points in fiber_0 if points] == []
 
 
-def test_tdoa_entries_raise_where_d_max_4_underflows():
-    """On (0,0) (s,0) (0.3s,0.8s) at s = 1e-82, d_max^4 underflows to 0.0: classify_tau divided
-    by it and invert_tdoa returned Empty.  With RuntimeWarnings as errors, every entry raises."""
-    s = 1e-82
-    cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * s)
-    tau = rg.tau_map(cfg, (0.2 * s, 0.3 * s))
-    calls = (rg.classify_tau, rg.invert_tdoa, lambda c, t: rg.tau_fibers(c, [t, -t]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in calls:
-            with pytest.raises(rg.InvalidParam, match=r"d_max\^4 underflows"):
-                call(cfg, tau)
-
-
-@pytest.mark.parametrize("s", [1e-60, 1e-70, 1e-76, 1e-78, 1e-80])
-def test_tiny_receivers_recover_the_source_or_raise(s):
+@pytest.mark.parametrize("s", [1e-60, 1e-70, 1e-76, 1e-78, 1e-82, 1e-120, 1e-150])
+def test_tiny_receivers_recover_the_source(s):
     """On (0,0) (s,0) (0.3s,0.8s) with the tau of the source (0.2s, 0.3s), b*b and a*c of the
-    null-cone quadratic underflow from about s = 1e-60, where invert_tdoa returned Empty for an
-    EMinus point.  Down to s = 1e-76 every entry recovers the source; below about 1.2e-77,
-    where d_max^4 is no normal float, every entry raises.  RuntimeWarnings are errors."""
+    null-cone quadratic underflowed from about s = 1e-60, where invert_tdoa returned Empty for
+    an EMinus point, and below about 1.2e-77, where d_max^4 is no normal float, every entry
+    raised.  On the unit geometry every entry recovers the source down to the side floor
+    (about 1.5e-154), with RuntimeWarnings as errors."""
     cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]) * s)
     x = np.array([0.2, 0.3]) * s
     tau = rg.tau_map(cfg, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if s < 1e-77:
-            for call in (rg.classify_tau, rg.invert_tdoa, lambda c, t: rg.tau_fibers(c, [t, -t])):
-                with pytest.raises(rg.InvalidParam, match=r"d_max\^4 underflows"):
-                    call(cfg, tau)
-            return
         region = rg.classify_tau(cfg, tau)
         (point,) = rg.invert_tdoa(cfg, tau).points
         labels, fibers, points = rg.tau_fibers(cfg, [tau, -tau])
@@ -776,7 +757,7 @@ def test_line_constants_are_read_only_and_die_with_their_configuration():
     lens_tau = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
     regions, _ = rg.classify_invert_tau(cfg, [rg.tau_map(cfg, (0.3, 0.4)), lens_tau])
     assert regions[1].label == "U_1"
-    d31v, d32v, M, shift, w12, flip, _ = cfg._constants[tdoa._line_constants]
+    d31v, d32v, M, shift, w12, flip = cfg._constants[tdoa._line_constants]
     assert d31v.tobytes() == cfg.vec(3, 1).tobytes() and M.tobytes() == np.stack(
         [cfg.vec(3, 1), cfg.vec(3, 2)]).tobytes()
     assert w12 == rg.cross2(d31v, d32v) and flip.tolist() == [-1.0, 1.0]

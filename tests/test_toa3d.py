@@ -1,5 +1,6 @@
 """Three-dimensional range models: circles of solutions and mirrored pairs."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,15 +170,25 @@ def test_spatial_fibers_meet_the_plane_at_planar_fibers(planar_pts, invert_plana
 
 @pytest.mark.parametrize("side", [1e-60, 1e-82, 1e-150])
 @pytest.mark.parametrize("z", [0.1, 0.0])
-def test_tiny_spatial_triangle_is_a_triangle_and_raises_invalid_param(side, z):
-    """The 3-D area test takes no squares, so a triangle of sides ~1e-82 stays a
-    GeneralTriangle; its scale-free quartic (d_max^6 underflows) raises InvalidParam."""
-    cfg = rg.validate_config([(0.0, 0.0, 0.0), (side, 0.0, 0.0), (0.6 * side, 0.7 * side, z * side)])
+def test_tiny_spatial_triangle_is_a_triangle_and_answers(side, z):
+    """The 3-D area test is taken on the unit geometry, so a triangle of sides ~1e-150 stays a
+    GeneralTriangle; its scale-free quartic, where d_max^6 underflowed, and the normal of its
+    plane, whose squared length underflowed, are those of the unit geometry, so both entries
+    answer as at side 1, with RuntimeWarnings as errors."""
+    base = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.6, 0.7, z)])
+    cfg, cfg1 = rg.validate_config(base * side), rg.validate_config(base)
     assert isinstance(cfg.kind, rg.GeneralTriangle)
-    T = cfg.distances(np.array([0.3, 0.4, 0.2]) * side)
-    for call in (rg.classify3d_r3, rg.invert3d_r3):
-        with pytest.raises(rg.InvalidParam):
-            call(cfg, T)
+    x = np.array([0.3, 0.4, 0.2])
+    T, T1 = cfg.distances(x * side), cfg1.distances(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep, rep1 = rg.classify3d_r3(cfg, T), rg.classify3d_r3(cfg1, T1)
+        points, points1 = rg.invert3d_r3(cfg, T).points, rg.invert3d_r3(cfg1, T1).points
+    assert (rep.verdict, rep.fiber) == (rep1.verdict, rep1.fiber) == ("InteriorSolid", 2)
+    assert abs(rep.normalized - rep1.normalized) <= 1e-12
+    assert len(points) == len(points1) == 2
+    for p, p1 in zip(points, points1):
+        assert np.max(np.abs(p / side - p1)) <= 1e-9
 
 
 def test_quartic_gate_band_edges_agree_with_classify3():
