@@ -12,9 +12,9 @@ files.  Pair k runs every workload of BENCHMARK.json on both sides at seed
 FIRST_SEED + k for BENCHMARK.json's run_seconds, the parent first in even
 pairs and the change first in odd ones.  Then each side runs every workload
 once traced (``--trace 1``) at the first pair's seed, the in-process
-cost of a fresh configuration is probed (PROBE), the CLI cold start is probed per
-golden case (COLD_REPS), and the first-cycle failures are counted on both sides at
-each of FAILURE_SEEDS.
+cost of fresh configurations and of the one-row TDOA calls is probed (PROBE),
+the CLI cold start is probed per golden case (COLD_REPS), and the first-cycle
+failures are counted on both sides at each of FAILURE_SEEDS.
 The result goes to BENCH_<parent>.json at the repository root: per workload
 and end-to-end metric the quartiles of each side, the ratio of the medians,
 the pairs the change won and the median gap in units of the parent's
@@ -72,16 +72,24 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) 
             "detail": json.loads(detail.read_text(encoding="utf-8"))}
 
 
-# In-process cost of a fresh configuration: the fastest of 7 x 2000 calls of each
-# round trip on (0,0) (1,0) (0.6,0.7), validate_config included.
+# In-process costs, the fastest of 7 x 2000 calls each: the round trips on a fresh
+# configuration, validate_config included, on (0,0) (1,0) (0.6,0.7) and on the collinear
+# (0,0) (1,0) (0.3,0) (validate_config, classify_tau and invert3_collinear on its lift); and
+# the one-row TDOA calls on the reused configurations, for an EMinus tau, a U_i tau, a
+# collinear tau and invert_tdoa.
 PROBE = """
 import json, time
 import numpy as np
 import rangegeom as rg
 R = [(0.0, 0.0), (1.0, 0.0), (0.6, 0.7)]
-cfg = rg.validate_config(R)
+RC = [(0.0, 0.0), (1.0, 0.0), (0.3, 0.0)]
+cfg, col = rg.validate_config(R), rg.validate_config(RC)
 x = np.array([0.3, 0.4])
 T, tau = cfg.distances(x), rg.tau_map(cfg, x)
+lens = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
+ctau = rg.tau_map(col, np.array([0.5, 0.4]))
+assert rg.classify_tau(cfg, tau).label == "EMinus" and rg.classify_tau(cfg, lens).label == "U_1"
+assert rg.classify_tau(col, ctau).label == "CollinearInterior"
 def toa():
     c = rg.validate_config(R)
     rg.invert3(c, T)
@@ -89,9 +97,17 @@ def tdoa():
     c = rg.validate_config(R)
     rg.classify_tau(c, tau)
     rg.invert_tdoa(c, tau)
+def collinear():
+    c = rg.validate_config(RC)
+    rg.invert3_collinear(c, rg.classify_tau(c, ctau).lift)
 best = {}
 for name, fn in (("validate_config+invert3", toa),
-                 ("validate_config+classify_tau+invert_tdoa", tdoa)):
+                 ("validate_config+classify_tau+invert_tdoa", tdoa),
+                 ("validate_config+classify_tau+invert3_collinear", collinear),
+                 ("classify_tau EMinus", lambda: rg.classify_tau(cfg, tau)),
+                 ("classify_tau U_1", lambda: rg.classify_tau(cfg, lens)),
+                 ("classify_tau collinear", lambda: rg.classify_tau(col, ctau)),
+                 ("invert_tdoa", lambda: rg.invert_tdoa(cfg, tau))):
     times = []
     for _ in range(7):
         t0 = time.perf_counter()
@@ -293,7 +309,9 @@ def main(argv=None) -> int:
         "per_layer": {"about": f"one --trace 1 run per side and workload at seed {FIRST_SEED}, "
                                f"{spec['run_seconds']} s", **traced},
         "fresh_config_us": {"about": "fastest of 7 x 2000 in-process calls, 3 interpreters "
-                                     "per side, on (0,0) (1,0) (0.6,0.7)", **probes},
+                                     "per side: round trips on a fresh (0,0) (1,0) (0.6,0.7) "
+                                     "and (0,0) (1,0) (0.3,0), one-row TDOA calls on them "
+                                     "reused", **probes},
         "cli_cold_start": {"about": f"fastest of {COLD_REPS} interleaved fresh "
                                     "perfbench/cli_entry.py processes per golden case and side; "
                                     "seconds", **cold},

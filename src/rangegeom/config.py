@@ -28,7 +28,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, DuplicateReceiver, InvalidParam
-from .spacetime import _cross3
 
 # Default relative tolerance of every classification and inversion.
 _RTOL = 1e-9
@@ -213,6 +212,12 @@ def _from_unit(config: SensorConfig, value, degree: int = 1):
         return np.ldexp(value, degree * config._k)
 
 
+def _cross3(u, v) -> list:
+    """np.cross of two 3-vectors given as float sequences, as a list of floats, bit for bit."""
+    (x1, y1, z1), (x2, y2, z2) = u, v
+    return [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean length of a 1-D float vector: np.linalg.norm(v), without its argument handling."""
     return math.sqrt(float(v @ v))
@@ -220,10 +225,11 @@ def _norm(v: np.ndarray) -> float:
 
 def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(M, b) bit for bit, without its Python wrapper: LAPACK's gufunc, solve1
-    for one right-hand side b, solve for a stack b of shape (N, 2, 1).  Every M here holds two
-    sides of a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular
+    for one right-hand side b of shape (2,) or a stack of them of shape (N, 2) (each row the
+    one-vector solve, bit for bit), solve for a stack b of shape (N, 2, 1).  Every M here holds
+    two sides of a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular
     (where the wrapper raised LinAlgError, the gufunc warns and returns NaN)."""
-    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(M, b, signature="dd->d")
+    return (_umath_linalg.solve if b.ndim == 3 else _umath_linalg.solve1)(M, b, signature="dd->d")
 
 
 def _sign(x: float, rtol: float) -> int:
@@ -348,11 +354,15 @@ def validate_config(receivers, dimension=None) -> SensorConfig:
     n = len(pts)
     # the sides on floats, which subtract as the arrays m_j - m_i do
     side_rows = [[b - a for a, b in zip(coords[i], coords[j])] for i, j in _PAIRS[:2 * n - 3]]
-    longest = max(math.hypot(*row) for row in side_rows)
+    raw = [math.hypot(*row) for row in side_rows]
+    longest = max(raw)
     if not longest <= _SIDE_BOUND:  # the squares below would overflow
         raise InvalidParam(f"receivers too far apart: a side of {longest:g} > {_SIDE_BOUND:g}")
-    # the one scale (finite on sides below the floor, rejected below); the rest is unit geometry
-    k = math.frexp(max(longest, _SIDE_FLOOR))[1] - 1
+    if 0.0 < longest < _SIDE_FLOOR:  # every side is below the floor: name the shortest
+        i, j = _PAIRS[raw.index(min(raw))]
+        raise InvalidParam(f"receivers {i + 1} and {j + 1} too close: a side of {min(raw):g}")
+    # the one scale (coincident receivers, longest = 0, raise below); the rest is unit geometry
+    k = math.frexp(longest)[1] - 1
     unit = math.ldexp(1.0, -k)
     side_rows = [[c * unit for c in row] for row in side_rows]
     sides = np.array(side_rows)

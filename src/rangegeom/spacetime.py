@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _cross3  # noqa: F401  its home is config.py; kept importable from here
+
+
 @dataclass(frozen=True)
 class SpacetimeVec3:
     """A vector of R^{2,1}: spatial part (x, y), time component t."""
@@ -74,12 +77,6 @@ def lift(spatial, t: float = 0.0) -> np.ndarray:
 def _cross2(u, v):
     """cross2 without the float conversion, also on matching (..., 2) arrays of vectors."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _cross3(u, v) -> list:
-    """np.cross of two 3-vectors given as float sequences, as a list of floats, bit for bit."""
-    (x1, y1, z1), (x2, y2, z2) = u, v
-    return [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
 
 
 def cross2(u, v) -> float:

@@ -37,6 +37,7 @@ from .config import (
     _RTOL,
     CollinearTriple,
     SensorConfig,
+    _cross3,
     _from_unit,
     _measurement,
     _norm,
@@ -47,7 +48,7 @@ from .config import (
 )
 from .errors import AtReceiver, DegenerateConfig, DimensionMismatch, NotCollinear
 from .kummer import _q3_report, _quartic_gate
-from .spacetime import SpacetimeVec3, _cross3
+from .spacetime import SpacetimeVec3
 from .toa2 import _mirror_pair, _two_sphere
 
 
@@ -214,12 +215,24 @@ def _reference_system(config: SensorConfig) -> tuple:
     return i, j, k, M, gj, gk, Q, n
 
 
+def _range(x: list, m: list, unit: float) -> float:
+    """The distance of a point x from a receiver m, both given as floats, in the unit geometry.
+
+    It is the square root of the squared coordinate differences, each times
+    unit = 2^-k, summed left to right: config.distances times 2^-k, bit for
+    bit, as numpy sums fewer than eight terms in order.
+    """
+    s = 0.0
+    for a, b in zip(x, m):
+        d = (a - b) * unit
+        s += d * d
+    return math.sqrt(s)
+
+
 def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tuple:
     """The points (at least one) whose ranges match the floats T within rtol * d_max.
 
-    Each range is the square root of the squared coordinate differences summed
-    left to right, on the unit geometry: config.distances bit for bit, as
-    numpy sums fewer than eight terms in order.
+    The ranges are _range's: config.distances on the unit geometry, bit for bit.
     """
     unit = config._unit
     tol = rtol * config.d_max * unit
@@ -228,11 +241,7 @@ def _remapping(config: SensorConfig, points: tuple, T: list, rtol: float) -> tup
     for x in points:
         xs = x.tolist()
         for m, t in zip(receivers, T):
-            s = 0.0
-            for a, b in zip(xs, m):
-                d = (a - b) * unit
-                s += d * d
-            if not abs(math.sqrt(s) - t * unit) <= tol:  # a NaN range misses too
+            if not abs(_range(xs, m, unit) - t * unit) <= tol:  # a NaN range misses too
                 break
         else:
             keep.append(x)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _RTOL, CollinearTriple, SensorConfig, TwoReceivers, _from_unit, _measurement
+from .config import (_RTOL, CollinearTriple, SensorConfig, TwoReceivers, _cross3, _from_unit,
+                     _measurement)
 from .errors import DegenerateConfig, DimensionMismatch, Infeasible, NotCollinear
 from .kummer import _quartic_gate
-from .spacetime import _cross3
 from .toa2 import _two_sphere
 from .toa3 import _collinear_fiber, _foot, _reference_system, _remapping
 

@@ -197,6 +197,26 @@ def test_receivers_whose_squared_sides_are_subnormal_are_invalid(s):
     assert abs(cfg.d31 / 8.54400374531753e-151 - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("receivers, side", [
+    ([(0.0, 0.0), (1e-320, 0.0), (3e-321, 8e-321)], r"receivers 1 and 3 too close: a side of 8\.5"),
+    ([(0.0, 0.0, 0.0), (1e-320, 0.0, 0.0), (3e-321, 8e-321, 1e-321)], r"1 and 3 .* of 8\.6"),
+    ([(0.0, 0.0), (1e-320, 0.0)], r"receivers 1 and 2 too close: a side of 9\.99"),
+])
+def test_receivers_with_subnormal_coordinates_are_invalid(receivers, side):
+    """Distinct receivers whose coordinates are themselves subnormal: the longest side lies
+    below the side floor, so the scale, clamped there, left the unit dot products underflowing
+    to 0.0, and (0,0) (1e-320,0) (3e-321,8e-321) raised DuplicateReceiver "receivers 1 and 2
+    coincide (d = 0)".  The raw longest side is tested against the floor first: InvalidParam
+    naming the shortest side, with RuntimeWarnings as errors.  Coincident receivers at the
+    origin, whose longest side is 0.0, are still duplicates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.InvalidParam, match=side):
+            rg.validate_config(receivers)
+        with pytest.raises(rg.DuplicateReceiver, match=r"receivers 1 and 2 coincide \(d = 0\)"):
+            rg.validate_config([(0.0, 0.0)] * len(receivers))
+
+
 def test_config_holds_every_tolerance_literal():
     """No module of the package but config.py, the home of the tolerance policy, spells a float
     literal with a negative exponent (a tolerance such as 1e-9): the others import its names."""

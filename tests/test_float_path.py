@@ -1,10 +1,15 @@
-"""The three-receiver TOA float path, held bit for bit to the array code it replaced.
+"""The float paths of one measurement, held bit for bit to the array code.
 
-classify3, invert3 and invert3_collinear (and the 3-D and two-receiver
+TOA: classify3, invert3 and invert3_collinear (and the 3-D and two-receiver
 solvers that share their kernels) do their per-measurement work on Python
 floats.  Every answer is computed twice: as the library does it, and with its
 float kernels swapped for the array versions kept verbatim in
 tests/oracles.py.  The two must agree in every float, signed zeros included.
+
+TDOA: the one-row calls (classify_tau, invert_tdoa, tdoa_coeffs, t_quadratic,
+p2_membership, and classify_invert_tau and tau_fibers on one row) run the
+kernels of tdoa.py on a float row; each answer must be row i of a block call
+on the (N,) columns, in every float, and raise the block's exception.
 """
 import itertools
 import math
@@ -13,7 +18,8 @@ import numpy as np
 import pytest
 
 import rangegeom as rg
-from rangegeom import kummer, toa2, toa3, toa3d
+from rangegeom import kummer, tdoa, toa2, toa3, toa3d
+from rangegeom.config import _LIFT_BOUND, _LINE_BOUND
 
 from oracles import (
     mirror_pair_arrays,
@@ -23,6 +29,7 @@ from oracles import (
     remapping_by_distances,
     two_sphere_arrays,
 )
+from test_tdoa import _probe_taus
 
 _SCALES = (1e-3, 1.0, 1e3)
 _RTOLS = (1e-9, 1e-6, 1e-3)
@@ -173,3 +180,93 @@ def test_remapping_matches_config_distances(dimension):
             # rtol = 0 keeps x for its own ranges only if every range has the bits of config.distances
             for p in points:
                 assert toa3._remapping(cfg, (p,), cfg.distances(p).tolist(), 0.0) == (p,)
+
+
+# ---------------------------------------------------------------------------
+# the TDOA float row against the block
+
+_WIDE = ([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+         [(0.0, 0.0), (1.0, 0.0), (1.5, 0.4)], [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+# thin down to h = 1e-6, and h = 1e-9, where every lens cone has w = 0.0 (_lens_table)
+_THIN = ([(0.0, 0.0), (1.0, 0.0), (0.35, 1e-3)], [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-6)],
+         [(0.0, 0.0), (1.0, 0.0), (0.4, 1e-9)])
+_TDOA_CONFIGS = (
+    [(pts, 0) for pts in _WIDE + _THIN + _COLLINEAR]
+    + [(pts, k) for k in (-500, 500) for pts in (_WIDE[0], _THIN[1], _COLLINEAR[1])])
+
+
+def _tdoa_rows(cfg, taus, rtol) -> list:
+    """(tau, one-row answers, row i of the block answers) per row i of taus, in _bits form."""
+    regions, solutions = rg.classify_invert_tau(cfg, taus, rtol)
+    labels, fibers, points = rg.tau_fibers(cfg, taus, rtol)
+    if not cfg.is_collinear:
+        inverted = tdoa._solution_sets(*tdoa._invert_rows(cfg, taus, rtol))  # every row
+        a, b, c = tdoa._coeff_rows(cfg, *tdoa._line_taus(cfg, taus).T)[:3]
+        w12 = cfg._memo(tdoa._line_constants)[4]
+        quadratic = [tuple(rg.config._from_unit(cfg, v, degree) for v, degree in
+                           zip((4.0 * ai, -8.0 * abs(w12) * bi, 4.0 * w12 * w12 * ci), (4, 5, 6)))
+                     for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist())]
+    out = []
+    for i, tau in enumerate(taus):
+        region = regions[i]
+        row = [_call(rg.classify_tau, cfg, tau, rtol=rtol),
+               _call(rg.classify_invert_tau, cfg, [tau], rtol=rtol),
+               _call(rg.tau_fibers, cfg, [tau], rtol=rtol),
+               _bits(rg.p2_membership(cfg, tau, rtol=rtol).residuals)]
+        block = [_bits(region),
+                 _bits(((region,), None if solutions is None else (solutions[i],))),
+                 _bits(((labels[i],), (fibers[i],), None if points is None else (points[i],))),
+                 _bits(region.residuals)]
+        if not cfg.is_collinear:
+            row += [_call(rg.invert_tdoa, cfg, tau, rtol=rtol), _call(rg.tdoa_coeffs, cfg, tau),
+                    _call(rg.t_quadratic, cfg, tau)]
+            block += [_bits(inverted[i]), _bits(region.coeffs), _bits(quadratic[i])]
+        out.append((tau.tolist(), row, block))
+    return out
+
+
+@pytest.mark.parametrize("receivers, k", _TDOA_CONFIGS)
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_tdoa_one_row_calls_are_the_rows_of_a_block(receivers, k, rtol):
+    cfg = rg.validate_config(np.ldexp(np.array(receivers), k))
+    taus = _probe_taus(cfg, seed=abs(k) + len(receivers[2]))
+    taus = np.concatenate([taus, [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]])
+    # the w = 0.0 cones divide by zero in both forms (a NumPy float in the float row's table)
+    with np.errstate(all="ignore" if receivers[2][1] == 1e-9 else "raise", under="ignore"):
+        rows = _tdoa_rows(cfg, taus, rtol)
+    for tau, row, block in rows:
+        assert row == block, (tau, [n for n, (a, b) in enumerate(zip(row, block)) if a != b])
+
+
+def test_tdoa_one_row_calls_cover_every_label():
+    seen = set()
+    for receivers, k in _TDOA_CONFIGS:
+        cfg = rg.validate_config(np.ldexp(np.array(receivers), k))
+        with np.errstate(all="ignore"):
+            taus = _probe_taus(cfg, seed=abs(k) + len(receivers[2]))
+            regions, _ = rg.classify_invert_tau(cfg, taus)
+        for region in regions:
+            seen.add(region.label)
+            seen.update(f"{region.label} {name}" for name in region.ids)
+    assert {"EMinus", "U_1", "U_2", "U_3", "TangencyPoint", "VertexRay", "CollinearInterior",
+            "OutsideIm", "BoundaryArc E", "BoundaryArc C", "BoundaryArc R3"} <= seen
+    assert any(name.startswith("BoundaryArc tau") for name in seen)  # a P2 facet
+    assert any(name.startswith("BoundaryArc r") for name in seen)  # a collinear lift facet
+
+
+@pytest.mark.parametrize("receivers, k", _TDOA_CONFIGS)
+def test_tdoa_one_row_calls_raise_as_the_block_beyond_the_input_bound(receivers, k):
+    """Beyond _LINE_BOUND * d_max (the null-cone line) or _LIFT_BOUND * d_max (the collinear
+    lift) a one-row call raises the exception of a block whose largest entry is the row's."""
+    cfg = rg.validate_config(np.ldexp(np.array(receivers), k))
+    bound = 1.5 * (_LIFT_BOUND if cfg.is_collinear else _LINE_BOUND) * cfg.d_max
+    small = [0.1 * cfg.d_max, -0.2 * cfg.d_max]
+    calls = [rg.classify_tau] + ([] if cfg.is_collinear else
+                                 [rg.invert_tdoa, rg.tdoa_coeffs, rg.t_quadratic])
+    for tau in ([bound, 0.0], [-0.3 * cfg.d_max, -bound], [bound, bound]):
+        want = _call(rg.classify_invert_tau, cfg, [tau, small])
+        assert want[0] == "InvalidParam" and "too large" in want[1]
+        assert _call(rg.tau_fibers, cfg, [small, tau]) == want
+        for call in calls + [rg.classify_invert_tau, rg.tau_fibers]:
+            one = [tau] if call in (rg.classify_invert_tau, rg.tau_fibers) else tau
+            assert _call(call, cfg, one) == want, call.__name__

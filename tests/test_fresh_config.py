@@ -91,13 +91,35 @@ def _memo_values(cfg) -> list:
     out = []
     for build, old in pairs:
         value = cfg._memo(build)
+        want = old(unit if build in _UNIT_BUILDERS else cfg)
         if build is kummer._quartic_terms:
             value = dict(value)
         if build is toa3._reference_system and cfg.dimension == 2:
             assert value[6:] == (None, None)  # no frame in the plane
             value = value[:6]
-        out.append((build.__name__, value, old(unit if build in _UNIT_BUILDERS else cfg)))
+        if build in _FLOAT_TABLES:
+            want = _FLOAT_TABLES[build](want)
+        if build is tdoa._p2_table:  # the ray rows, whose c3 drops out on the lift
+            names, rows = value
+            assert all(c1 + c2 + c3 == 0.0 for _, c1, c2, c3 in rows)
+            rows = np.array(rows)
+            value = names, rows[:, 1:3].T, rows[:, 0]
+        out.append((build.__name__, value, want))
     return out
+
+
+def _pairs(a: np.ndarray) -> tuple:
+    return tuple(map(tuple, a.tolist()))
+
+
+# the TDOA tables the old builders gave as arrays, now tuples of floats: the old values in the
+# new form (the read-only M of _line_constants stays an array)
+_FLOAT_TABLES = {
+    tdoa._line_constants: lambda old: (tuple(old[0].tolist()), tuple(old[1].tolist()), old[2],
+                                       tuple(old[3].tolist()), old[4], tuple(old[5].tolist())),
+    tdoa._tangency_table: _pairs,
+    tdoa._lens_table: lambda old: _pairs(np.stack(old, axis=1)),
+}
 
 
 def test_the_sweep_covers_every_shape():

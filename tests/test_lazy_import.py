@@ -99,24 +99,27 @@ def test_the_export_table_lists_each_public_definition_under_its_module(module):
             assert obj.__module__ == mod.__name__, name
 
 
-# Commands that must not load a module they never run, by golden case prefix: only the
-# features and surface-sample commands run the surface geometry, features on collinear
-# receivers not even that, and params not even the quartic; TOA, feature, parameter and
-# surface commands run no TDOA code; no command but simulate runs the simulation, and none
-# the 3-D solvers.
+# Commands that must not load a module they never run, by golden case prefix (the longest
+# prefix that matches): only the features and surface-sample commands run the surface
+# geometry, features on collinear receivers not even that, and params not even the quartic;
+# TOA, feature, parameter and surface commands run no TDOA code; no command but simulate runs
+# the simulation, and none the 3-D solvers; the Minkowski helpers of spacetime serve the
+# three-receiver solvers and the surface geometry only.
 _NOT_RUN = {
     "localize_toa": ("sim", "surface", "tdoa", "toa3d"),
+    "localize_toa_pair": ("sim", "spacetime", "surface", "tdoa", "toa3d"),
     "classify_toa": ("sim", "surface", "tdoa", "toa3d"),
     "localize_tdoa": ("sim", "surface", "toa3d"),
     "classify_tdoa": ("sim", "surface", "toa3d"),
     "features_right": ("sim", "tdoa", "toa3d"),
-    "features_collinear": ("params", "sim", "surface", "tdoa", "toa3d"),
+    "features_collinear": ("params", "sim", "spacetime", "surface", "tdoa", "toa3d"),
     "surface": ("sim", "tdoa", "toa3d"),
-    "params": ("kummer", "sim", "surface", "tdoa", "toa3d"),
-    "simulate": ("surface", "tdoa"),
+    "params": ("kummer", "sim", "spacetime", "surface", "tdoa", "toa3d"),
+    "simulate": ("spacetime", "surface", "tdoa"),
 }
-_UNUSED = {name: tuple(f"rangegeom.{m}" for m in modules) for name in CASES
-           for prefix, modules in _NOT_RUN.items() if name.startswith(prefix)}
+_UNUSED = {name: tuple(f"rangegeom.{m}" for m in _NOT_RUN[max(
+               (prefix for prefix in _NOT_RUN if name.startswith(prefix)), key=len)])
+           for name in CASES if any(name.startswith(prefix) for prefix in _NOT_RUN)}
 
 _COMMAND = f"""
 import contextlib, io, json, sys

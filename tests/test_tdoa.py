@@ -501,7 +501,7 @@ def test_tdoa_input_bound_holds_on_scaled_and_thin_triangles():
             for _ in range(10):
                 tau = rng.normal(size=2)
                 tau = np.clip(tau * (bound / np.abs(tau).max()), -bound, bound)
-                co = tdoa._coeff_rows(cfg, tdoa._line_taus(cfg, np.array([tau, -tau])))
+                co = tdoa._coeff_rows(cfg, *tdoa._line_taus(cfg, np.array([tau, -tau])).T)
                 assert all(np.isfinite(col).all() for col in co)
                 rg.classify_invert_tau(cfg, [tau, -tau])
                 assert all(np.isfinite(p).all() for p in rg.invert_tdoa(cfg, tau).points)
@@ -554,6 +554,7 @@ def test_e_gate_band_edges_agree_with_the_linear_root_branch():
     cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
     assert math.frexp(cfg.d_max)[0] != 0.5  # d_max is not a power of two
     d31v, d32v, _, _, w12, _ = cfg._memo(tdoa._line_constants)
+    d31v, d32v = np.array(d31v), np.array(d32v)
     rtol = 1e-9
 
     def on_e(tau):
@@ -561,8 +562,7 @@ def test_e_gate_band_edges_agree_with_the_linear_root_branch():
         return region.label == "BoundaryArc" and region.ids == ("E",)
 
     def linear_root(tau):
-        co = tdoa._coeff_rows(cfg, tdoa._line_taus(cfg, np.array([tau])))
-        a, b, c, _, _, _, an, bn = (col[0] for col in co)
+        a, b, c, *_, an, bn = tdoa._coeff_rows(cfg, *tdoa._line_taus(cfg, tau.tolist()))
         return tdoa._null_cone_roots(a, b, c, an, bn, rtol) == [-c / (2.0 * b)]
 
     for theta in np.linspace(0.3, 0.3 + 2.0 * math.pi, 7, endpoint=False):
@@ -624,9 +624,11 @@ def test_tau_fibers_p2_band_edges_agree_with_classify_tau(scalene, rtol):
     its tangency point and its corner R^i): BoundaryArc on the facet within it, U_i beyond."""
     cfg = scalene
     tol = rtol * cfg.d_max
-    names, normals, offsets = cfg._memo(tdoa._p2_table)
+    names, rows = cfg._memo(tdoa._p2_table)
+    normals, offsets = np.array(rows)[:, 1:3].T, np.array(rows)[:, 0]
     assert len(names) == 6
-    corners = np.concatenate([tdoa._vertex_images(cfg), -tdoa._vertex_images(cfg)])
+    images = np.array(tdoa._vertex_images(cfg))
+    corners = np.concatenate([images, -images])
 
     def inside(tau):
         return min(rg.classify_tau(cfg, tau, rtol).residuals.values()) >= -tol
@@ -653,7 +655,7 @@ def test_tau_fibers_p2_band_edges_agree_with_classify_tau(scalene, rtol):
     for k in range(6):
         n = normals[:, k]
         on = lambda points: points[np.abs(points @ n + offsets[k]) <= 1e-12 * cfg.d_max]
-        (corner,), (touch,) = on(tdoa._vertex_images(cfg)), on(cfg._memo(tdoa._tangency_table))
+        (corner,), (touch,) = on(images), on(np.array(cfg._memo(tdoa._tangency_table)))
         inner = []
         for s in (0.25, 0.5, 0.75):
             on_facet = (1.0 - s) * touch + s * corner
@@ -686,7 +688,7 @@ def test_tau_fibers_on_blocks_outside_inside_and_across_p2(receivers):
         warnings.simplefilter("error")
         for taus, outside in ((grid[:512], {True}), (grid[centre:centre + 512], {True, False}),
                               (inside_p2, {False})):
-            slack = tdoa._p2_slacks(cfg, taus)[1]
+            slack = tdoa._p2_slacks(cfg, *taus.T)[1]
             assert set((slack.min(axis=1) < -tol).tolist()) == outside
             fibers = _assert_tau_fibers_are_classify_invert_tau(cfg, taus)
             assert any(fibers) == (False in outside)
@@ -742,7 +744,8 @@ def test_tiny_receivers_recover_the_source(s):
 def test_h_1e_9_triangle_fiber_is_the_number_of_points():
     """validate_config accepts (0,0) (1,0) (0.4,1e-9) as a GeneralTriangle, but every w of
     _lens_table is 0.0 there.  Near the tau of the source (-1.3017, 0.2838) classify_tau warns
-    "divide by zero" in _lens_corners and answers U_1 with fiber 2; invert_tdoa finds no point."""
+    "divide by zero" in _cone_coordinates and answers U_1 with fiber 2; invert_tdoa finds no
+    point."""
     cfg = rg.validate_config([(0.0, 0.0), (1.0, 0.0), (0.4, 1e-9)])
     tau = np.array([-0.3929241, 0.59392668])
     with warnings.catch_warnings():
@@ -753,19 +756,25 @@ def test_h_1e_9_triangle_fiber_is_the_number_of_points():
 
 
 def test_line_constants_are_read_only_and_die_with_their_configuration():
+    """The TDOA memos are tuples of floats, except the read-only (2, 2) array M that the solve
+    for u0 takes, and they hold no reference to the configuration."""
     cfg = rg.validate_config([(0.2, -0.1), (1.3, 0.4), (0.5, 1.1)])
     lens_tau = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
     regions, _ = rg.classify_invert_tau(cfg, [rg.tau_map(cfg, (0.3, 0.4)), lens_tau])
     assert regions[1].label == "U_1"
     d31v, d32v, M, shift, w12, flip = cfg._constants[tdoa._line_constants]
-    assert d31v.tobytes() == cfg.vec(3, 1).tobytes() and M.tobytes() == np.stack(
-        [cfg.vec(3, 1), cfg.vec(3, 2)]).tobytes()
-    assert w12 == rg.cross2(d31v, d32v) and flip.tolist() == [-1.0, 1.0]
-    arrays = [d31v, d32v, M, shift, flip, *cfg._constants[tdoa._lens_table]]
-    for arr in arrays:
-        with pytest.raises(ValueError):
-            arr[...] = 0.0
+    assert d31v == tuple(cfg.vec(3, 1).tolist()) and d32v == tuple(cfg.vec(3, 2).tolist())
+    assert M.tobytes() == np.stack([cfg.vec(3, 1), cfg.vec(3, 2)]).tobytes()
+    assert w12 == rg.cross2(d31v, d32v) and flip == (-1.0, 1.0)
+    with pytest.raises(ValueError):
+        M[...] = 0.0
+    for build in (tdoa._line_constants, tdoa._tangency_table, tdoa._lens_table, tdoa._p2_table):
+        value = cfg._constants[build]
+        flat = [v for part in value if part is not M
+                for v in (part if isinstance(part, tuple) else (part,))]
+        assert isinstance(value, tuple) and all(
+            isinstance(v, (float, str, tuple)) for v in flat), build.__name__
     ref = weakref.ref(cfg)
-    del cfg, regions, arrays, d31v, d32v, M, shift, flip
+    del cfg, regions, d31v, d32v, M, shift, flip, value, flat
     gc.collect()
     assert ref() is None

@@ -92,7 +92,7 @@ def test_general_slacks_match_the_written_out_expressions_bit_for_bit(receivers)
     # the hexagon: the ray rows' single exact product
     taus = np.concatenate([Ts[:, :2] - Ts[:, 2:], rng.uniform(-1.3, 1.3, (60, 2)) * cfg.d_max,
                            [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]])
-    names, slack = tdoa._p2_slacks(cfg, taus)
+    names, slack = tdoa._p2_slacks(cfg, *taus.T)
     assert names == tdoa.P2_FACETS
     assert _same_bits(slack, p2_slacks(cfg, taus))
 
@@ -124,7 +124,7 @@ def test_collinear_slacks_match_the_written_out_expressions_bit_for_bit(receiver
         assert _same_bits(list(got.values()), [float(v) for v in want.values()]), T
     # the hexagon before the collinear drop
     taus = np.concatenate([Ts[:, :2] - Ts[:, 2:], [[0.0, -0.0], [-0.0, -0.0]]])
-    names, slack = tdoa._p2_slacks(cfg, taus)
+    names, slack = tdoa._p2_slacks(cfg, *taus.T)
     keep = [tdoa.P2_FACETS.index(name) for name in names]
     assert len(keep) == 4
     assert _same_bits(slack, p2_slacks(cfg, taus)[:, keep])
