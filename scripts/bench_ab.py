@@ -76,7 +76,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) 
 # configuration, validate_config included, on (0,0) (1,0) (0.6,0.7) and on the collinear
 # (0,0) (1,0) (0.3,0) (validate_config, classify_tau and invert3_collinear on its lift); and
 # the one-row TDOA calls on the reused configurations, for an EMinus tau, a U_i tau, a
-# collinear tau and invert_tdoa.
+# collinear tau and invert_tdoa; and tau_fibers on the 225 rows of the collinear
+# configuration's 15^2 census grid (extent 1.2 d_max, row-major, as fiber_census.py builds it).
 PROBE = """
 import json, time
 import numpy as np
@@ -88,6 +89,8 @@ x = np.array([0.3, 0.4])
 T, tau = cfg.distances(x), rg.tau_map(cfg, x)
 lens = rg.tau_map(cfg, cfg.m(1) + np.array([0.017, 0.011]))
 ctau = rg.tau_map(col, np.array([0.5, 0.4]))
+axis = np.linspace(-1.2 * col.d_max, 1.2 * col.d_max, 15)
+grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 assert rg.classify_tau(cfg, tau).label == "EMinus" and rg.classify_tau(cfg, lens).label == "U_1"
 assert rg.classify_tau(col, ctau).label == "CollinearInterior"
 def toa():
@@ -107,7 +110,8 @@ for name, fn in (("validate_config+invert3", toa),
                  ("classify_tau EMinus", lambda: rg.classify_tau(cfg, tau)),
                  ("classify_tau U_1", lambda: rg.classify_tau(cfg, lens)),
                  ("classify_tau collinear", lambda: rg.classify_tau(col, ctau)),
-                 ("invert_tdoa", lambda: rg.invert_tdoa(cfg, tau))):
+                 ("invert_tdoa", lambda: rg.invert_tdoa(cfg, tau)),
+                 ("tau_fibers collinear 15x15", lambda: rg.tau_fibers(col, grid))):
     times = []
     for _ in range(7):
         t0 = time.perf_counter()

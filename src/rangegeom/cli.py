@@ -163,7 +163,7 @@ def _cmd_localize_tdoa(args, config) -> dict:
     # classify_tau's checks in its order, so a one-row batch fails with its messages
     _require_planar_triple(config)
     tau = _measurement(args.tau, 2, "range differences")
-    regions, inverted = classify_invert_tau(config, tau[None], rtol=args.tol)
+    regions, inverted = classify_invert_tau(config, [tau], rtol=args.tol)
     region = regions[0]
     points = ()
     if config.is_collinear:

@@ -189,13 +189,14 @@ class SensorConfig:
 
 
 def _to_unit(config: SensorConfig, v, bound: float, what: str):
-    """Measurements v (floats or an array) times 2^-k; InvalidParam beyond bound * d_max."""
-    few = v if isinstance(v, list) else v.ravel().tolist() if v.size < 16 else None  # cheaper
-    largest = float(np.abs(v).max()) if few is None else max(map(abs, few)) if few else 0.0
+    """Measurements v times 2^-k, a list of floats (one measurement, _measurement's) or an
+    array (a block); InvalidParam beyond bound * d_max."""
+    row = isinstance(v, list)
+    largest = max(map(abs, v)) if row else float(np.abs(v).max(initial=0.0))
     if largest > bound * config.d_max:
         raise InvalidParam(f"{what}: |{largest:g}| > {bound:g} d_max")
     unit = config._unit
-    return v if unit == 1.0 else [x * unit for x in v] if few is v else v * unit
+    return v if unit == 1.0 else [x * unit for x in v] if row else v * unit
 
 
 def _from_unit(config: SensorConfig, value, degree: int = 1):
@@ -254,13 +255,14 @@ def _facet_verdict(slacks, rtol: float, d_max: float) -> tuple:
     return tuple(active), "Outside" if outside else "OnFacet" if active else "Interior"
 
 
-def _measurement(v, k: int, what: str = "ranges") -> np.ndarray:
-    """A measurement vector of k finite floats; raises on any other input."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != k:
-        raise DimensionMismatch(f"expected {k} {what}, got {v.shape[0]}")
-    if not all(map(math.isfinite, v.tolist())):  # ~10x cheaper than np.isfinite here
-        raise InvalidParam(f"{what} must be finite, got {v.tolist()}")
+def _measurement(v, k: int, what: str = "ranges") -> list:
+    """A measurement vector of k finite floats, as a list of Python floats; raises on any other
+    input."""
+    v = np.asarray(v, dtype=float).reshape(-1).tolist()
+    if len(v) != k:
+        raise DimensionMismatch(f"expected {k} {what}, got {len(v)}")
+    if not all(map(math.isfinite, v)):  # ~10x cheaper than np.isfinite here
+        raise InvalidParam(f"{what} must be finite, got {v}")
     return v
 
 

@@ -62,13 +62,16 @@ def _require_general(config: SensorConfig) -> None:
 def _poly_eval(terms, T: np.ndarray):
     """Sum of coeff * T1^e1 * T2^e2 * T3^e3 over terms, at triple(s) T.
 
-    A float for one triple, an array for a batch (..., 3).  Each power is
-    formed once per call, on first use (_Powers).  A power above 2 is one
-    array op on the whole of T: numpy's power loop rounds differently from
-    libm pow (Python floats, numpy scalars) on a few percent of inputs, so
-    those are never taken on scalars.  Powers 0, 1 and 2 are exact or one
-    rounding (numpy's T ** 2 is T * T), so one triple takes them on floats.
-    The products and the sum then run term by term in the order of terms.
+    A float for one triple (three floats, or a (3,) array), an array for a
+    batch (..., 3).  Each power is formed once per call, on first use
+    (_Powers).  A power above 2 is one array op on the whole of T: numpy's
+    power loop rounds differently from libm pow (Python floats, numpy
+    scalars) on a few percent of inputs, so those are never taken on
+    scalars; test_quartic_residual_bit_exact_against_per_term_loop and
+    test_classify3d_quartic_bit_exact_against_per_term_loop pin those bits.
+    Powers 0, 1 and 2 are exact or one rounding (numpy's T ** 2 is T * T),
+    so one triple takes them on floats.  The products and the sum then run
+    term by term in the order of terms.
     """
     T = np.asarray(T, dtype=float)
     powers = _Powers()
@@ -118,9 +121,9 @@ def _quartic_terms(config: SensorConfig) -> MappingProxyType:
     })
 
 
-def _quartic_value(config: SensorConfig, T: np.ndarray):
-    """The quartic of the unit geometry at range triple(s) T times 2^-k; InvalidParam where
-    some |T_i| exceeds _QUARTIC_BOUND * d_max."""
+def _quartic_value(config: SensorConfig, T):
+    """The quartic of the unit geometry at range triple(s) T times 2^-k, T three floats or an
+    array; InvalidParam where some |T_i| exceeds _QUARTIC_BOUND * d_max."""
     T = _to_unit(config, T, _QUARTIC_BOUND, "ranges too large for the quartic")
     return _poly_eval(config._memo(_quartic_terms), T)
 
@@ -147,8 +150,8 @@ def _scale_free(config: SensorConfig, value):
     return value / (config.d_max * config._unit) ** 6
 
 
-def _quartic_gate(config: SensorConfig, T: np.ndarray, rtol: float) -> tuple:
-    """(value, _scale_free, on): the quartic at the triple T, scale-free, and within rtol of
+def _quartic_gate(config: SensorConfig, T: list, rtol: float) -> tuple:
+    """(value, _scale_free, on): the quartic at the floats T, scale-free, and within rtol of
     zero (config._sign); the on-surface test of classify3, classify3d_r3, the hull."""
     residual = _scale_free(config, value := _quartic_value(config, T))
     return _from_unit(config, value, 6), residual, _sign(residual, rtol) == 0
@@ -234,7 +237,7 @@ def q3_membership(config: SensorConfig, T, rtol: float = _RTOL) -> Q3Report:
     order and relabeled internally.
     """
     _require_planar_triple(config)
-    return _q3_report(config, _measurement(T, 3).tolist(), rtol)
+    return _q3_report(config, _measurement(T, 3), rtol)
 
 
 def _q3_report(config: SensorConfig, T: list, rtol: float) -> Q3Report:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _cross3  # noqa: F401  its home is config.py; kept importable from here
-
 
 @dataclass(frozen=True)
 class SpacetimeVec3:

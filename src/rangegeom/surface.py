@@ -618,6 +618,6 @@ def collinear_degeneration_check(
     unit = config._unit  # the quartic's coefficients are of the unit geometry
     d21 = kind.d21 * unit
     T = np.random.default_rng(seed).uniform(0.0, box * kind.d21, size=(n, 3)) * unit
-    s = np.array([_stewart(kind.rho, d21, *(row[k] for k in kind.order)) for row in T.tolist()])
+    s = _stewart(kind.rho, d21, *(T[:, k] for k in kind.order))
     gap = _poly_eval(config._memo(_quartic_terms), T) - d21 * d21 * s * s
     return float(_scale_free(config, np.max(np.abs(gap))))

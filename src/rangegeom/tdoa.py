@@ -28,27 +28,28 @@ Python floats of one tau, or on a *block*, the (N,) columns of an (N, 2)
 array.  The config-only constants (``SensorConfig._memo``) are tuples of
 floats; a formula over a table runs per row of it on a float row and on its
 (k,) columns for a block (``_over``, as ``kummer._slacks`` does).  NumPy stays
-where it sets bits: the LAPACK solve of the base point u0 (config._solve) and
-one stacked matmul for the dot products (``_dots``).  One pipeline,
+only where a test or golden pins its bits: the LAPACK solve of the base point
+u0 (config._solve) and one stacked matmul for the dot products (``_dots``).
+Elsewhere a block runs the float formulas on its columns, the Stewart quadric
+of the collinear lift among them (toa3._stewart).  One pipeline,
 ``_tau_rows``, composes the kernels in general position: stage 1 labels the
 rows outside the hexagon P2 ``OutsideIm`` from their P2 slacks alone and
 classifies the others (``_classify_rows``); stage 2 inverts the rows of fiber
-1 or 2 (``_invert_rows``).  The label ladder and the root choice run per row
-on floats in both forms; ``_tau_rows``' row split and ``_invert_rows``'
-candidate step are where the forms part.  The one-row calls (classify_tau,
-invert_tdoa, tdoa_coeffs, t_quadratic, p2_membership, and classify_invert_tau
-and tau_fibers on one row) take the float row.  ``tau_fibers`` returns both
-stages as plain tuples; ``classify_invert_tau`` and ``classify_tau`` get
-result objects from ``_regions``.  The null-cone line and the collinear lift
-work on the unit geometry of config.py; points, lifts and coefficients are
-scaled back.
+1 or 2 (``_invert_rows``).  The label ladder, the lens pick and the root
+choice run per row on floats in both forms; ``_tau_rows``' row split and
+``_invert_rows``' candidate step are where the forms part.  The one-row calls
+(classify_tau, invert_tdoa, tdoa_coeffs, t_quadratic, p2_membership, and
+classify_invert_tau and tau_fibers on one row) take the float row.
+``tau_fibers`` returns both stages as plain tuples; ``classify_invert_tau``
+and ``classify_tau`` get result objects from ``_regions``.  The null-cone line
+and the collinear lift work on the unit geometry of config.py; points, lifts
+and coefficients are scaled back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -133,20 +134,11 @@ def _listed(values) -> list:
 def _over(kernel, rows: tuple, *args):
     """kernel(rows, *args) for a kernel that makes one list entry per row of a float table, as
     kummer._slacks does: the list of its k entries for a float row.  For a block the table
-    runs as one row of (k, 1) columns against the (N,) columns, and the result is (N, k), or
-    (N, k, m) for entries that are m-tuples."""
+    runs as one row of (k, 1) columns against the (N,) columns, and the result is (N, k)."""
     if not isinstance(args[0], np.ndarray):
         return kernel(rows, *args)
     (values,) = kernel([np.array(rows).T[:, :, None]], *args)
-    return np.stack(values, axis=-1).swapaxes(0, 1) if isinstance(values, tuple) else values.T
-
-
-def _each(f, *columns):
-    """f on the floats of each row: f(*floats) for a float row, the (N,) array of f per row for
-    a block's columns."""
-    if not isinstance(columns[0], np.ndarray):
-        return f(*columns)
-    return np.array([f(*row) for row in zip(*(c.tolist() for c in columns))], dtype=float)
+    return values.T
 
 
 def _pairs(x, y):
@@ -167,6 +159,8 @@ def _dots(x: list, y: list):
 
     One stacked (k, 1, 2) @ (k, 2, 1) matmul, (N, k, 1, 2) @ (N, k, 2, 1) for columns: each
     product is the BLAS ddot of a 1-D x @ y bit for bit, which x0*y0 + x1*y1 on floats is not.
+    _coeff_rows' bits are pinned by the localize_tdoa_interior golden, the tests/test_census.py
+    digests and test_classify_invert_tau_rows_are_the_scalar_calls.
     """
     x, y = np.array(x).T, np.array(y).T  # (2k,), or (N, 2k), which the reshapes copy C-ordered
     lead, k = x.shape[:-1], x.shape[-1] // 2
@@ -232,7 +226,7 @@ def _p2_slacks(config: SensorConfig, t1, t2) -> tuple:
 
 def p2_membership(config: SensorConfig, tau, rtol: float = _RTOL) -> P2Report:
     _require_planar_triple(config)
-    names, slack = _p2_slacks(config, *_measurement(tau, 2, "range differences").tolist())
+    names, slack = _p2_slacks(config, *_measurement(tau, 2, "range differences"))
     residuals = dict(zip(names, slack))
     active, verdict = _facet_verdict(residuals.items(), rtol, config.d_max)
     return P2Report(residuals=residuals, verdict=verdict, active=active)
@@ -270,7 +264,7 @@ def _require_general(config: SensorConfig) -> None:
 
 def tdoa_coeffs(config: SensorConfig, tau) -> TdoaCoeffs:
     _require_general(config)
-    tau = _measurement(tau, 2, "range differences").tolist()
+    tau = _measurement(tau, 2, "range differences")
     return _coeff_objects(config, _coeff_rows(config, *_line_taus(config, tau)))[0]
 
 
@@ -328,8 +322,9 @@ def _tangency_table(config: SensorConfig) -> tuple:
 
     T_i^+ = (d31v . u, d32v . u) for the unit side u = (m3 - m2) / d32,
     (m3 - m1) / d31, (m2 - m1) / d21 (validate_config's sides, reversed), and
-    T_i^- = -T_i^+, scaled back from the unit geometry.  Read it through
-    config._memo(_tangency_table).
+    T_i^- = -T_i^+, scaled back from the unit geometry: the dot products are
+    _dots', whose bits test_config_memos_match_the_old_builders pins.  Read it
+    through config._memo(_tangency_table).
     """
     d21v, d31v, d32v = config._sides.tolist()
     unit = config._unit
@@ -375,7 +370,7 @@ def invert_tdoa(config: SensorConfig, tau, rtol: float = _RTOL) -> SolutionSet:
     authoritative: spurious mirror roots are discarded).
     """
     _require_general(config)
-    tau = _measurement(tau, 2, "range differences").tolist()
+    tau = _measurement(tau, 2, "range differences")
     return _solution_sets(*_invert_rows(config, tau, rtol))[0]
 
 
@@ -492,7 +487,7 @@ def classify_tau(config: SensorConfig, tau, rtol: float = _RTOL) -> TauRegion:
     the lift to ranges (the returned region carries the lifted triple).
     """
     _require_planar_triple(config)
-    tau = _measurement(tau, 2, "range differences").tolist()
+    tau = _measurement(tau, 2, "range differences")
     return _regions(config, tau, rtol)[0][0]
 
 
@@ -583,8 +578,8 @@ def _classify_rows(config: SensorConfig, taus, rtol: float, co: tuple, names: tu
 
     taus: a float row or a block; co, names and slack: its _coeff_rows values and its P2 facet
     names and slacks.  The tangency nearness runs once over all rows; the rows with a > 0 and
-    b > 0, on a P2 facet or in a lens, are decided in a second pass, from their own slacks and
-    lens cone coordinates.
+    b > 0, on a P2 facet or in a lens, are decided in a second pass, each on its own floats:
+    its slacks and its lens cone coordinates.
     """
     t1, t2 = _columns(taus)
     tangent = _listed(_over(_near, config._memo(_tangency_table), t1, t2, rtol * config.d_max))
@@ -606,30 +601,26 @@ def _classify_rows(config: SensorConfig, taus, rtol: float, co: tuple, names: tu
             label, fiber = "OutsideIm", 0
         decided.append((label, ids_i, fiber))
     if lens_side:
+        cones = config._memo(_lens_table)
         t1, t2, slack = _rows_of((t1, t2, slack), lens_side, len(decided))
-        cones = _over(_cone_coordinates, config._memo(_lens_table), t1, t2)
-        for i, slack_i, cones_i in zip(lens_side, _listed(slack), _listed(cones)):
+        for i, x1, x2, slack_i in zip(lens_side, _listed(t1), _listed(t2), _listed(slack)):
             active, _ = _facet_verdict(zip(names, slack_i), rtol, config.d_max)
-            decided[i] = ("BoundaryArc", active, 1) if active else (f"U_{_deepest(cones_i)}", (), 2)
+            decided[i] = ("BoundaryArc", active, 1) if active else (
+                f"U_{_deepest(_cone_coordinates(cones, x1, x2))}", (), 2)
     return decided
 
 
-def _cone_coordinates(cones: tuple, t1, t2) -> list:
+def _cone_coordinates(cones: tuple, t1: float, t2: float) -> list:
     """Per lens cone (px, py, qx, qy, w): (s, t) of tau = s*p + t*q, that is cross2(tau, q) / w
-    and cross2(p, tau) / w."""
+    and cross2(p, tau) / w, at the floats of one row."""
     return [((t1 * qy - t2 * qx) / w, (px * t2 - py * t1) / w) for px, py, qx, qy, w in cones]
 
 
 def _deepest(coordinates: list) -> int:
     """The corner i whose lens cone holds tau most deeply, from its (s, t) in each cone: the
-    depth min(s, t) is positive exactly inside a cone.  As np.minimum and np.argmax do, a NaN
-    (of w = 0.0) is both the least and the greatest depth, and the first greatest wins."""
-    depth = [s if s != s or s <= t else t for s, t in coordinates]
-    best = 0
-    for i in (1, 2):
-        if depth[best] == depth[best] and not depth[i] <= depth[best]:  # a NaN, or greater
-            best = i
-    return best + 1
+    depth min(s, t) is positive exactly inside a cone, and the first greatest wins."""
+    depth = [min(s, t) for s, t in coordinates]
+    return depth.index(max(depth)) + 1
 
 
 def _collinear_lift_table(config: SensorConfig) -> tuple:
@@ -656,11 +647,10 @@ def _classify_collinear_rows(config: SensorConfig, taus, rtol: float) -> tuple:
 
     # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
     # in t: c_lin + a_lin * t (canonical labels, unit geometry)
-    d, d21, rho = d_max * unit, kind.d21 * unit, kind.rho
-    base = (u1, u2, 0.0 * abs(u1))  # the lift at t = 0: (tau1, tau2, 0)
-    p1, p2, p3 = (base[k] for k in kind.order)
+    d, rho = d_max * unit, kind.rho
+    p1, p2, p3 = ((u1, u2, 0.0)[k] for k in kind.order)  # the lift at t = 0: (tau1, tau2, 0)
     a_lin = 2.0 * ((1.0 - rho) * p1 + rho * p2 - p3)
-    c_lin = _each(partial(_stewart, rho, d21), p1, p2, p3)
+    c_lin = _stewart(rho, kind.d21 * unit, p1, p2, p3)
     flat = abs(a_lin) <= (tol_lin := rtol * d)
     # a flat row's lift is discarded: num = 0 and den = a_lin + 1 there keep its t finite
     num, den = -c_lin * (1 - flat), a_lin + flat
@@ -680,7 +670,7 @@ def _classify_collinear_rows(config: SensorConfig, taus, rtol: float) -> tuple:
             # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
             cid = f"R{kind.order.index(row) + 1}"
             if cid == "R3":
-                t_mid = config.dist(row + 1, 3)
+                t_mid = (config.d31, config.d32, 0.0)[row]
                 lift_i = [x1 + t_mid, x2 + t_mid, t_mid]
                 label, ids_i, fiber = "BoundaryArc", ("R3",), 1
             else:
@@ -765,7 +755,7 @@ def t_quadratic(config: SensorConfig, tau) -> tuple:
     _require_planar_triple(config)
     if config.is_collinear:
         raise DegenerateConfig("collinear receivers: the lift is linear, not quadratic")
-    tau = _measurement(tau, 2, "range differences").tolist()
+    tau = _measurement(tau, 2, "range differences")
     a, b, c = _coeff_rows(config, *_line_taus(config, tau))[:3]
     w12 = config._memo(_line_constants)[4]
     unit_abc = (4.0 * a, -8.0 * abs(w12) * b, 4.0 * w12 * w12 * c)

@@ -73,8 +73,8 @@ def classify_pair(T1: float, T2: float, d21: float, rtol: float = _RTOL) -> Q2Cl
 def classify2(config: SensorConfig, T, rtol: float = _RTOL) -> Q2Class:
     """Classify a range pair for a two-receiver configuration."""
     _require_two(config)
-    T = _measurement(T, 2)
-    return classify_pair(float(T[0]), float(T[1]), config.d21, rtol=rtol)
+    T1, T2 = _measurement(T, 2)
+    return classify_pair(T1, T2, config.d21, rtol=rtol)
 
 
 def _two_sphere(e1, e2, T1: float, T2: float, d21: float, rtol: float):
@@ -115,8 +115,7 @@ def invert2(config: SensorConfig, T, rtol: float = _RTOL) -> tuple:
     _require_two(config)
     if config.dimension != 2:
         raise DimensionMismatch("two-receiver inversion requires planar receivers")
-    T = _measurement(T, 2)
-    T1, T2 = float(T[0]), float(T[1])
+    T1, T2 = _measurement(T, 2)
     fiber = _two_sphere(*config.receivers, T1, T2, config.d21, rtol)
     if fiber is None:
         raise Infeasible(

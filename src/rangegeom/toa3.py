@@ -14,14 +14,16 @@ time -T_i, the circumcenter is the foot at equal ranges, and invert3d_r3 adds
 the height above the plane.  The reference receiver, the vertex opposite the
 longest side, minimizes the system's condition number (_reference_system).
 
-One measurement is parsed once and worked on as Python floats, which give the
-same bits as NumPy's elementwise ops on the same operands in the same order.
-NumPy stays where it sets bits that floats cannot reproduce: the fourth
-powers of the quartic (kummer._poly_eval: NumPy's power loop for T ** e,
-e > 2, rounds differently from libm pow) and _foot's 2x2 solve (LAPACK's
-LU through config._solve, np.linalg.solve's gufunc without its wrapper; a
-closed form matches it only with fused multiply-adds, which Python floats
-lack).  Points are NumPy arrays; squares are taken on the unit geometry (config.py).
+One measurement is parsed once, into a list of Python floats
+(config._measurement), and worked on as floats, which give the same bits as
+NumPy's elementwise ops on the same operands in the same order.  Squares are
+products (x * x): the Stewart quadric takes the same bits on floats and on
+(N,) columns.  NumPy stays where a test or golden pins bits that floats
+cannot reproduce: the fourth powers of the quartic (kummer._poly_eval) and
+_foot's 2x2 solve (LAPACK's LU through config._solve, np.linalg.solve's
+gufunc without its wrapper; a closed form matches it only with fused
+multiply-adds, which Python floats lack).  Points are NumPy arrays; squares
+are taken on the unit geometry (config.py).
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def exterior_point(config: SensorConfig, T, i: int = 1) -> SpacetimeVec3:
         raise DegenerateConfig("exterior point construction needs non-collinear receivers")
     if i not in (1, 2, 3):
         raise DimensionMismatch(f"receiver index must be 1, 2 or 3, got {i}")
-    T = _measurement(T, 3).tolist()
+    T = _measurement(T, 3)
     x, y = _foot(config, T)[0].tolist()
     return SpacetimeVec3(x=x, y=y, t=-T[i - 1])
 
@@ -157,7 +159,7 @@ def invert3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet:
         raise DegenerateConfig(
             "collinear receivers: use invert3_collinear (mirror-pair fibers)"
         )
-    T = _measurement(T, 3).tolist()
+    T = _measurement(T, 3)
     return SolutionSet(points=_remapping(config, (_foot(config, T)[0],), T, rtol))
 
 
@@ -257,17 +259,14 @@ def collinear_quadric_residual(config: SensorConfig, T) -> float:
     """
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("quadric residual is defined for collinear triples only")
-    return _from_unit(config, _canonical_stewart(config, _measurement(T, 3).tolist()), 2)
+    return _from_unit(config, _canonical_stewart(config, _measurement(T, 3)), 2)
 
 
 def _stewart(rho: float, d21: float, T1: float, T2: float, T3: float) -> float:
-    """The Stewart quadric of endpoints d21 apart, ratio rho, at one canonical float triple.
-
-    The squares go through the C library's pow, as ``float ** 2`` computes
-    them; NumPy's array square (x * x) differs from it in the last bit on
-    about one value in 1300, so batch callers evaluate this per row.
-    """
-    return (1.0 - rho) * T1 ** 2 + rho * T2 ** 2 - T3 ** 2 - rho * (1.0 - rho) * d21 * d21
+    """The Stewart quadric of endpoints d21 apart, ratio rho, at canonical T1, T2, T3: floats,
+    or (N,) columns (a float among them stands for a constant column).  The squares are
+    products, so a column's entries are the float calls on its rows, bit for bit."""
+    return (1.0 - rho) * (T1 * T1) + rho * (T2 * T2) - T3 * T3 - rho * (1.0 - rho) * d21 * d21
 
 
 def _canonical_stewart(config: SensorConfig, T: list) -> float:
@@ -306,7 +305,7 @@ def invert3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionS
     _require_planar_triple(config)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3_collinear requires a collinear configuration")
-    T = _measurement(T, 3).tolist()
+    T = _measurement(T, 3)
     fiber = _collinear_fiber(config, T, rtol)
     if fiber is None:
         return SolutionSet(points=())
@@ -327,13 +326,12 @@ def classify3(config: SensorConfig, T, rtol: float = _RTOL) -> FeasibilityReport
     """
     _require_planar_triple(config)
     T = _measurement(T, 3)
-    Ts = T.tolist()
-    in_octant = min(Ts) >= -rtol * config.d_max
-    q3 = _q3_report(config, Ts, rtol)
+    in_octant = min(T) >= -rtol * config.d_max
+    q3 = _q3_report(config, T, rtol)
 
     if config.is_collinear:
         quartic = None
-        residual, on_surface = _stewart_gate(config, _canonical_stewart(config, Ts), rtol)
+        residual, on_surface = _stewart_gate(config, _canonical_stewart(config, T), rtol)
         fiber_interior = 2
     else:
         quartic, residual, on_surface = _quartic_gate(config, T, rtol)

@@ -129,9 +129,8 @@ def invert3d_r2(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
     _require_3d(config, 2)
     if not isinstance(config.kind, TwoReceivers):
         raise DimensionMismatch("expected a two-receiver configuration")
-    T = _measurement(T, 2)
     return _circle_or_point(
-        _two_sphere(*config.receivers, float(T[0]), float(T[1]), config.d21, rtol)
+        _two_sphere(*config.receivers, *_measurement(T, 2), config.d21, rtol)
     )
 
 
@@ -144,7 +143,7 @@ def classify3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> Feasibility3D
         )
     T = _measurement(T, 3)
     raw, normalized, on_surface = _quartic_gate(config, T, rtol)
-    if min(T.tolist()) < -rtol * config.d_max:
+    if min(T) < -rtol * config.d_max:
         verdict, fiber = "Outside", 0
     elif on_surface:
         verdict, fiber = "OnSurface", 1
@@ -168,7 +167,7 @@ def invert3d_r3(config: SensorConfig, T, rtol: float = _RTOL) -> SolutionSet3D:
             "range triple is not realizable in space",
             residuals={"quartic": report.quartic, "normalized": report.normalized},
         )
-    x, u, Ti = _foot(config, _measurement(T, 3).tolist())
+    x, u, Ti = _foot(config, _measurement(T, 3))
     if report.verdict == "OnSurface":
         return SolutionSet3D(points=(x,))
     n = config._memo(_reference_system)[7]
@@ -187,7 +186,7 @@ def invert3d_r3_collinear(config: SensorConfig, T, rtol: float = _RTOL) -> Solut
     _require_3d(config, 3)
     if not isinstance(config.kind, CollinearTriple):
         raise NotCollinear("invert3d_r3_collinear requires a collinear configuration")
-    T = _measurement(T, 3).tolist()
+    T = _measurement(T, 3)
     sol = _circle_or_point(_collinear_fiber(config, T, rtol))
     # every point of a circle about the receiver line has the same ranges
     if sol.circle is not None and not _remapping(config, (sol.circle.point(0.0),), T, rtol):

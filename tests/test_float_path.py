@@ -19,7 +19,7 @@ import pytest
 
 import rangegeom as rg
 from rangegeom import kummer, tdoa, toa2, toa3, toa3d
-from rangegeom.config import _LIFT_BOUND, _LINE_BOUND
+from rangegeom.config import _LIFT_BOUND, _LINE_BOUND, _QUARTIC_BOUND, _to_unit
 
 from oracles import (
     mirror_pair_arrays,
@@ -158,6 +158,37 @@ def test_classify3_octant_residual_and_facets_match_the_array_expressions(cfg):
         else:
             want = q3_residuals_general(cfg, *T.tolist())
         assert _bits(rg.q3_membership(cfg, T).residuals) == _bits(want)
+
+
+def test_stewart_on_columns_is_the_float_calls_on_their_rows():
+    """The Stewart quadric on (N,) columns, as the collinear TDOA block evaluates it, has the
+    bits of the float calls on each row: its squares are products, not pow."""
+    rng = np.random.default_rng(24)
+    for cfg in [c for c in _configs() if c.is_collinear and c.dimension == 2]:
+        unit = cfg._unit
+        rho, d21 = cfg.kind.rho, cfg.kind.d21 * unit
+        T = rng.uniform(-3.0, 3.0, (3, 100_000)) * cfg.d_max * unit
+        columns = toa3._stewart(rho, d21, *T)
+        rows = np.array([toa3._stewart(rho, d21, *row) for row in zip(*T.tolist())])
+        assert columns.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, -300, 300])
+def test_to_unit_on_floats_is_the_array_form(k):
+    """One measurement (a list of floats) and the same (3,) array scale to the same bits, and
+    raise the same InvalidParam one ulp past the bound."""
+    cfg = rg.validate_config(np.ldexp(np.array(_TRIANGLES[0]), k))
+    for bound in (_QUARTIC_BOUND, _LIFT_BOUND, _LINE_BOUND):
+        edge = bound * cfg.d_max
+        for v in ([0.3 * cfg.d_max, -0.0, -1.7 * cfg.d_max], [edge, -edge, 0.0]):
+            got = _to_unit(cfg, list(v), bound, "ranges")
+            want = _to_unit(cfg, np.array(v), bound, "ranges")
+            assert isinstance(got, list) and _bits(np.array(got)) == _bits(want)
+        for v in ([math.nextafter(edge, math.inf), 0.0, 1.0],
+                  [0.0, -math.nextafter(edge, math.inf), 1.0]):
+            assert _call(_to_unit, cfg, v, bound, "ranges") == \
+                _call(_to_unit, cfg, np.array(v), bound, "ranges")
+            assert _call(_to_unit, cfg, v, bound, "ranges")[0] == "InvalidParam"
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

@@ -17,7 +17,7 @@ import pytest
 
 import rangegeom as rg
 from rangegeom import kummer, tdoa, toa3, toa3d
-from rangegeom.spacetime import _cross3
+from rangegeom.config import _cross3
 
 from oracles import (
     circle_frame_by_arrays,
