@@ -225,12 +225,11 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(M, b) bit for bit, without its Python wrapper: LAPACK's gufunc, solve1
-    for one right-hand side b of shape (2,) or a stack of them of shape (N, 2) (each row the
-    one-vector solve, bit for bit), solve for a stack b of shape (N, 2, 1).  Every M here holds
-    two sides of a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular
-    (where the wrapper raised LinAlgError, the gufunc warns and returns NaN)."""
-    return (_umath_linalg.solve if b.ndim == 3 else _umath_linalg.solve1)(M, b, signature="dd->d")
+    """np.linalg.solve(M, b) bit for bit, without its Python wrapper: LAPACK's gufunc solve1 for
+    b of shape (2,), or (N, 2) (each row the one-vector solve).  Every M here holds two sides of
+    a GeneralTriangle, whose sine exceeds _COLLINEAR_RTOL, so M is never singular (where the
+    wrapper raised LinAlgError, the gufunc warns and returns NaN)."""
+    return _umath_linalg.solve1(M, b, signature="dd->d")
 
 
 def _sign(x: float, rtol: float) -> int:

@@ -33,7 +33,7 @@ from .config import (
     _sign,
     _to_unit,
 )
-from .errors import DegenerateConfig, DimensionMismatch
+from .errors import DegenerateConfig, DimensionMismatch, InvalidParam
 
 Q3_FACETS = (
     "r30", "r3-", "r3+",
@@ -134,13 +134,17 @@ def quartic_residual(config: SensorConfig, T, normalized: bool = False):
     Zero exactly on the range surface.  With normalized=True the value is
     divided by d_max^6, making it scale-free (the polynomial has total length
     degree six); the raw value is +-inf or 0.0 outside the float range.  Raises
-    DegenerateConfig for collinear receivers, and InvalidParam for ranges
-    beyond _QUARTIC_BOUND * d_max.
+    DegenerateConfig for collinear receivers, and InvalidParam for ranges that
+    are not finite (one triple: config._measurement) or beyond _QUARTIC_BOUND * d_max.
     """
     _require_general(config)
     T = np.asarray(T, dtype=float)
-    if T.shape[-1] != 3:
+    if T.ndim <= 1:
+        T = _measurement(T, 3)
+    elif T.shape[-1] != 3:
         raise DimensionMismatch("expected range triples with last axis 3")
+    elif not np.isfinite(T).all():
+        raise InvalidParam("ranges must be finite")
     val = _quartic_value(config, T)
     return _scale_free(config, val) if normalized else _from_unit(config, val, 6)
 

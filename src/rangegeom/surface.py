@@ -47,7 +47,7 @@ from .config import (
 )
 from .errors import DimensionMismatch, NotANode, NotCollinear, NotOnBoundary, UnknownLabel
 from .kummer import (Q3_FACETS, _facet_table, _node_images, _poly_eval, _quartic_gate,
-                     _quartic_terms, _require_general, _scale_free, q3_membership)
+                     _q3_report, _quartic_terms, _require_general, _scale_free)
 from .params import _abc
 from .spacetime import _cross2
 
@@ -532,7 +532,7 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
     Raises NotOnBoundary for points outside the feasible polyhedron, strictly
     inside the hull, or on a facet plane but beyond its fill region.
     """
-    from .toa3 import invert3
+    from .toa3 import _foot, _remapping
 
     _require_general(config)
     T = _measurement(T, 3)
@@ -550,15 +550,15 @@ def hull_boundary_classify(config: SensorConfig, T, rtol: float = _RTOL) -> Hull
                 details={"node": i, "parameter": t},
             )
 
-    q3 = q3_membership(config, T, rtol=rtol)
+    q3 = _q3_report(config, T, rtol)
     if q3.verdict == "Outside":
         raise NotOnBoundary("point lies outside the feasible polyhedron")
 
     # 2) on the quartic: positively curved surface regions V0..V3
     if _quartic_gate(config, T, _RTOL)[2]:
-        sols = invert3(config, T, rtol=_HULL_INVERT_RTOL)
-        if sols.points:
-            x = sols.points[0]
+        points = _remapping(config, (_foot(config, T)[0],), T, _HULL_INVERT_RTOL)  # invert3
+        if points:
+            x = points[0]
             unit_d_max = d_max * config._unit  # the degree-4 circumcircle test: unit geometry
             sgn = math.copysign(1.0, float(_cross2(*config._sides[:2])))
             h, q = _areas_and_squares(config, x)

@@ -18,9 +18,9 @@ quadratic's three coefficients (a, b, c) classify the fiber:
 * the arcs a = 0 (ellipse E) and b = 0 (cubic C) and the hexagon facets make
   up the boundary; E touches the hexagon at six tangency points T_i^+-.
 
-Collinear receivers are handled by the lift itself: the quartic relation
-degenerates to a linear equation in t, with ray fibers of infinite size at
-the endpoint images.
+Collinear receivers keep four facets of P2 and are handled by the lift
+itself: the quartic relation degenerates to a linear equation in t, with ray
+fibers of infinite size at the endpoint images.
 
 For fixed receivers every quantity above is elementwise in tau.  Each formula
 is written once and runs in one of two forms: on a *float row*, the two
@@ -32,11 +32,12 @@ only where a test or golden pins its bits: the LAPACK solve of the base point
 u0 (config._solve) and one stacked matmul for the dot products (``_dots``).
 Elsewhere a block runs the float formulas on its columns, the Stewart quadric
 of the collinear lift among them (toa3._stewart).  One pipeline,
-``_tau_rows``, composes the kernels in general position: stage 1 labels the
-rows outside the hexagon P2 ``OutsideIm`` from their P2 slacks alone and
-classifies the others (``_classify_rows``); stage 2 inverts the rows of fiber
-1 or 2 (``_invert_rows``).  The label ladder, the lens pick and the root
-choice run per row on floats in both forms; ``_tau_rows``' row split and
+``_tau_rows``, composes the kernels for both receiver layouts: stage 1 labels
+the rows outside the hexagon P2 ``OutsideIm`` from their P2 slacks alone and
+classifies the others (``_classify_rows``, or ``_classify_collinear_rows`` on
+the lift); stage 2 inverts the rows of fiber 1 or 2 in general position
+(``_invert_rows``).  The label ladders, the lens pick and the root choice run
+per row on floats in both forms; ``_tau_rows``' row split and
 ``_invert_rows``' candidate step are where the forms part.  The one-row calls
 (classify_tau, invert_tdoa, tdoa_coeffs, t_quadratic, p2_membership, and
 classify_invert_tau and tau_fibers on one row) take the float row.
@@ -512,17 +513,16 @@ def tau_fibers(config: SensorConfig, taus, rtol: float = _RTOL) -> tuple:
     are those of classify_tau(config, taus[i], rtol); points[i] holds the points of
     invert_tdoa(config, taus[i], rtol) as (x, y) float pairs, bit for bit, where fibers[i] is 1
     or 2, and is () where it is 0.  points is None for collinear receivers, where invert_tdoa
-    raises.  No result object is built.
+    raises.  No result object, coefficient object or lift is built.
     """
     _require_planar_triple(config)
     taus = _one_row(_measurement_rows(taus, 2, "range differences"))
-    if config.is_collinear:
-        labels, _, fibers, _ = _classify_collinear_rows(config, taus, rtol)
-        return tuple(labels), tuple(fibers), None
-    _, _, decided, (x, found) = _tau_rows(config, taus, rtol, invert=True)
-    xs = list(map(tuple, x.tolist()))
-    return (tuple([row[0] for row in decided]), tuple([row[2] for row in decided]),
-            tuple([tuple([xs[j] for j in f]) if f else () for f in found]))
+    _, _, decided, inverted, _ = _tau_rows(config, taus, rtol, invert=True)
+    points = None
+    if inverted:
+        xs = list(map(tuple, inverted[0].tolist()))
+        points = tuple([tuple([xs[j] for j in f]) if f else () for f in inverted[1]])
+    return tuple([row[0] for row in decided]), tuple([row[2] for row in decided]), points
 
 
 def _rows_of(arrays: tuple, rows: list, n: int) -> tuple:
@@ -533,43 +533,61 @@ def _rows_of(arrays: tuple, rows: list, n: int) -> tuple:
     return tuple([a.take(rows, axis=0) for a in arrays])
 
 
-def _tau_rows(config: SensorConfig, taus, rtol: float, co: tuple = None,
-              invert: bool = False) -> tuple:
-    """The TDOA pipeline for validated tau in general position: a float row, or an (N, 2) array.
+def _tau_rows(config: SensorConfig, taus, rtol: float, invert: bool = False,
+              regions: bool = False) -> tuple:
+    """The TDOA pipeline for validated tau, a float row or an (N, 2) array, in both layouts.
 
-    Stage 1 checks the input bound (_line_taus, unless co, _coeff_rows' all-row values, is
-    given) and computes the P2 slacks; a row outside the P2 band is OutsideIm with fiber 0 from
-    them alone, and only the other rows get coefficient rows and _classify_rows.  Stage 2, with
-    invert, runs _invert_rows on the rows of fiber 1 or 2 only.  Returns (names, slack, decided,
-    inverted): decided[i] is row i's (label, ids, fiber); inverted is None without invert, else
-    (x, found), _invert_rows' points and per row the indices in x of its own (() if none).
+    Stage 1 computes every row's lift (_lift_columns) for collinear receivers, else _line_taus
+    (with regions the coefficient rows): the block's one bound check.  A row outside the P2
+    band is OutsideIm with fiber 0 from its P2 slacks alone, and only the others reach the
+    classifier.  Stage 2, with invert in general position, runs _invert_rows on the rows of
+    fiber 1 or 2.  Returns (names, slack, decided, inverted, fields): decided[i] is row i's
+    (label, ids, fiber); inverted None or (x, found), _invert_rows' points and per row the
+    indices in x of its own; fields, with regions, every row's TauRegion coeffs and lift.
     """
     row = isinstance(taus, list)
     n = 1 if row else len(taus)
-    taus_u = _line_taus(config, taus) if co is None else taus  # the block's one bound check
+    collinear = config.is_collinear
+    if collinear:
+        cols = _lift_columns(config, taus, rtol)
+    elif regions:
+        cols = _coeff_rows(config, *_columns(_line_taus(config, taus)))
+    else:  # the coefficient rows wait for the row split
+        cols = (_line_taus(config, taus),)
     names, slack = _p2_slacks(config, *_columns(taus))
     band = -rtol * config.d_max
     # the row split: the rows inside the P2 band
     inside = ([0] if min(slack) >= band else []) if row else \
         (slack >= band).all(axis=1).nonzero()[0].tolist()
     decided, found = [("OutsideIm", (), 0)] * n, [()] * n
-    x = np.empty((0, 2)) if invert else None
+    stage2 = invert and not collinear
+    x = np.empty((0, 2)) if stage2 else None
     if inside:
-        taus_in, slack_in, taus_u = _rows_of((taus, slack, taus_u), inside, n)
-        co_in = _coeff_rows(config, *_columns(taus_u)) if co is None else _rows_of(co, inside, n)
-        decided_in = _classify_rows(config, taus_in, rtol, co_in, names, slack_in)
+        taus_in, slack_in, cols_in = taus, slack, cols  # the one-row path: no gather
+        if len(inside) < n:
+            taus_in, slack_in, *cols_in = _rows_of((taus, slack, *cols), inside, n)
+        if collinear:
+            decided_in = _classify_collinear_rows(config, taus_in, rtol, cols_in)
+        else:
+            if not regions:
+                cols_in = _coeff_rows(config, *_columns(cols_in[0]))
+            decided_in = _classify_rows(config, taus_in, rtol, cols_in, names, slack_in)
         if len(inside) == n:  # no scatter on the one-row path
             decided = decided_in
         else:
             for i, labelled in zip(inside, decided_in):
                 decided[i] = labelled
-        rows = [k for k, (_, _, fiber) in enumerate(decided_in) if fiber] if invert else None
+        rows = [k for k, (_, _, fiber) in enumerate(decided_in) if fiber] if stage2 else None
         if rows:
-            taus_inv, *co_inv = _rows_of((taus_in, *co_in), rows, len(inside))
+            taus_inv, *co_inv = _rows_of((taus_in, *cols_in), rows, len(inside))
             x, kept = _invert_rows(config, taus_inv, rtol, tuple(co_inv))
             for k, points in zip(rows, kept):
                 found[inside[k]] = points
-    return names, slack, decided, (x, found) if invert else None
+    fields = None
+    if regions:  # every row's TauRegion coeffs and lift
+        fields = ([None] * n, _lifts(config, taus, cols, decided)) if collinear else (
+            _coeff_objects(config, cols), [None] * n)
+    return names, slack, decided, (x, found) if stage2 else None, fields
 
 
 def _classify_rows(config: SensorConfig, taus, rtol: float, co: tuple, names: tuple,
@@ -633,56 +651,68 @@ def _collinear_lift_table(config: SensorConfig) -> tuple:
                                                    config._memo(_collinear_facet_table)))
 
 
-def _classify_collinear_rows(config: SensorConfig, taus, rtol: float) -> tuple:
-    """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic.
-
-    taus: a float row or an (N, 2) array.  Each lift is None or the lifted
-    triple (tau1 + t, tau2 + t, t) as floats, solved on the unit geometry.
-    InvalidParam where some |tau|, or a lift t, exceeds _LIFT_BOUND * d_max.
-    """
-    kind, d_max, unit = config.kind, config.d_max, config._unit
-    t1, t2 = _columns(taus)
+def _lift_columns(config: SensorConfig, taus, rtol: float) -> tuple:
+    """(flat, c, l1, l2, l3) of validated tau, floats or (N,) columns: the Stewart quadric along
+    the lift (tau1 + t, tau2 + t, t) is c + a_lin * t (canonical labels, unit geometry), flat
+    where |a_lin| <= rtol * d_max, and (l1, l2, l3) is the lift at its root (t = 0 if flat).
+    InvalidParam where some |tau|, or a lift t, exceeds _LIFT_BOUND * d_max."""
+    kind, unit = config.kind, config._unit
     u1, u2 = _columns(_to_unit(config, taus, _LIFT_BOUND, "tau too large for the collinear lift"))
-    vertex = _listed(_over(_near, config._memo(_vertex_images), t1, t2, rtol * d_max))
-
-    # the Stewart quadric along the lift (tau1 + t, tau2 + t, t) is linear
-    # in t: c_lin + a_lin * t (canonical labels, unit geometry)
-    d, rho = d_max * unit, kind.rho
-    p1, p2, p3 = ((u1, u2, 0.0)[k] for k in kind.order)  # the lift at t = 0: (tau1, tau2, 0)
+    d, rho, (i1, i2, i3) = config.d_max * unit, kind.rho, kind.order
+    at_0 = (u1, u2, 0.0)  # the lift at t = 0: (tau1, tau2, 0)
+    p1, p2, p3 = at_0[i1], at_0[i2], at_0[i3]
     a_lin = 2.0 * ((1.0 - rho) * p1 + rho * p2 - p3)
     c_lin = _stewart(rho, kind.d21 * unit, p1, p2, p3)
-    flat = abs(a_lin) <= (tol_lin := rtol * d)
-    # a flat row's lift is discarded: num = 0 and den = a_lin + 1 there keep its t finite
+    flat = abs(a_lin) <= rtol * d
+    # num = 0 and den = a_lin + 1 keep a flat row's t finite
     num, den = -c_lin * (1 - flat), a_lin + flat
     if True in _listed(abs(num) > _LIFT_BOUND * d * abs(den)):  # |t| = |num / den|, no overflow
         raise InvalidParam(f"range differences too large for the collinear lift: a lift lies "
                            f"beyond t = {_LIFT_BOUND:g} d_max")
     t_star = num / den
-    lift = (u1 + t_star, u2 + t_star, t_star)
-    q3 = _over(_slacks, config._memo(_collinear_lift_table), *(lift[k] for k in kind.order))
+    return flat, c_lin, u1 + t_star, u2 + t_star, t_star
 
-    labels, ids, fibers, lifts = [], [], [], []
-    for (x1, x2), near, is_flat, c, lift_u, lift_i, slack3 in zip(
-            zip(_listed(t1), _listed(t2)), vertex, _listed(flat), _listed(c_lin),
-            zip(*map(_listed, lift)), zip(*(_listed(v / unit) for v in lift)), _listed(q3)):
+
+def _lifts(config: SensorConfig, taus, cols: tuple, decided: list) -> list:
+    """Per row of tau the lift of its TauRegion, in the caller's units: _lift_columns' lifted
+    triple, None on a flat row and on a vertex ray, and at R3 tau lifted to the node."""
+    flat, _, l1, l2, l3 = cols
+    unit, t_mid = config._unit, (config.d31, config.d32, 0.0)[config.kind.order[2]]
+    t1, t2 = _columns(taus)
+    return [[x1 + t_mid, x2 + t_mid, t_mid] if ids == ("R3",) else
+            None if is_flat or fiber == math.inf else lift
+            for (_, ids, fiber), is_flat, x1, x2, lift in zip(
+                decided, _listed(flat), _listed(t1), _listed(t2),
+                zip(_listed(l1 / unit), _listed(l2 / unit), _listed(l3 / unit)))]
+
+
+def _classify_collinear_rows(config: SensorConfig, taus, rtol: float, cols: tuple) -> list:
+    """_classify_rows for a collinear triple: the lift to ranges replaces the quadratic.
+
+    taus: the rows that passed _tau_rows' band gate, a float row or a block, and cols their
+    _lift_columns values; the (label, ids, fiber) of each row, in a list.
+    """
+    kind, d_max, unit = config.kind, config.d_max, config._unit
+    flat, c_lin, l1, l2, l3 = cols
+    vertex = _listed(_over(_near, config._memo(_vertex_images), *_columns(taus), rtol * d_max))
+    (i1, i2, i3), lift, d = kind.order, (l1, l2, l3), d_max * unit
+    q3 = _over(_slacks, config._memo(_collinear_lift_table), lift[i1], lift[i2], lift[i3])
+
+    decided = []
+    for near, is_flat, c, lift_u, slack3 in zip(vertex, _listed(flat), _listed(c_lin), zip(
+            _listed(l1), _listed(l2), _listed(l3)), _listed(q3)):
         ids_i, fiber = (), 0
         if (row := _first(near)) is not None:
             # vertex images (canonical ids: R1, R2 endpoints, R3 middle)
-            cid = f"R{kind.order.index(row) + 1}"
-            if cid == "R3":
-                t_mid = (config.d31, config.d32, 0.0)[row]
-                lift_i = [x1 + t_mid, x2 + t_mid, t_mid]
-                label, ids_i, fiber = "BoundaryArc", ("R3",), 1
-            else:
-                label, ids_i, fiber, lift_i = "VertexRay", (cid,), math.inf, None
+            ids_i = (f"R{kind.order.index(row) + 1}",)
+            label, fiber = ("BoundaryArc", 1) if ids_i == ("R3",) else ("VertexRay", math.inf)
         elif is_flat:
             # the flat lift meets the quadric everywhere or nowhere
-            lift_i = None
             if _stewart_gate(config, c, rtol)[1]:
                 label, ids_i, fiber = "VertexRay", ("R1", "R2"), math.inf
             else:
                 label = "OutsideIm"
-        elif min(lift_u) < -tol_lin:
+        elif min(lift_u) < -rtol * d:
             label = "OutsideIm"
         else:
             active, verdict = _facet_verdict(zip(Q3_FACETS_COLLINEAR, slack3), rtol, d)
@@ -692,11 +722,8 @@ def _classify_collinear_rows(config: SensorConfig, taus, rtol: float) -> tuple:
                 label, ids_i, fiber = "BoundaryArc", active, 1
             else:
                 label, fiber = "CollinearInterior", 2
-        labels.append(label)
-        ids.append(ids_i)
-        fibers.append(fiber)
-        lifts.append(lift_i)
-    return labels, ids, fibers, lifts
+        decided.append((label, ids_i, fiber))
+    return decided
 
 
 # ---------------------------------------------------------------------------
@@ -715,17 +742,9 @@ def _coeff_objects(config: SensorConfig, co: tuple) -> list:
 
 def _regions(config: SensorConfig, taus, rtol: float, invert: bool = False) -> tuple:
     """One TauRegion per row of validated tau, a float row or an (N, 2) array, and with invert
-    _tau_rows' (x, found) in general position (else None).  _coeff_rows runs on every row, for
-    the TdoaCoeffs."""
-    if config.is_collinear:
-        names, slack = _p2_slacks(config, *_columns(taus))
-        labels, ids, fibers, lifts = _classify_collinear_rows(config, taus, rtol)
-        decided, coeffs, inverted = zip(labels, ids, fibers), [None] * len(labels), None
-    else:
-        co = _coeff_rows(config, *_columns(_line_taus(config, taus)))
-        names, slack, decided, inverted = _tau_rows(config, taus, rtol, co, invert)
-        coeffs = _coeff_objects(config, co)
-        lifts = [None] * len(coeffs)
+    _tau_rows' (x, found) (None for collinear receivers).  The TdoaCoeffs and lifts are those of
+    every row, inside P2 or not."""
+    names, slack, decided, inverted, (coeffs, lifts) = _tau_rows(config, taus, rtol, invert, True)
     return tuple([TauRegion(label=label, ids=ids, fiber=fiber, residuals=dict(zip(names, row)),
                             coeffs=c, lift=None if lift is None else np.array(lift))
                   for (label, ids, fiber), lift, row, c in zip(decided, lifts, _listed(slack),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _RTOL, SensorConfig, TwoReceivers, _facet_verdict, _measurement
-from .errors import DimensionMismatch, Infeasible
+from .errors import DimensionMismatch, Infeasible, InvalidParam
 
 # Facet identifiers, paired with slack expressions (slack >= 0 inside).
 Q2_FACETS = ("T1+T2=d21", "T1-T2=d21", "T2-T1=d21")
@@ -61,7 +61,10 @@ def classify_pair(T1: float, T2: float, d21: float, rtol: float = _RTOL) -> Q2Cl
 
     Shared by the planar two-receiver solver and by slice tests elsewhere
     (any two ranges plus the distance between their receivers form a Q2).
+    InvalidParam when T1 or T2 is not finite.
     """
+    if not (math.isfinite(T1) and math.isfinite(T2)):
+        raise InvalidParam(f"ranges must be finite, got {[T1, T2]}")
     res = q2_residuals(T1, T2, d21)
     if min(T1, T2) < -rtol * d21:
         return Q2Class(verdict="Outside", residuals=res, active=(), fiber=0)

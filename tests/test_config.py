@@ -133,6 +133,7 @@ def test_collinear_invariants(cfg):
     ("classify3", "right", [0.5, 0.8, 0.7]),
     ("classify3", "collinear_mid", [0.5, 0.8, 0.4]),
     ("invert3", "right", [0.5, 0.8, 0.7]),
+    ("quartic_residual", "right", [0.5, 0.8, 0.7]),
     ("classify_tau", "right", [0.1, 0.2]),
     ("invert_tdoa", "right", [0.1, 0.2]),
     ("classify3d_r3", "right3d", [0.5, 0.8, 0.7]),
@@ -145,6 +146,9 @@ def test_non_finite_measurements_are_rejected(request, name, fixture, good, bad)
         T[i] = bad
         with pytest.raises(rg.InvalidParam, match="must be finite"):
             getattr(rg, name)(cfg, T)
+        if name == "quartic_residual":  # and in a batch of triples
+            with pytest.raises(rg.InvalidParam, match="must be finite"):
+                rg.quartic_residual(cfg, [good, T])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

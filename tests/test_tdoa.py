@@ -1,5 +1,6 @@
 """Range-difference model: projection, feasible regions, fibers, inversion."""
 import gc
+import itertools
 import math
 import warnings
 import weakref
@@ -427,29 +428,107 @@ def test_classify_invert_tau_empty_and_single_row(scalene, collinear_mid):
     assert _bits(sol.points) == _bits(rg.invert_tdoa(scalene, tau).points)
 
 
+def _vertex_probes(cfg, seed: int) -> np.ndarray:
+    """Seeded tau rows 1e-9 to 1e-6 d_max from each vertex image, in the max norm."""
+    rng = np.random.default_rng(seed)
+    images = np.array(tdoa._vertex_images(cfg))
+    r = 10.0 ** rng.uniform(-9.0, -6.0, size=(3, 40, 1)) * cfg.d_max
+    d = rng.normal(size=(3, 40, 2))
+    return (images[:, None, :] + d / np.abs(d).max(axis=2, keepdims=True) * r).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("batch", [rg.classify_invert_tau, rg.tau_fibers])
 def test_batch_entries_classify_only_rows_inside_p2_and_invert_only_fibers_1_and_2(
-        monkeypatch, scalene, batch):
-    """The pipeline hands _classify_rows only the rows inside the P2 band and _invert_rows only
-    the rows of fiber 1 or 2; classify_invert_tau's other rows get an empty SolutionSet."""
-    taus = _probe_taus(scalene, seed=7)
-    seen = {"_classify_rows": [], "_invert_rows": []}
-    for name, real in [(name, getattr(tdoa, name)) for name in seen]:
-        def counted(config, rows, *args, real=real, name=name):
-            seen[name].extend(rows.tolist())
-            return real(config, rows, *args)
-        monkeypatch.setattr(tdoa, name, counted)
-    out = batch(scalene, taus)
-    monkeypatch.undo()
-    regions = [rg.classify_tau(scalene, tau) for tau in taus]
-    tol = 1e-9 * scalene.d_max
-    assert seen["_classify_rows"] == [tau.tolist() for tau, region in zip(taus, regions)
-                                      if min(region.residuals.values()) >= -tol]
-    assert seen["_invert_rows"] == [tau.tolist() for tau, region in zip(taus, regions)
-                                    if region.fiber in (1, 2)]
-    assert {region.fiber for region in regions} == {0, 1, 2}
-    if batch is rg.classify_invert_tau:
-        assert all(sol.points == () for region, sol in zip(regions, out[1]) if region.fiber == 0)
+        monkeypatch, scalene, collinear_mid, batch):
+    """The pipeline hands the classifier, _classify_rows or for collinear receivers
+    _classify_collinear_rows, only the rows inside the P2 band, and _invert_rows only the rows
+    of fiber 1 or 2 (none for collinear receivers); classify_invert_tau's other rows get an
+    empty SolutionSet.  The collinear probes include rows near the vertex images."""
+    for cfg, classifier in ((scalene, "_classify_rows"),
+                            (collinear_mid, "_classify_collinear_rows")):
+        taus = _probe_taus(cfg, seed=7)
+        if cfg.is_collinear:
+            taus = np.concatenate([taus, _vertex_probes(cfg, seed=7)])
+        seen = {classifier: [], "_invert_rows": []}
+        for name, real in [(name, getattr(tdoa, name)) for name in seen]:
+            def counted(config, rows, *args, real=real, name=name):
+                seen[name].extend(rows.tolist())
+                return real(config, rows, *args)
+            monkeypatch.setattr(tdoa, name, counted)
+        out = batch(cfg, taus)
+        monkeypatch.undo()
+        regions = [rg.classify_tau(cfg, tau) for tau in taus]
+        tol = 1e-9 * cfg.d_max
+        assert seen[classifier] == [tau.tolist() for tau, region in zip(taus, regions)
+                                    if min(region.residuals.values()) >= -tol]
+        assert seen["_invert_rows"] == [tau.tolist() for tau, region in zip(taus, regions)
+                                        if region.fiber in (1, 2) and not cfg.is_collinear]
+        fibers = {region.fiber for region in regions}
+        assert fibers == ({0, 1, 2, math.inf} if cfg.is_collinear else {0, 1, 2})
+        if batch is rg.classify_invert_tau and not cfg.is_collinear:
+            assert all(sol.points == () for region, sol in zip(regions, out[1])
+                       if region.fiber == 0)
+
+
+@pytest.mark.parametrize("middle", [0.5, 0.3])  # collinear_mid's receivers, and off-centre
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_collinear_rows_outside_the_p2_band_are_outside_im(middle, order, rtol):
+    """Rows 1e-9 to 1e-6 d_max from the vertex images of (0,0) (1,0) (middle,0), in each
+    receiver order: classify_tau, classify_invert_tau and tau_fibers give every row the same
+    label and fiber, and label each row outside the P2 band OutsideIm with fiber 0, the rule
+    of general position."""
+    cfg = rg.validate_config(np.array([(0.0, 0.0), (1.0, 0.0), (middle, 0.0)])[list(order)])
+    taus = _vertex_probes(cfg, seed=sum(k * 10 ** i for i, k in enumerate(order)))
+    regions, _ = rg.classify_invert_tau(cfg, taus, rtol)
+    labels, fibers, _ = rg.tau_fibers(cfg, taus, rtol)
+    outside = 0
+    for tau, region, label, fiber in zip(taus, regions, labels, fibers):
+        one = rg.classify_tau(cfg, tau, rtol)
+        assert _region_bits(one) == _region_bits(region)
+        assert (label, _bits(fiber)) == (one.label, _bits(one.fiber))
+        if min(one.residuals.values()) < -rtol * cfg.d_max:
+            outside += 1
+            assert (one.label, one.ids, one.fiber) == ("OutsideIm", (), 0)
+    assert outside < len(taus)
+    if rtol == 1e-9:  # the probes reach a thousand band widths out
+        assert outside
+
+
+@pytest.mark.parametrize("receivers", [_ROW_RECEIVERS[4], _ROW_RECEIVERS[5],
+                                       [(2.0, 1.0), (4.5, 1.0), (3.0, 1.0)]])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+def test_collinear_rows_outside_p2_keep_their_lift(receivers, rtol):
+    """A collinear row outside the P2 band still carries the lift (tau1 + t, tau2 + t, t) of its
+    line: the lift lies on the Stewart quadric, and is None only on a flat row, where the
+    quadric does not change along the line (its slope in t within rtol * d_max of 0)."""
+    cfg = rg.validate_config(receivers)
+    rng = np.random.default_rng(_probe_seed(receivers))
+    kind, dm = cfg.kind, cfg.d_max
+    # along the lift the quadric's slope in t is 2 w . tau, w the weights (1 - rho, rho, -1)
+    # of the canonical (tau1, tau2, 0); flat rows lie on the line w . tau = 0
+    weight = (1.0 - kind.rho, kind.rho, -1.0)
+    w = np.array([weight[kind.order.index(k)] for k in (0, 1)])
+    flat = np.array([w[1], -w[0]]) / np.abs(w).max()
+    taus = np.concatenate([rng.uniform(-1.3, 1.3, size=(200, 2)) * dm, _probe_taus(cfg, seed=3),
+                           np.outer([0.5, 1.2, 2.0, -1.7, 40.0], flat) * dm])
+    regions, _ = rg.classify_invert_tau(cfg, taus, rtol)
+    outside = [(tau, region) for tau, region in zip(taus, regions)
+               if min(region.residuals.values()) < -rtol * dm]
+    assert len(outside) > 100
+    n_flat = 0
+    for tau, region in outside:
+        slope = 2.0 * abs(w @ tau)
+        if region.lift is None:
+            n_flat += 1
+            assert slope <= 1.01 * rtol * dm
+            continue
+        assert slope >= 0.99 * rtol * dm
+        T = region.lift
+        assert np.abs(T[:2] - T[2] - tau).max() <= 1e-12 * (dm + np.abs(T).max())
+        scale = dm * dm + float(T @ T)
+        assert abs(rg.collinear_quadric_residual(cfg, T)) <= 1e-12 * scale
+    assert n_flat >= 4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -41,6 +41,15 @@ def test_classify_pair_scalar_api():
     assert rg.classify_pair(0.2, 0.5, 1.0).verdict == "Outside"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_pair_rejects_non_finite_ranges(bad):
+    """A NaN range answered Interior with fiber 2 here, as it did in classify2 before its ranges
+    went through config._measurement."""
+    for T1, T2 in ((bad, 1.0), (1.0, bad), (bad, bad)):
+        with pytest.raises(rg.InvalidParam, match="must be finite"):
+            rg.classify_pair(T1, T2, 1.0)
+
+
 def _q2_ladder(T1, T2, d21, rtol):
     """(verdict, active, fiber) of classify_pair, written out: the octant first, then each Q2
     slack against rtol * d21."""

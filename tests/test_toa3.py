@@ -197,12 +197,18 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("n", [None, 1, 225, 512])
 def test_solve_matches_np_linalg_solve_bit_for_bit(n):
     """config._solve, the LAPACK gufunc without np.linalg.solve's wrapper, gives the wrapper's
-    bytes on seeded random 2x2 systems: one right-hand side (n None), and stacks of n."""
+    bytes on seeded random 2x2 systems: one right-hand side (n None), and (n, 2) stacks of
+    them, each row the wrapper's one-vector solve."""
     rng = np.random.default_rng(17 if n is None else n)
     for _ in range(50):
         M = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        b = rng.normal(size=(2,) if n is None else (n, 2, 1)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        assert _same_bits(rg.config._solve(M, b), np.linalg.solve(M, b))
+        b = rng.normal(size=(2,) if n is None else (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert _same_bits(rg.config._solve(M, b), _solve_rows(M, b))
+
+
+def _solve_rows(M, b):
+    """np.linalg.solve(M, b) for one right-hand side b, row by row for an (n, 2) stack."""
+    return np.linalg.solve(M, b) if b.ndim == 1 else np.array([np.linalg.solve(M, r) for r in b])
 
 
 def test_solve_matches_np_linalg_solve_on_the_thinnest_general_triangle():
@@ -219,8 +225,8 @@ def test_solve_matches_np_linalg_solve_on_the_thinnest_general_triangle():
     for _ in range(200):
         b = rng.normal(size=2)
         assert _same_bits(rg.config._solve(M_toa, b), np.linalg.solve(M_toa, b))
-    b = rng.normal(size=(512, 2, 1))
-    assert _same_bits(rg.config._solve(M_tdoa, b), np.linalg.solve(M_tdoa, b))
+    b = rng.normal(size=(512, 2))
+    assert _same_bits(rg.config._solve(M_tdoa, b), _solve_rows(M_tdoa, b))
 
 
 def _count_calls(monkeypatch, name, modules) -> dict:
@@ -241,10 +247,12 @@ def _count_calls(monkeypatch, name, modules) -> dict:
 @pytest.mark.parametrize("fixture", ["scalene", "collinear_mid"])
 def test_round_trip_parses_its_triple_once_per_call(request, monkeypatch, fixture):
     """classify3 then invert3 (invert3_collinear on a collinear triple) parse their triple
-    once each, and evaluate the quartic once, in classify3's gate, on general receivers."""
+    once each, and evaluate the quartic once, in classify3's gate, on general receivers.  On
+    general receivers hull_boundary_classify parses its triple once per call too, on every
+    step of its ladder, and its V0 source is invert3's point."""
     cfg = request.getfixturevalue(fixture)
     T = cfg.distances(np.array([0.3, 0.4]))
-    modules = (rg.config, toa3, kummer, tdoa, toa3d, rg.toa2)
+    modules = (rg.config, toa3, kummer, tdoa, toa3d, rg.toa2, surface)
     parsed = _count_calls(monkeypatch, "_measurement", modules)
     quartics = _count_calls(monkeypatch, "_quartic_value", (kummer,))
     report = rg.classify3(cfg, T)
@@ -254,6 +262,23 @@ def test_round_trip_parses_its_triple_once_per_call(request, monkeypatch, fixtur
     assert parsed["n"] == 2
     assert quartics["n"] == (0 if cfg.is_collinear else 1)
     assert report.quartic is None if cfg.is_collinear else report.quartic == rg.quartic_residual(cfg, T)
+    if cfg.is_collinear:
+        return
+    m1, m2 = cfg._receiver_stack[:2]
+    hull = {"V0": cfg.distances(np.array([0.6, 0.4])),
+            "UnboundedEdge1": cfg._memo(kummer._node_images)[0] + 0.5 * cfg.d_max,
+            "L3-": cfg.distances(m1 + 1.5 * (m2 - m1)) + 0.3,
+            "NotOnBoundary": cfg.distances(np.array([0.0, -0.5]))}
+    for name, T in hull.items():
+        before = parsed["n"]
+        try:
+            component = rg.hull_boundary_classify(cfg, T)
+        except rg.NotOnBoundary:
+            component = None
+        assert parsed["n"] == before + 1
+        assert (component.name if component else "NotOnBoundary") == name
+    (x,) = rg.invert3(cfg, hull["V0"], rtol=1e-5).points
+    assert _same_bits(rg.hull_boundary_classify(cfg, hull["V0"]).details["source"], x)
 
 
 def test_jacobian_rows_unit(right):
